@@ -8,10 +8,12 @@ rules in reverse recording order propagates gradients from a scalar loss to
 every parameter.  Recording order is execution order, so the reverse replay is
 always a valid topological sweep.
 
-Broadcasting is restricted to scalar-with-tensor.  Anything richer (bias rows,
-batch replication) is its own named op with an explicit backward rule, which
-keeps every rule auditable against the finite-difference oracle at the bottom
-of this module.
+Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
+named op with an explicit backward rule: `propagate` applies a graph operator
+over the node axis of a batched state, `affine` applies a shared channel map
+(plus bias), and `expand_batch` replicates along a new batch axis.  That keeps
+every rule auditable against the finite-difference oracle at the bottom of
+this module.
 
 Every op validates that its output is finite; NaN/Inf raise `NumericError`
 immediately instead of propagating.
@@ -172,6 +174,60 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return _out(a.data @ b.data, "matmul", tape, (a, b), make)
 
 
+def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
+    """Graph operator over the node axis of a batch, a[N,N] @ h[B,N,d]."""
+    if a.data.ndim != 2 or h.data.ndim != 3:
+        raise DimensionError(
+            f"propagate: expects a[N,N] and h[B,N,d], got {a.shape} and {h.shape}")
+    if a.shape != (h.shape[1], h.shape[1]):
+        raise DimensionError(
+            f"propagate: operator {a.shape} does not match {h.shape[1]} nodes")
+
+    def make(out: Tensor):
+        def rule():
+            g = out.grad
+            if g is None:
+                return
+            if a.requires_grad:
+                a.accumulate_grad(np.tensordot(g, h.data, axes=([0, 2], [0, 2])))
+            if h.requires_grad:
+                h.accumulate_grad(a.data.T @ g)
+        return rule
+
+    return _out(a.data @ h.data, "propagate", tape, (a, h), make)
+
+
+def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
+           tape: Tape | None = None) -> Tensor:
+    """Shared channel map over the leading axes, h[...,k] @ w[k,m] (+ b[m])."""
+    if w.data.ndim != 2 or h.data.ndim < 1 or h.shape[-1] != w.shape[0]:
+        raise DimensionError(f"affine: cannot map {h.shape} by {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise DimensionError(f"affine: bias {b.shape} does not match {w.shape}")
+    k, m = w.shape
+    flat = h.data.reshape(-1, k)
+    out_flat = flat @ w.data
+    if b is not None:
+        out_flat += b.data
+    inputs = (h, w) if b is None else (h, w, b)
+
+    def make(out: Tensor):
+        def rule():
+            g = out.grad
+            if g is None:
+                return
+            g_flat = g.reshape(-1, m)
+            if h.requires_grad:
+                h.accumulate_grad((g_flat @ w.data.T).reshape(h.shape))
+            if w.requires_grad:
+                w.accumulate_grad(flat.T @ g_flat)
+            if b is not None and b.requires_grad:
+                b.accumulate_grad(g_flat.sum(axis=0))
+        return rule
+
+    return _out(out_flat.reshape(h.shape[:-1] + (m,)), "affine", tape, inputs, make)
+
+
 def add(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
     if isinstance(b, (int, float)):
         def make(out: Tensor):
@@ -329,20 +385,6 @@ def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
 # structural ops
 # ---------------------------------------------------------------------------
 
-def reshape(a: Tensor, shape: Sequence[int], tape: Tape | None = None) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
-        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
-
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(out.grad.reshape(a.shape))
-        return rule
-
-    return _out(a.data.reshape(shape).copy(), "reshape", tape, (a,), make)
-
-
 def transpose(a: Tensor, axes: Sequence[int], tape: Tape | None = None) -> Tensor:
     axes = tuple(int(x) for x in axes)
     if sorted(axes) != list(range(a.data.ndim)):
@@ -393,25 +435,6 @@ def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
 
     arr = np.broadcast_to(a.data, (batch,) + a.shape).copy()
     return _out(arr, "expand_batch", tape, (a,), make)
-
-
-def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Row-wise bias add for a 2-D activation, x[m,k] + b[k]."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise DimensionError(f"add_bias: incompatible shapes {x.shape} and {b.shape}")
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            if x.requires_grad:
-                x.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(g.sum(axis=0))
-        return rule
-
-    return _out(x.data + b.data[None, :], "add_bias", tape, (x, b), make)
 
 
 # ---------------------------------------------------------------------------

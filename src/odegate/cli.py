@@ -64,17 +64,14 @@ ERROR_MAP = (
 # layered configuration
 # ---------------------------------------------------------------------------
 
-_OPTIONAL_FLOAT = "optional_float"
-
 KEY_TYPES = {
     "amplitude": float, "batch_size": int, "clip_norm": float,
     "diffusion": float, "embed_dim": int, "epochs": int, "horizon": int,
     "in_dim": int, "lam": float, "lr": float, "mask_grad": bool,
     "n_nodes": int, "patience": int, "period": float, "proj_dim": int,
     "seed": int, "shock_decay": float, "shock_mag_hi": float,
-    "shock_mag_lo": float, "shock_rate": float, "sparsity_tau": _OPTIONAL_FLOAT,
-    "steps": int, "stride": int, "tick_seconds": int, "total_t": int,
-    "variant": str, "window": int,
+    "shock_mag_lo": float, "shock_rate": float, "steps": int, "stride": int,
+    "tick_seconds": int, "total_t": int, "variant": str, "window": int,
 }
 
 DEFAULTS = {
@@ -82,9 +79,9 @@ DEFAULTS = {
     "embed_dim": 10, "epochs": 50, "horizon": 12, "in_dim": 1, "lam": 0.0,
     "lr": 0.003, "mask_grad": False, "n_nodes": 20, "patience": 10,
     "period": 100.0, "proj_dim": 30, "seed": 0, "shock_decay": 12.0,
-    "shock_mag_hi": 8.0, "shock_mag_lo": 3.0, "shock_rate": 1.0,
-    "sparsity_tau": None, "steps": 4, "stride": 1, "tick_seconds": 300,
-    "total_t": 2000, "variant": "full", "window": 12,
+    "shock_mag_hi": 8.0, "shock_mag_lo": 3.0, "shock_rate": 1.0, "steps": 4,
+    "stride": 1, "tick_seconds": 300, "total_t": 2000, "variant": "full",
+    "window": 12,
 }
 
 GENERATE_KEYS = ("amplitude", "diffusion", "n_nodes", "period", "seed",
@@ -92,7 +89,7 @@ GENERATE_KEYS = ("amplitude", "diffusion", "n_nodes", "period", "seed",
                  "tick_seconds", "total_t")
 TRAIN_KEYS = ("batch_size", "clip_norm", "embed_dim", "epochs", "horizon",
               "lam", "lr", "mask_grad", "patience", "proj_dim", "seed",
-              "sparsity_tau", "steps", "stride", "variant", "window")
+              "steps", "stride", "variant", "window")
 ABLATE_KEYS = tuple(k for k in TRAIN_KEYS if k != "variant")
 EVAL_KEYS = ("batch_size", "stride")
 NFE_KEYS = ("embed_dim", "horizon", "n_nodes", "proj_dim", "seed", "steps",
@@ -109,9 +106,6 @@ def _coerce(key: str, raw: str):
             if low in ("false", "0"):
                 return False
             raise ValueError(f"expected true/false, got {raw!r}")
-        if kind is _OPTIONAL_FLOAT:
-            low = raw.strip().lower()
-            return None if low == "none" else float(raw)
         return kind(raw)
     except ValueError as exc:
         raise ValidationError(f"config key '{key}': {exc}") from exc
@@ -224,7 +218,7 @@ def _model_config(cfg, meta, variant) -> ModelConfig:
         window=cfg["window"], horizon=cfg["horizon"],
         proj_dim=cfg["proj_dim"], embed_dim=cfg["embed_dim"],
         steps=cfg["steps"], mask_mode=VARIANTS[variant],
-        mask_grad=cfg["mask_grad"], sparsity_tau=cfg["sparsity_tau"])
+        mask_grad=cfg["mask_grad"])
 
 
 def _train_config(cfg, variant, lam) -> TrainConfig:

@@ -361,4 +361,11 @@ def load_dataset_files(data_dir):
     if series.shape[1] != meta["n_nodes"]:
         raise ValidationError(
             f"{data_dir}: series has {series.shape[1]} nodes, meta says {meta['n_nodes']}")
+    for line, ev in enumerate(events, start=2):
+        if not 0 <= ev.node < meta["n_nodes"]:
+            raise ValidationError(f"{data_dir}: events.csv line {line}: node {ev.node} "
+                                  f"outside [0, {meta['n_nodes']})")
+        if not math.isfinite(ev.magnitude):
+            raise ValidationError(f"{data_dir}: events.csv line {line}: "
+                                  f"non-finite magnitude {ev.magnitude}")
     return series, events, graph, meta

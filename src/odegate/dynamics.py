@@ -20,14 +20,14 @@ per-step trace of error/mask statistics and the NFE count.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tape, Tensor, absolute, add, add_bias, detach, hadamard,
-                       matmul, reshape, scale, sigmoid, sub, tanh, transpose)
-from .errors import ContractError, DimensionError, NumericError, OdegateError
+from .autodiff import (Tape, Tensor, absolute, add, detach, hadamard, scale,
+                       sigmoid, sub, tanh)
+from .autodiff import affine as node_linear, propagate as graph_propagate
+from .errors import ContractError, NumericError, OdegateError
 
 MASK_MODES = ("lte", "uniform_one", "learned", "off")
 
@@ -104,29 +104,6 @@ class NFECounter:
 # ---------------------------------------------------------------------------
 # field and step
 # ---------------------------------------------------------------------------
-
-def graph_propagate(a_op: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
-    """Apply an [N,N] operator over the node axis of h[B,N,d]."""
-    if h.data.ndim != 3:
-        raise DimensionError(f"graph_propagate: state must be [B,N,d], got {h.shape}")
-    b, n, d = h.shape
-    if a_op.shape != (n, n):
-        raise DimensionError(
-            f"graph_propagate: operator {a_op.shape} does not match {n} nodes")
-    flat = reshape(transpose(h, (1, 0, 2), tape), (n, b * d), tape)
-    mixed = matmul(a_op, flat, tape)
-    return transpose(reshape(mixed, (n, b, d), tape), (1, 0, 2), tape)
-
-
-def node_linear(h: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Shared affine map over the channel axis of h[B,N,d]."""
-    if h.data.ndim != 3:
-        raise DimensionError(f"node_linear: state must be [B,N,d], got {h.shape}")
-    bs, n, d = h.shape
-    flat = reshape(h, (bs * n, d), tape)
-    out = add_bias(matmul(flat, w, tape), b, tape)
-    return reshape(out, (bs, n, w.shape[1]), tape)
-
 
 def vector_field(h: Tensor, a_op: Tensor, params: VectorFieldParams,
                  tape: Tape | None = None, nfe: NFECounter | None = None) -> Tensor:
@@ -205,8 +182,8 @@ def _empty_trace(step: int, nfe: int, e_values: np.ndarray) -> StepTrace:
 def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
            vf: VectorFieldParams, comp: CompensatorParams | None = None,
            mask_mode: str = "lte", *, mask_params: LearnedMaskParams | None = None,
-           mask_grad: bool = False, sparsity_tau: float | None = None,
-           tape: Tape | None = None, nfe: NFECounter | None = None,
+           mask_grad: bool = False, tape: Tape | None = None,
+           nfe: NFECounter | None = None,
            collect_masks: bool = False, collect_states: bool = False) -> EvolveResult:
     """Run S hybrid steps over unit time and record per-step traces.
 
@@ -220,10 +197,6 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
     mask_grad=True to let gradients flow through the gate.  The per-step error
     tensors returned in `lte` always stay on the tape (the smoothness-penalty
     loss needs them differentiable).
-
-    sparsity_tau enables the approximate fast path: nodes whose mask stays
-    below 0.5 + tau everywhere contribute no jump at all.  Since the exact
-    gate never reaches 0, this changes results and is off by default.
     """
     if steps < 1:
         raise ContractError(f"evolve: steps must be >= 1, got {steps}")
@@ -265,13 +238,7 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
                 else:  # learned
                     m = sigmoid(node_linear(h, mask_params.w_m, mask_params.b_m, tape), tape)
 
-                m_applied = m
-                if sparsity_tau is not None:
-                    active = (m.data >= 0.5 + sparsity_tau).any(axis=-1, keepdims=True)
-                    gate = np.broadcast_to(active, m.shape).astype(np.float64)
-                    m_applied = hadamard(m, Tensor(gate.copy()), tape)
-
-                h_next = compensate(h, h_rk2, m_applied, step, comp, tape)
+                h_next = compensate(h, h_rk2, m, step, comp, tape)
                 m_mean, m_std, m_p95, hist = _mask_stats(m.data)
                 trace = StepTrace(step_index=step, nfe_count=nfe.count - nfe_before,
                                   e_mean=float(err.data.mean()),
@@ -292,37 +259,3 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
         raise NumericError("evolve: final state is non-finite")
     return EvolveResult(h_final=h, traces=traces, lte=lte_tensors,
                         masks=masks, states=states)
-
-
-# ---------------------------------------------------------------------------
-# trace serialization
-# ---------------------------------------------------------------------------
-
-TRACE_HEADER = (["step", "nfe", "e_mean", "e_max", "m_mean", "m_std", "m_p95"]
-                + [f"hist_{i}" for i in range(HIST_BINS)])
-
-
-def write_traces_csv(path, traces) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for t in traces:
-            writer.writerow([t.step_index, t.nfe_count, repr(t.e_mean), repr(t.e_max),
-                             repr(t.m_mean), repr(t.m_std), repr(t.m_p95)]
-                            + list(t.mask_histogram))
-
-
-def read_traces_csv(path):
-    traces = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_HEADER:
-            raise ContractError(f"{path}: unexpected trace header")
-        for row in reader:
-            traces.append(StepTrace(
-                step_index=int(row[0]), nfe_count=int(row[1]),
-                e_mean=float(row[2]), e_max=float(row[3]),
-                m_mean=float(row[4]), m_std=float(row[5]), m_p95=float(row[6]),
-                mask_histogram=[int(x) for x in row[7:7 + HIST_BINS]]))
-    return traces

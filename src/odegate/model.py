@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, concat_channels, expand_batch, matmul, reshape
-from .dynamics import (CompensatorParams, EvolveResult, LearnedMaskParams,
-                       NFECounter, VectorFieldParams, evolve, node_linear)
+from .autodiff import Tape, Tensor, affine, concat_channels, expand_batch
+from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult,
+                       LearnedMaskParams, NFECounter, VectorFieldParams, evolve)
 from .errors import DimensionError, ParseError, ValidationError
 from .graph import NodeEmbeddings, adaptive_adjacency
 
@@ -36,13 +36,15 @@ class ModelConfig:
     steps: int = 4
     mask_mode: str = "lte"
     mask_grad: bool = False
-    sparsity_tau: float | None = None
 
     def __post_init__(self):
         for name in ("n_nodes", "in_dim", "window", "horizon",
                      "proj_dim", "embed_dim", "steps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"ModelConfig.{name} must be >= 1")
+        if self.mask_mode not in MASK_MODES:
+            raise ValidationError(f"ModelConfig.mask_mode '{self.mask_mode}' "
+                                  f"is not one of {list(MASK_MODES)}")
 
     @property
     def hidden_dim(self) -> int:
@@ -198,8 +200,7 @@ def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
         raise DimensionError(
             f"initialize_state: input {x.shape} does not match config "
             f"(n_nodes={config.n_nodes}, window={config.window}, in_dim={config.in_dim})")
-    flat = reshape(x, (b * n, t * d), tape)
-    proj = reshape(matmul(flat, params.w_input, tape), (b, n, config.proj_dim), tape)
+    proj = affine(Tensor(x.data.reshape(b, n, t * d)), params.w_input, tape=tape)
     emb = expand_batch(params.e_node.table, b, tape)
     return concat_channels(proj, emb, tape)
 
@@ -215,8 +216,7 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     a_adaptive = adaptive_adjacency(params.e_node, tape)
 
     common = dict(steps=config.steps, dt=config.dt, mask_mode=config.mask_mode,
-                  mask_grad=config.mask_grad, sparsity_tau=config.sparsity_tau,
-                  tape=tape, collect_masks=collect_masks)
+                  mask_grad=config.mask_grad, tape=tape, collect_masks=collect_masks)
     nfe_s, nfe_k = NFECounter(), NFECounter()
     res_s: EvolveResult = evolve(h0, a_op=ahat, vf=params.vf_static,
                                  comp=params.comp_static,
@@ -228,7 +228,7 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
                                  nfe=nfe_k, **common)
 
     merged = concat_channels(res_s.h_final, res_k.h_final, tape)
-    y_hat = node_linear(merged, params.w_out, params.b_out, tape)
+    y_hat = affine(merged, params.w_out, params.b_out, tape)
     return ForwardResult(y_hat=y_hat,
                          traces_static=res_s.traces, traces_adaptive=res_k.traces,
                          lte_static=res_s.lte, lte_adaptive=res_k.lte,
@@ -290,7 +290,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
             "window": config.window, "horizon": config.horizon,
             "proj_dim": config.proj_dim, "embed_dim": config.embed_dim,
             "steps": config.steps, "mask_mode": config.mask_mode,
-            "mask_grad": config.mask_grad, "sparsity_tau": config.sparsity_tau,
+            "mask_grad": config.mask_grad,
         },
         "params": {name: t.data.tolist() for name, t in params.named().items()},
     }
@@ -311,7 +311,13 @@ def load_checkpoint(path):
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version "
                               f"{payload.get('version')}")
-    config = ModelConfig(**payload["config"])
+    stored_config = dict(payload["config"])
+    # Checkpoints from before the sparsity_tau knob was removed carry it, null
+    # unless the model was trained with that approximation switched on.
+    if stored_config.pop("sparsity_tau", None) is not None:
+        raise ValidationError(f"{path}: checkpoint was trained with sparsity_tau, "
+                              "which is no longer supported")
+    config = ModelConfig(**stored_config)
     stored = payload["params"]
 
     def grab(name: str) -> Tensor:

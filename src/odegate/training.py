@@ -24,6 +24,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, add, backward, mean_abs_error, mean_all, scale
 from .data import ForecastDataset, WindowSet
+from .dynamics import HIST_BINS
 from .errors import ContractError, NumericError, ValidationError
 from .graph import normalize_adjacency
 from .model import ModelConfig, ModelParams, forward, init_params
@@ -312,7 +313,7 @@ class MaskReport:
     mean: float
     std: float
     p95: float
-    histogram: list               # 20 counts over [0, 1]
+    histogram: list               # HIST_BINS counts over [0, 1]
     shock_mean: float             # cells whose input window contains a shock
     nonshock_mean: float
     shock_p95: float
@@ -326,8 +327,6 @@ def shock_cell_matrix(windows: WindowSet, events, window_len: int) -> np.ndarray
     cells = np.zeros((windows.count, n), dtype=bool)
     starts = windows.origins
     for ev in events:
-        if ev.node >= n:
-            continue
         hit = (starts <= ev.t) & (ev.t < starts + window_len)
         cells[hit, ev.node] = True
     return cells
@@ -342,7 +341,7 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
     ahat = normalize_adjacency(dataset.graph)
     cells = shock_cell_matrix(windows, dataset.events, dataset.window)
 
-    hist = np.zeros(20, dtype=np.int64)
+    hist = np.zeros(HIST_BINS, dtype=np.int64)
     values_sum = 0.0
     values_sq = 0.0
     values_n = 0
@@ -355,7 +354,7 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
                                     batch_size, collect_masks=True):
         batch_cells = cells[sl]
         for m in res.masks_static + res.masks_adaptive:
-            hist += np.histogram(m, bins=20, range=(0.0, 1.0))[0]
+            hist += np.histogram(m, bins=HIST_BINS, range=(0.0, 1.0))[0]
             values_sum += float(m.sum())
             values_sq += float((m * m).sum())
             values_n += m.size

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odegate.autodiff import (Tape, Tensor, absolute, add, add_bias, backward,
+from odegate.autodiff import (Tape, Tensor, absolute, add, affine, backward,
                               concat_channels, detach, divide, expand_batch,
                               finite_diff_gradient, hadamard, matmul, mean_abs_error,
-                              mean_all, relu, reshape, scale, sigmoid, sub, tanh,
+                              mean_all, propagate, relu, scale, sigmoid, sub, tanh,
                               tensor, total_sum, transpose)
 from odegate.errors import ContractError, DimensionError, NumericError
 
@@ -179,7 +179,6 @@ class TestForwardOracles:
 
     def test_structural(self):
         a = rand(2, 3, 4)
-        assert np.array_equal(reshape(Tensor(a), (6, 4)).data, a.reshape(6, 4))
         assert np.array_equal(transpose(Tensor(a), (1, 0, 2)).data,
                               a.transpose(1, 0, 2))
         b = rand(2, 3, 5)
@@ -188,21 +187,42 @@ class TestForwardOracles:
         e = rand(3, 4)
         assert np.array_equal(expand_batch(Tensor(e), 5).data,
                               np.broadcast_to(e, (5, 3, 4)))
-        x, bias = rand(4, 3), rand(3)
-        assert np.array_equal(add_bias(Tensor(x), Tensor(bias)).data,
-                              x + bias[None, :])
 
     def test_structural_errors(self):
-        with pytest.raises(DimensionError):
-            reshape(Tensor(rand(2, 3)), (7,))
         with pytest.raises(DimensionError):
             transpose(Tensor(rand(2, 3)), (0, 0))
         with pytest.raises(DimensionError):
             concat_channels(Tensor(rand(2, 3)), Tensor(rand(3, 3)))
         with pytest.raises(ContractError):
             expand_batch(Tensor(rand(2)), 0)
+
+    def test_propagate_matches_per_batch_loop(self):
+        a, h = rand(5, 5), rand(3, 5, 4)
+        expected = np.stack([a @ h[b] for b in range(3)])
+        out = propagate(Tensor(a), Tensor(h)).data
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_affine_matches_per_batch_loop(self):
+        h, w, bias = rand(3, 5, 4), rand(4, 2), rand(2)
+        for b_arg, b_val in ((None, 0.0), (Tensor(bias), bias)):
+            expected = np.stack([h[b] @ w + b_val for b in range(3)])
+            out = affine(Tensor(h), Tensor(w), b_arg).data
+            assert out.shape == (3, 5, 2)
+            assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_graph_op_shape_errors(self):
         with pytest.raises(DimensionError):
-            add_bias(Tensor(rand(2, 3)), Tensor(rand(4)))
+            propagate(Tensor(rand(4, 4)), Tensor(rand(4, 3)))      # h not [B,N,d]
+        with pytest.raises(DimensionError):
+            propagate(Tensor(rand(4, 5)), Tensor(rand(2, 4, 3)))   # a not square
+        with pytest.raises(DimensionError):
+            propagate(Tensor(rand(5, 5)), Tensor(rand(2, 4, 3)))   # node count
+        with pytest.raises(DimensionError):
+            affine(Tensor(rand(2, 4, 3)), Tensor(rand(4, 2)))      # inner dims
+        with pytest.raises(DimensionError):
+            affine(Tensor(rand(2, 4, 3)), Tensor(rand(3)))         # w not 2-D
+        with pytest.raises(DimensionError):
+            affine(Tensor(rand(2, 4, 3)), Tensor(rand(3, 2)), Tensor(rand(3)))
 
     def test_reductions(self):
         a = rand(3, 4)
@@ -262,13 +282,32 @@ class TestGradientOracles:
         a = Tensor(rand(2, 3, 4), requires_grad=True)
         b = Tensor(rand(2, 3, 2), requires_grad=True)
         e = Tensor(rand(3, 2), requires_grad=True)
-        x = Tensor(rand(4, 3), requires_grad=True)
-        bias = Tensor(rand(3), requires_grad=True)
-        grad_matches(lambda t: total_sum(tanh(reshape(a, (4, 6), t), t), t), [a])
         grad_matches(lambda t: total_sum(tanh(transpose(a, (2, 0, 1), t), t), t), [a])
         grad_matches(lambda t: total_sum(tanh(concat_channels(a, b, t), t), t), [a, b])
         grad_matches(lambda t: total_sum(tanh(expand_batch(e, 3, t), t), t), [e])
-        grad_matches(lambda t: total_sum(tanh(add_bias(x, bias, t), t), t), [x, bias])
+
+    def test_propagate(self):
+        a = Tensor(rand(4, 4), requires_grad=True)
+        h = Tensor(rand(3, 4, 2), requires_grad=True)
+        grad_matches(lambda t: total_sum(tanh(propagate(a, h, t), t), t), [a, h])
+
+    def test_propagate_learnable_operator(self):
+        # the adaptive operator is itself built on the tape from embeddings
+        e = Tensor(rand(4, 2), requires_grad=True)
+        h = Tensor(rand(3, 4, 2), requires_grad=True)
+
+        def build(t):
+            a = tanh(matmul(e, transpose(e, (1, 0), t), t), t)
+            return total_sum(tanh(propagate(a, h, t), t), t)
+
+        grad_matches(build, [e, h])
+
+    def test_affine(self):
+        h = Tensor(rand(2, 3, 4), requires_grad=True)
+        w = Tensor(rand(4, 5), requires_grad=True)
+        bias = Tensor(rand(5), requires_grad=True)
+        grad_matches(lambda t: total_sum(tanh(affine(h, w, bias, t), t), t), [h, w, bias])
+        grad_matches(lambda t: total_sum(tanh(affine(h, w, tape=t), t), t), [h, w])
 
     def test_reductions(self):
         a = Tensor(rand(3, 4), requires_grad=True)
@@ -283,7 +322,7 @@ class TestGradientOracles:
         y = Tensor(rand(3, 4))
 
         def build(t):
-            h = add_bias(matmul(a, w, t), bias, t)
+            h = affine(a, w, bias, t)
             return mean_abs_error(sigmoid(h, t), y, t)
 
         grad_matches(build, [a, w, bias])

@@ -7,6 +7,7 @@ entry point.
 
 import filecmp
 import json
+import shutil
 import subprocess
 import sys
 from argparse import Namespace
@@ -61,8 +62,6 @@ class TestCoercion:
         assert _coerce("variant", "no_lte") == "no_lte"
         assert _coerce("mask_grad", "true") is True
         assert _coerce("mask_grad", "0") is False
-        assert _coerce("sparsity_tau", "none") is None
-        assert _coerce("sparsity_tau", "0.2") == 0.2
 
     def test_bad_values(self):
         with pytest.raises(ValidationError, match="'n_nodes'"):
@@ -245,6 +244,59 @@ class TestEvaluate:
                      "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("error[parse]:")
+
+    def _edited_checkpoint(self, full_run, tmp_path, **config):
+        payload = json.loads((full_run / "checkpoint.json").read_text())
+        payload["config"].update(config)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_bad_mask_mode_checkpoint(self, data_dir, full_run, tmp_path, capsys):
+        ckpt = self._edited_checkpoint(full_run, tmp_path, mask_mode="bogus")
+        code = main(["evaluate", "--data", str(data_dir),
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "mask_mode" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_legacy_sparsity_tau_key(self, data_dir, full_run, tmp_path, capsys):
+        # checkpoints written while the knob existed carry it as null
+        ref, old = tmp_path / "ref", tmp_path / "old"
+        main(["evaluate", "--data", str(data_dir), "--out", str(ref),
+              "--checkpoint", str(full_run / "checkpoint.json")])
+        ckpt = self._edited_checkpoint(full_run, tmp_path, sparsity_tau=None)
+        code = main(["evaluate", "--data", str(data_dir), "--out", str(old),
+                     "--checkpoint", str(ckpt)])
+        assert code == EXIT_OK
+        assert filecmp.cmp(ref / "metrics.json", old / "metrics.json",
+                           shallow=False)
+        capsys.readouterr()
+
+        ckpt = self._edited_checkpoint(full_run, tmp_path, sparsity_tau=0.2)
+        code = main(["evaluate", "--data", str(data_dir),
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "sparsity_tau" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("row", ["5,99,4.0", "5,0,nan"],
+                             ids=["node_out_of_range", "nan_magnitude"])
+    def test_corrupt_events_rejected(self, data_dir, full_run, tmp_path,
+                                     capsys, row):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        with open(bad / "events.csv", "a") as fh:
+            fh.write(row + "\n")
+        code = main(["evaluate", "--data", str(bad),
+                     "--checkpoint", str(full_run / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "events.csv line" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestMaskStats:

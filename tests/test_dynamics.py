@@ -11,10 +11,9 @@ import pytest
 
 from odegate.autodiff import Tape, Tensor, backward, mean_all, total_sum
 from odegate.dynamics import (CompensatorParams, LearnedMaskParams, NFECounter,
-                              StepTrace, VectorFieldParams, attention_mask,
-                              compensate, embedded_dual_step, evolve,
-                              local_truncation_error, read_traces_csv,
-                              vector_field, write_traces_csv)
+                              VectorFieldParams, attention_mask, compensate,
+                              embedded_dual_step, evolve, local_truncation_error,
+                              vector_field)
 from odegate.errors import ContractError, NumericError
 
 
@@ -54,6 +53,13 @@ class TestVectorField:
         vector_field(Tensor(rng.standard_normal((1, 3, 2))),
                      Tensor(np.eye(3)), vf, nfe=nfe)
         assert nfe.count == 1
+
+    def test_records_two_tape_nodes(self):
+        rng = np.random.default_rng(1)
+        tape = Tape()
+        h = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
+        vector_field(h, Tensor(np.eye(3)), affine_field(rng, 2), tape)
+        assert [name for name, _ in tape.nodes] == ["propagate", "affine"]
 
 
 class TestEmbeddedDualStep:
@@ -327,15 +333,6 @@ class TestEvolveBehavior:
         for t in res.traces:
             assert t.m_mean == 0.0 and sum(t.mask_histogram) == 0
 
-    def test_full_gate_shut_equals_pure_solver(self):
-        # tau so large no node clears the activity bar: every jump is zeroed
-        gated = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
-                       sparsity_tau=1.0)
-        off = evolve(self.h0, 4, 0.25, self.a, self.vf, None, mask_mode="off")
-        assert np.array_equal(gated.h_final.data, off.h_final.data)
-        # stats still describe the raw gate, not the zeroed one
-        assert all(t.m_mean >= 0.5 for t in gated.traces)
-
     def test_collect_masks_and_states(self):
         res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
                      collect_masks=True, collect_states=True)
@@ -380,22 +377,3 @@ class TestGateGradientFlow:
         backward(mean_all(res.lte[0], tape), tape)
         assert vf.w_f.grad is not None
         assert float(np.abs(vf.w_f.grad).sum()) > 0.0
-
-
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(30)
-        vf = affine_field(rng, 2)
-        comp = comp_for(rng, 2, 3)
-        res = evolve(Tensor(rng.standard_normal((2, 3, 2))), 3, 1.0 / 3.0,
-                     Tensor(np.eye(3)), vf, comp)
-        path = tmp_path / "traces.csv"
-        write_traces_csv(path, res.traces)
-        loaded = read_traces_csv(path)
-        assert loaded == res.traces
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "traces.csv"
-        path.write_text("wrong,header\n")
-        with pytest.raises(ContractError):
-            read_traces_csv(path)

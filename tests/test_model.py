@@ -1,6 +1,7 @@
 """Model assembly: parameter bookkeeping, forward pass, cost model, checkpoints."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -117,6 +118,19 @@ class TestForward:
         a = forward(x, ahat, params, TINY)
         b = forward(x, ahat, params, TINY)
         assert np.array_equal(a.y_hat.data, b.y_hat.data)
+
+    def test_tape_nodes_by_op(self):
+        params = init_params(TINY, seed=3)
+        x, ahat = tiny_inputs(TINY)
+        tape = Tape()
+        res = forward(x, ahat, params, TINY, tape)
+        ops = Counter(name for name, _ in tape.nodes)
+        assert "reshape" not in ops and "add_bias" not in ops
+        evals = res.nfe_static + res.nfe_adaptive
+        # one propagate and one affine node per field evaluation; the other
+        # affine nodes are the per-step jumps, the encoder and the readout
+        assert ops["propagate"] == evals
+        assert ops["affine"] == evals + 2 * TINY.steps + 2
 
     def test_operator_shape_checked(self):
         params = init_params(TINY)

@@ -289,8 +289,7 @@ class TestMaskStatistics:
                             origins=np.array([0, 5]))
         events = [ShockEvent(t=2, node=1, magnitude=4.0),
                   ShockEvent(t=6, node=2, magnitude=4.0),
-                  ShockEvent(t=9, node=2, magnitude=4.0),
-                  ShockEvent(t=1, node=7, magnitude=4.0)]
+                  ShockEvent(t=9, node=2, magnitude=4.0)]
         cells = shock_cell_matrix(windows, events, window_len=4)
         expected = np.array([[False, True, False],
                              [False, False, True]])
