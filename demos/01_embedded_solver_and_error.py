@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from odegate.autodiff import Tensor
-from odegate.dynamics import VectorFieldParams, embedded_dual_step, evolve
+from odegate.dynamics import (NFECounter, VectorFieldParams, embedded_dual_step,
+                              evolve)
 
 # --- 1. convergence order against the exact exponential --------------------
 # scalar system dh/dt = c*h, exact one-step solution h0 * exp(c*dt)
@@ -58,12 +59,14 @@ print(f"estimate vs dt^2/2 |A^2 h| over 100 random 4x4 systems: "
 # the gate is sigmoid(error), so a flat region gates at exactly 0.5 and a
 # violent one saturates toward (but never reaches) 1
 
+nfe = NFECounter()
 res = evolve(Tensor(rng.standard_normal((1, 4, 3))), 4, 0.25,
              Tensor(rng.standard_normal((4, 4)) * 2.0),
              VectorFieldParams(w_f=Tensor(np.eye(3) * 3.0), b_f=Tensor(np.zeros(3))),
-             comp=None, mask_mode="off", collect_masks=False)
+             comp=None, mask_mode="off", nfe=nfe)
 print("\nper-step error summary on a stiff random system")
-for tr in res.traces:
-    print(f"  step {tr.step_index}: mean |error| {tr.e_mean:.4f}  "
-          f"max {tr.e_max:.4f}  (2 field evaluations)")
+for step, err in enumerate(res.lte):
+    print(f"  step {step}: mean |error| {err.data.mean():.4f}  "
+          f"max {err.data.max():.4f}")
+print(f"{nfe.count} field evaluations over {len(res.lte)} steps")
 print("each step cost exactly 2 evaluations; error grows where the flow is stiff")

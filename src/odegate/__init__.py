@@ -12,8 +12,8 @@ from .data import (ForecastDataset, Scaler, ShockEvent, ShockScenario,
                    WindowSet, build_dataset, default_graph,
                    generate_shock_series, load_dataset_files, make_windows,
                    write_dataset_files)
-from .dynamics import (CompensatorParams, EvolveResult, LearnedMaskParams,
-                       NFECounter, StepTrace, VectorFieldParams,
+from .dynamics import (CompensatorParams, EvolveResult, GateStats,
+                       LearnedMaskParams, NFECounter, VectorFieldParams,
                        attention_mask, embedded_dual_step, evolve,
                        local_truncation_error, vector_field)
 from .errors import (ContractError, DimensionError, NumericError, OdegateError,
@@ -32,10 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "CompensatorParams", "ContractError", "DimensionError",
     "EvalReport", "EvolveResult", "FlopReport", "ForecastDataset",
-    "ForwardResult", "LearnedMaskParams", "MaskReport", "ModelConfig",
+    "ForwardResult", "GateStats", "LearnedMaskParams", "MaskReport", "ModelConfig",
     "ModelParams", "NFECounter", "NodeEmbeddings", "NumericError",
     "OdegateError", "ParseError", "Scaler", "ShockEvent", "ShockScenario",
-    "SpatialGraph", "StepTrace", "Tape", "Tensor", "TrainConfig",
+    "SpatialGraph", "Tape", "Tensor", "TrainConfig",
     "TrainResult", "ValidationError", "VectorFieldParams", "WindowSet",
     "adam_step", "adaptive_adjacency", "attention_mask", "backward",
     "build_dataset", "default_graph", "embedded_dual_step", "evaluate",

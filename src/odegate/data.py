@@ -269,6 +269,8 @@ def read_series_csv(path) -> np.ndarray:
             rows.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise ParseError(f"{path}: line {r}: {exc}") from exc
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     arr = np.array(rows)
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{path}: non-finite value in series")
@@ -330,9 +332,16 @@ def read_meta(path) -> dict:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     missing = [k for k in META_REQUIRED if k not in payload]
     if missing:
         raise ParseError(f"{path}: missing keys {missing}")
+    n_nodes = payload["n_nodes"]
+    if type(n_nodes) is not int or n_nodes < 1:
+        raise ParseError(f"{path}: n_nodes must be a positive integer, got {n_nodes!r}")
+    if not isinstance(payload["edge_list_path"], str):
+        raise ParseError(f"{path}: edge_list_path must be a string")
     return payload
 
 

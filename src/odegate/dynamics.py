@@ -14,13 +14,13 @@ The two solver estimates share k1, so the error signal costs exactly zero
 additional vector-field evaluations: every step performs 2 NFEs regardless of
 how the mask and compensation are configured.
 
-`evolve` composes S such steps over unit time (dt = 1/S) and records a
-per-step trace of error/mask statistics and the NFE count.
+`evolve` composes S such steps over unit time (dt = 1/S). Gate statistics
+are opt-in: pass a `GateStats` to fold each step's mask into it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .autodiff import affine as node_linear, propagate as graph_propagate
 from .errors import ContractError, NumericError, OdegateError
 
 MASK_MODES = ("lte", "uniform_one", "learned", "off")
-
-HIST_BINS = 20
 
 
 @dataclass
@@ -67,23 +65,8 @@ class LearnedMaskParams:
 
 
 @dataclass
-class StepTrace:
-    """Per-step summary of the error signal, the mask, and the NFE count."""
-
-    step_index: int
-    nfe_count: int
-    e_mean: float
-    e_max: float
-    m_mean: float
-    m_std: float
-    m_p95: float
-    mask_histogram: list = field(default_factory=lambda: [0] * HIST_BINS)
-
-
-@dataclass
 class EvolveResult:
     h_final: Tensor
-    traces: list
     lte: list                    # per-step error tensors, kept on the tape
     masks: list | None = None    # per-step mask values (numpy) when collected
     states: list | None = None   # per-step states (numpy) when collected
@@ -99,6 +82,65 @@ class NFECounter:
 
     def bump(self):
         self.count += 1
+
+
+def percentile95(values: np.ndarray) -> float:
+    """np.percentile(values, 95) from one partition at its two order statistics.
+
+    Interpolates the way numpy's default "linear" method does, including its
+    switch to b - (b - a) * (1 - t) for t >= 0.5, so the result is bitwise equal.
+    """
+    flat = values.ravel()
+    pos = (flat.size - 1) * 0.95
+    lo = int(pos)
+    if lo >= flat.size - 1:
+        return float(flat.max())
+    part = np.partition(flat, (lo, lo + 1))
+    a, b = part[lo], part[lo + 1]
+    t = pos - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
+class GateStats:
+    """Streaming summary of gate values over many steps and batches.
+
+    Keeps the count, sum and sum of squares of every value folded in, for the
+    mean and std over all of them, and the running sum of each step's p95.
+    """
+
+    __slots__ = ("count", "total", "total_sq", "p95_sum", "steps")
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.total_sq = 0.0
+        self.p95_sum = 0.0
+        self.steps = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Fold in one step's gate values."""
+        flat = values.ravel()
+        self.count += flat.size
+        self.total += float(flat.sum())
+        self.total_sq += float(np.dot(flat, flat))
+        self.p95_sum += percentile95(flat)
+        self.steps += 1
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    @property
+    def std(self) -> float:
+        if not self.count:
+            return 0.0
+        mean = self.total / self.count
+        return float(np.sqrt(max(self.total_sq / self.count - mean * mean, 0.0)))
+
+    @property
+    def p95(self) -> float:
+        """Mean over the folded-in steps of each step's p95."""
+        return self.p95_sum / self.steps if self.steps else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -166,26 +208,14 @@ def compensate(h_t: Tensor, h_rk2: Tensor, m: Tensor, step: int,
 # trajectory evolution
 # ---------------------------------------------------------------------------
 
-def _mask_stats(values: np.ndarray):
-    hist, _edges = np.histogram(values, bins=HIST_BINS, range=(0.0, 1.0))
-    return (float(values.mean()), float(values.std()),
-            float(np.percentile(values, 95)), [int(c) for c in hist])
-
-
-def _empty_trace(step: int, nfe: int, e_values: np.ndarray) -> StepTrace:
-    return StepTrace(step_index=step, nfe_count=nfe,
-                     e_mean=float(e_values.mean()), e_max=float(e_values.max()),
-                     m_mean=0.0, m_std=0.0, m_p95=0.0,
-                     mask_histogram=[0] * HIST_BINS)
-
-
 def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
            vf: VectorFieldParams, comp: CompensatorParams | None = None,
            mask_mode: str = "lte", *, mask_params: LearnedMaskParams | None = None,
            mask_grad: bool = False, tape: Tape | None = None,
            nfe: NFECounter | None = None,
-           collect_masks: bool = False, collect_states: bool = False) -> EvolveResult:
-    """Run S hybrid steps over unit time and record per-step traces.
+           collect_masks: bool = False, collect_states: bool = False,
+           gate_stats: GateStats | None = None) -> EvolveResult:
+    """Run S hybrid steps over unit time.
 
     mask_mode selects the ablation behavior:
       lte          full mechanism, mask = sigmoid(error)
@@ -196,7 +226,8 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
     By default the error feeding the mask is detached from the tape; pass
     mask_grad=True to let gradients flow through the gate.  The per-step error
     tensors returned in `lte` always stay on the tape (the smoothness-penalty
-    loss needs them differentiable).
+    loss needs them differentiable).  When gate_stats is given, every gated
+    step's mask is folded into it; mask_mode 'off' folds nothing.
     """
     if steps < 1:
         raise ContractError(f"evolve: steps must be >= 1, got {steps}")
@@ -212,23 +243,19 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
         raise ContractError(
             f"evolve: compensator has {comp.n_steps} step entries, need {steps}")
 
-    nfe = nfe if nfe is not None else NFECounter()
     h = h0
-    traces: list[StepTrace] = []
     lte_tensors: list[Tensor] = []
     masks = [] if collect_masks else None
     states = [h0.data.copy()] if collect_states else None
 
     for step in range(steps):
         try:
-            nfe_before = nfe.count
             h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, vf, tape, nfe)
             err = local_truncation_error(h_euler, h_rk2, tape)
             lte_tensors.append(err)
 
             if mask_mode == "off":
                 h_next = h_rk2
-                trace = _empty_trace(step, nfe.count - nfe_before, err.data)
             else:
                 if mask_mode == "lte":
                     gate_input = err if mask_grad else detach(err)
@@ -239,23 +266,18 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
                     m = sigmoid(node_linear(h, mask_params.w_m, mask_params.b_m, tape), tape)
 
                 h_next = compensate(h, h_rk2, m, step, comp, tape)
-                m_mean, m_std, m_p95, hist = _mask_stats(m.data)
-                trace = StepTrace(step_index=step, nfe_count=nfe.count - nfe_before,
-                                  e_mean=float(err.data.mean()),
-                                  e_max=float(err.data.max()),
-                                  m_mean=m_mean, m_std=m_std, m_p95=m_p95,
-                                  mask_histogram=hist)
+                if gate_stats is not None:
+                    gate_stats.add(m.data)
                 if masks is not None:
                     masks.append(m.data.copy())
         except OdegateError as exc:
             raise type(exc)(f"step {step}: {exc}") from exc
 
-        traces.append(trace)
         if states is not None:
             states.append(h_next.data.copy())
         h = h_next
 
     if not np.all(np.isfinite(h.data)):
         raise NumericError("evolve: final state is non-finite")
-    return EvolveResult(h_final=h, traces=traces, lte=lte_tensors,
+    return EvolveResult(h_final=h, lte=lte_tensors,
                         masks=masks, states=states)

@@ -10,13 +10,14 @@ concatenated final states to the forecast horizon per node.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, affine, concat_channels, expand_batch
-from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult,
+from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult, GateStats,
                        LearnedMaskParams, NFECounter, VectorFieldParams, evolve)
 from .errors import DimensionError, ParseError, ValidationError
 from .graph import NodeEmbeddings, adaptive_adjacency
@@ -180,8 +181,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 @dataclass
 class ForwardResult:
     y_hat: Tensor                 # [batch, n_nodes, horizon]
-    traces_static: list
-    traces_adaptive: list
     lte_static: list              # per-step error tensors, on the tape
     lte_adaptive: list
     nfe_static: int
@@ -206,8 +205,12 @@ def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
 
 
 def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
-            tape: Tape | None = None, collect_masks: bool = False) -> ForwardResult:
-    """Run both streams from the shared initial state and decode the horizon."""
+            tape: Tape | None = None, collect_masks: bool = False,
+            gate_stats: GateStats | None = None) -> ForwardResult:
+    """Run both streams from the shared initial state and decode the horizon.
+
+    When gate_stats is given, both streams fold their gate values into it.
+    """
     n = config.n_nodes
     if ahat.shape != (n, n):
         raise DimensionError(f"forward: static operator {ahat.shape}, expected {(n, n)}")
@@ -216,7 +219,8 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     a_adaptive = adaptive_adjacency(params.e_node, tape)
 
     common = dict(steps=config.steps, dt=config.dt, mask_mode=config.mask_mode,
-                  mask_grad=config.mask_grad, tape=tape, collect_masks=collect_masks)
+                  mask_grad=config.mask_grad, tape=tape, collect_masks=collect_masks,
+                  gate_stats=gate_stats)
     nfe_s, nfe_k = NFECounter(), NFECounter()
     res_s: EvolveResult = evolve(h0, a_op=ahat, vf=params.vf_static,
                                  comp=params.comp_static,
@@ -229,9 +233,7 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
 
     merged = concat_channels(res_s.h_final, res_k.h_final, tape)
     y_hat = affine(merged, params.w_out, params.b_out, tape)
-    return ForwardResult(y_hat=y_hat,
-                         traces_static=res_s.traces, traces_adaptive=res_k.traces,
-                         lte_static=res_s.lte, lte_adaptive=res_k.lte,
+    return ForwardResult(y_hat=y_hat, lte_static=res_s.lte, lte_adaptive=res_k.lte,
                          nfe_static=nfe_s.count, nfe_adaptive=nfe_k.count,
                          masks_static=res_s.masks, masks_adaptive=res_k.masks)
 
@@ -280,23 +282,65 @@ def flop_report(config: ModelConfig, batch_size: int = 1) -> FlopReport:
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def param_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of every parameter the config implies, in `named()` order."""
+    d_h = config.hidden_dim
+    square, vector = (d_h, d_h), (d_h,)
+    shapes = {"input_projection": (config.window * config.in_dim, config.proj_dim),
+              "node_embeddings": (config.n_nodes, config.embed_dim),
+              "static_field_weight": square, "static_field_bias": vector,
+              "adaptive_field_weight": square, "adaptive_field_bias": vector}
+    if config.mask_mode != "off":
+        for prefix in ("static", "adaptive"):
+            for s in range(config.steps):
+                shapes[f"{prefix}_comp_weight_{s}"] = square
+                shapes[f"{prefix}_comp_bias_{s}"] = vector
+    if config.mask_mode == "learned":
+        for prefix in ("static", "adaptive"):
+            shapes[f"{prefix}_mask_weight"] = square
+            shapes[f"{prefix}_mask_bias"] = vector
+    shapes["readout_weight"] = (2 * d_h, config.horizon)
+    shapes["readout_bias"] = (config.horizon,)
+    return shapes
+
+
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
     """JSON checkpoint; float64 values survive the round trip exactly."""
     payload = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "n_nodes": config.n_nodes, "in_dim": config.in_dim,
-            "window": config.window, "horizon": config.horizon,
-            "proj_dim": config.proj_dim, "embed_dim": config.embed_dim,
-            "steps": config.steps, "mask_mode": config.mask_mode,
-            "mask_grad": config.mask_grad,
-        },
+        "config": dataclasses.asdict(config),
         "params": {name: t.data.tolist() for name, t in params.named().items()},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _stored_config(path, stored) -> ModelConfig:
+    """ModelConfig from a checkpoint's config object, every key and type checked."""
+    if not isinstance(stored, dict):
+        raise ValidationError(f"{path}: checkpoint has no config object")
+    stored = dict(stored)
+    # Checkpoints from before the sparsity_tau knob was removed carry it, null
+    # unless the model was trained with that approximation switched on.
+    if stored.pop("sparsity_tau", None) is not None:
+        raise ValidationError(f"{path}: checkpoint was trained with sparsity_tau, "
+                              "which is no longer supported")
+    # annotations are strings here ("int", "str", "bool"); JSON gives exactly
+    # those types, and a bool is never accepted where an int is expected
+    types = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    unknown = sorted(set(stored) - set(types))
+    if unknown:
+        raise ValidationError(f"{path}: unknown config keys {unknown}")
+    missing = [name for name in types if name not in stored]
+    if missing:
+        raise ValidationError(f"{path}: config keys missing {missing}")
+    for name, type_name in types.items():
+        if type(stored[name]).__name__ != type_name:
+            raise ValidationError(f"{path}: config key '{name}' must be {type_name}, "
+                                  f"got {stored[name]!r}")
+    return ModelConfig(**stored)
 
 
 def load_checkpoint(path):
@@ -311,19 +355,28 @@ def load_checkpoint(path):
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version "
                               f"{payload.get('version')}")
-    stored_config = dict(payload["config"])
-    # Checkpoints from before the sparsity_tau knob was removed carry it, null
-    # unless the model was trained with that approximation switched on.
-    if stored_config.pop("sparsity_tau", None) is not None:
-        raise ValidationError(f"{path}: checkpoint was trained with sparsity_tau, "
-                              "which is no longer supported")
-    config = ModelConfig(**stored_config)
-    stored = payload["params"]
+    config = _stored_config(path, payload.get("config"))
+    stored = payload.get("params")
+    if not isinstance(stored, dict):
+        raise ValidationError(f"{path}: checkpoint has no params object")
+    shapes = param_shapes(config)
+    extra = set(stored) - set(shapes)
+    if extra:
+        raise ValidationError(f"{path}: unexpected parameters {sorted(extra)}")
 
     def grab(name: str) -> Tensor:
         if name not in stored:
             raise ValidationError(f"{path}: checkpoint missing parameter '{name}'")
-        return Tensor(np.asarray(stored[name], dtype=np.float64), requires_grad=True)
+        try:
+            values = np.asarray(stored[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: parameter '{name}': {exc}") from exc
+        if values.shape != shapes[name]:
+            raise ValidationError(f"{path}: parameter '{name}' has shape {values.shape}, "
+                                  f"the config implies {shapes[name]}")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{path}: parameter '{name}' has non-finite values")
+        return Tensor(values, requires_grad=True)
 
     comp_s = comp_k = None
     if config.mask_mode != "off":
@@ -346,9 +399,4 @@ def load_checkpoint(path):
         w_out=grab("readout_weight"), b_out=grab("readout_bias"),
         comp_static=comp_s, comp_adaptive=comp_k,
         mask_static=mask_s, mask_adaptive=mask_k)
-
-    expected = set(params.named())
-    extra = set(stored) - expected
-    if extra:
-        raise ValidationError(f"{path}: unexpected parameters {sorted(extra)}")
     return params, config

@@ -24,10 +24,12 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, add, backward, mean_abs_error, mean_all, scale
 from .data import ForecastDataset, WindowSet
-from .dynamics import HIST_BINS
+from .dynamics import GateStats
 from .errors import ContractError, NumericError, ValidationError
 from .graph import normalize_adjacency
 from .model import ModelConfig, ModelParams, forward, init_params
+
+HIST_BINS = 20   # mask_report histogram bins over [0, 1]
 
 VARIANTS = {
     "full": "lte",
@@ -210,14 +212,16 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
     for epoch in range(train_config.epochs):
         order = rng.permutation(train_set.count)
         losses = []
-        last_traces = None
+        grad_norms = []
+        gate = GateStats()
         for b, lo in enumerate(range(0, train_set.count, train_config.batch_size)):
             idx = order[lo:lo + train_config.batch_size]
             try:
                 tape = Tape()
                 x = Tensor(train_set.x[idx])
                 y = Tensor(train_set.y[idx])
-                res = forward(x, ahat, params, model_config, tape)
+                res = forward(x, ahat, params, model_config, tape,
+                              gate_stats=gate)
                 if res.nfe_static != expected_nfe or res.nfe_adaptive != expected_nfe:
                     raise ContractError(
                         f"NFE {res.nfe_static}/{res.nfe_adaptive} per stream, "
@@ -227,12 +231,11 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                 backward(loss, tape)
                 named = params.named()
                 check_finite_grads(named)
-                clip_gradients(named, train_config.clip_norm)
+                grad_norms.append(clip_gradients(named, train_config.clip_norm))
                 adam_step(named, opt, train_config.lr)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {b}: {exc}") from exc
             losses.append(loss.item())
-            last_traces = res.traces_static + res.traces_adaptive
 
         val_mae = _val_mae(params, model_config, ahat, val_set,
                            train_config.batch_size)
@@ -240,9 +243,11 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),
             "val_mae": val_mae,
-            "m_mean": float(np.mean([t.m_mean for t in last_traces])),
-            "m_std": float(np.mean([t.m_std for t in last_traces])),
-            "m_p95": float(np.mean([t.m_p95 for t in last_traces])),
+            "m_mean": gate.mean,
+            "m_std": gate.std,
+            "m_p95": gate.p95,
+            "grad_norm": float(np.mean(grad_norms)),
+            "clip_frac": float(np.mean(np.array(grad_norms) > train_config.clip_norm)),
         }
         history.append(entry)
         if log is not None:
@@ -262,7 +267,8 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
 
 
 def write_history_csv(path, history) -> None:
-    cols = ("epoch", "train_loss", "val_mae", "m_mean", "m_std", "m_p95")
+    cols = ("epoch", "train_loss", "val_mae", "m_mean", "m_std", "m_p95",
+            "grad_norm", "clip_frac")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for row in history:
@@ -342,9 +348,7 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
     cells = shock_cell_matrix(windows, dataset.events, dataset.window)
 
     hist = np.zeros(HIST_BINS, dtype=np.int64)
-    values_sum = 0.0
-    values_sq = 0.0
-    values_n = 0
+    gate = GateStats()
     shock_sum = nonshock_sum = 0.0
     shock_n = nonshock_n = 0
     shock_samples = []
@@ -355,9 +359,7 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
         batch_cells = cells[sl]
         for m in res.masks_static + res.masks_adaptive:
             hist += np.histogram(m, bins=HIST_BINS, range=(0.0, 1.0))[0]
-            values_sum += float(m.sum())
-            values_sq += float((m * m).sum())
-            values_n += m.size
+            gate.add(m)
             shock_vals = m[batch_cells]
             non_vals = m[~batch_cells]
             shock_sum += float(shock_vals.sum())
@@ -368,13 +370,11 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
                 shock_samples.append(shock_vals.ravel())
             p95_samples.append(m.ravel())
 
-    mean = values_sum / values_n
-    var = max(values_sq / values_n - mean * mean, 0.0)
     all_vals = np.concatenate(p95_samples)
     shock_vals = (np.concatenate(shock_samples) if shock_samples
                   else np.array([np.nan]))
     return MaskReport(
-        mean=float(mean), std=float(np.sqrt(var)),
+        mean=gate.mean, std=gate.std,
         p95=float(np.percentile(all_vals, 95)),
         histogram=[int(c) for c in hist],
         shock_mean=float(shock_sum / shock_n) if shock_n else float("nan"),

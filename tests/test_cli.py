@@ -165,7 +165,8 @@ class TestTrain:
         for name in ("checkpoint.json", "history.csv", "resolved_config.txt"):
             assert (out / name).exists()
         header = (out / "history.csv").read_text().splitlines()[0]
-        assert header == "epoch,train_loss,val_mae,m_mean,m_std,m_p95"
+        assert header == ("epoch,train_loss,val_mae,m_mean,m_std,m_p95,"
+                          "grad_norm,clip_frac")
 
     def test_byte_identical_rerun(self, data_dir, full_run, tmp_path):
         rerun = tmp_path / "rerun"
@@ -296,6 +297,46 @@ class TestEvaluate:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error[validation]:") and "events.csv line" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["config"].update(warp=1),
+        lambda p: p["config"].update(steps="4"),
+        lambda p: p["config"].pop("window"),
+        lambda p: p["params"].update(readout_bias=[0.0]),
+    ], ids=["unknown_config_key", "wrong_config_type", "missing_config_key",
+            "bad_param_shape"])
+    def test_bad_checkpoint_content(self, data_dir, full_run, tmp_path, capsys,
+                                    edit):
+        payload = json.loads((full_run / "checkpoint.json").read_text())
+        edit(payload)
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(payload))
+        code = main(["evaluate", "--data", str(data_dir),
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, text", [
+        ("series.csv", "t,node_0,node_1,node_2,node_3\n"),
+        ("meta.json", '{"n_nodes": "4", "in_dim": 1, "tick_seconds": 300, '
+                      '"edge_list_path": "edges.csv"}\n'),
+        ("meta.json", '{"n_nodes": 0, "in_dim": 1, "tick_seconds": 300, '
+                      '"edge_list_path": "edges.csv"}\n'),
+    ], ids=["header_only_series", "string_n_nodes", "zero_n_nodes"])
+    def test_malformed_dataset_files(self, data_dir, full_run, tmp_path, capsys,
+                                     name, text):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        (bad / name).write_text(text)
+        code = main(["evaluate", "--data", str(bad),
+                     "--checkpoint", str(full_run / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:") and name in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -253,6 +253,9 @@ class TestCsvFormats:
         path.write_text("t,node_0\n0,1.0,9.0\n")
         with pytest.raises(ParseError, match="cells"):
             read_series_csv(path)
+        path.write_text("t,node_0,node_1\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            read_series_csv(path)
 
     def test_events_round_trip(self, tmp_path):
         sc = ShockScenario(n_nodes=3, total_t=150, shock_rate=3.0, seed=6)
@@ -280,4 +283,22 @@ class TestCsvFormats:
             read_meta(path)
         path.write_text("not json")
         with pytest.raises(ParseError):
+            read_meta(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ParseError, match="JSON object"):
+            read_meta(path)
+
+    @pytest.mark.parametrize("n_nodes", ['"4"', "0", "-2", "4.0", "true", "null"])
+    def test_meta_n_nodes_must_be_positive_int(self, tmp_path, n_nodes):
+        path = tmp_path / "meta.json"
+        path.write_text(f'{{"n_nodes": {n_nodes}, "in_dim": 1, "tick_seconds": 300, '
+                        f'"edge_list_path": "edges.csv"}}\n')
+        with pytest.raises(ParseError, match="n_nodes must be a positive integer"):
+            read_meta(path)
+
+    def test_meta_edge_list_path_must_be_string(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text('{"n_nodes": 3, "in_dim": 1, "tick_seconds": 300, '
+                        '"edge_list_path": 7}\n')
+        with pytest.raises(ParseError, match="edge_list_path"):
             read_meta(path)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from odegate.autodiff import Tape, Tensor, backward, mean_all, total_sum
-from odegate.dynamics import (CompensatorParams, LearnedMaskParams, NFECounter,
-                              VectorFieldParams, attention_mask, compensate,
-                              embedded_dual_step, evolve, local_truncation_error,
-                              vector_field)
+from odegate.dynamics import (CompensatorParams, GateStats, LearnedMaskParams,
+                              NFECounter, VectorFieldParams, attention_mask,
+                              compensate, embedded_dual_step, evolve,
+                              local_truncation_error, percentile95, vector_field)
 from odegate.errors import ContractError, NumericError
 
 
@@ -306,32 +306,47 @@ class TestEvolveBehavior:
         res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
                      mask_mode=mode, mask_params=mask_params, nfe=nfe)
         assert nfe.count == 8
-        assert len(res.traces) == 4
-        assert all(t.nfe_count == 2 for t in res.traces)
         assert len(res.lte) == 4
 
     def test_uniform_mode_pins_gate_to_one(self):
+        stats = GateStats()
         res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
-                     mask_mode="uniform_one")
-        for t in res.traces:
-            assert t.m_mean == 1.0 and t.m_std == 0.0
-            assert t.mask_histogram[-1] == self.h0.size
-            assert sum(t.mask_histogram) == self.h0.size
+                     mask_mode="uniform_one", collect_masks=True,
+                     gate_stats=stats)
+        assert all(np.all(m == 1.0) for m in res.masks)
+        assert (stats.steps, stats.count) == (4, 4 * self.h0.size)
+        assert (stats.mean, stats.std, stats.p95) == (1.0, 0.0, 1.0)
 
     def test_lte_mode_gate_range(self):
-        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp)
-        for t in res.traces:
-            assert 0.5 <= t.m_mean <= 1.0
-            assert t.e_mean >= 0.0 and t.e_max >= t.e_mean
+        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+                     collect_masks=True)
+        for m, err in zip(res.masks, res.lte):
+            assert np.all((0.5 <= m) & (m < 1.0))
+            assert np.all(err.data >= 0.0)
 
     def test_off_mode_is_pure_solver(self):
-        res = evolve(self.h0, 2, 0.5, self.a, self.vf, None, mask_mode="off")
+        stats = GateStats()
+        res = evolve(self.h0, 2, 0.5, self.a, self.vf, None, mask_mode="off",
+                     collect_masks=True, gate_stats=stats)
         h = self.h0
         for _ in range(2):
             _, h = embedded_dual_step(h, 0.5, self.a, self.vf)
         assert np.array_equal(res.h_final.data, h.data)
-        for t in res.traces:
-            assert t.m_mean == 0.0 and sum(t.mask_histogram) == 0
+        assert res.masks == []
+        assert (stats.steps, stats.count, stats.mean) == (0, 0, 0.0)
+
+    def test_gate_stats_match_collected_masks(self):
+        stats = GateStats()
+        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+                     collect_masks=True, gate_stats=stats)
+        ref = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp)
+        assert np.array_equal(res.h_final.data, ref.h_final.data)
+        values = np.concatenate([m.ravel() for m in res.masks])
+        assert stats.count == values.size and stats.steps == 4
+        assert stats.mean == pytest.approx(values.mean(), rel=0, abs=1e-12)
+        assert stats.std == pytest.approx(values.std(), rel=0, abs=1e-12)
+        assert stats.p95 == pytest.approx(
+            np.mean([np.percentile(m, 95) for m in res.masks]), rel=0, abs=1e-12)
 
     def test_collect_masks_and_states(self):
         res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
@@ -377,3 +392,35 @@ class TestGateGradientFlow:
         backward(mean_all(res.lte[0], tape), tape)
         assert vf.w_f.grad is not None
         assert float(np.abs(vf.w_f.grad).sum()) > 0.0
+
+
+class TestGateStats:
+    @pytest.mark.parametrize("size", [1, 2, 3, 20, 21, 40, 101, 1000, 25600])
+    def test_percentile95_equals_numpy(self, size):
+        rng = np.random.default_rng(size)
+        for values in (rng.uniform(0.5, 1.0, size),
+                       rng.standard_normal((size, 1)),
+                       np.round(rng.uniform(0, 1, size), 1)):
+            assert percentile95(values) == float(np.percentile(values, 95))
+
+    def test_percentile95_leaves_input_untouched(self):
+        values = np.array([3.0, 1.0, 2.0])
+        percentile95(values)
+        assert values.tolist() == [3.0, 1.0, 2.0]
+
+    def test_folds_steps(self):
+        rng = np.random.default_rng(0)
+        steps = [rng.uniform(0.5, 1.0, (2, 4, 3)) for _ in range(5)]
+        stats = GateStats()
+        for m in steps:
+            stats.add(m)
+        values = np.concatenate([m.ravel() for m in steps])
+        assert stats.count == values.size and stats.steps == 5
+        assert stats.mean == pytest.approx(values.mean(), rel=0, abs=1e-12)
+        assert stats.std == pytest.approx(values.std(), rel=0, abs=1e-12)
+        assert stats.p95 == pytest.approx(
+            np.mean([np.percentile(m, 95) for m in steps]), rel=0, abs=1e-12)
+
+    def test_empty_reads_zero(self):
+        stats = GateStats()
+        assert (stats.mean, stats.std, stats.p95) == (0.0, 0.0, 0.0)

@@ -6,11 +6,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import odegate.dynamics
 from odegate.autodiff import Tape, Tensor, backward, finite_diff_gradient, mean_abs_error
+from odegate.data import WindowSet
+from odegate.dynamics import GateStats
 from odegate.errors import DimensionError, ValidationError
 from odegate.graph import SpatialGraph, normalize_adjacency
 from odegate.model import (ModelConfig, flop_report, forward, init_params,
-                           initialize_state, load_checkpoint, save_checkpoint)
+                           initialize_state, load_checkpoint, param_shapes,
+                           save_checkpoint)
+from odegate.training import predict
 
 DEFAULT = ModelConfig(n_nodes=20)
 TINY = ModelConfig(n_nodes=4, window=3, horizon=2, proj_dim=5, embed_dim=3, steps=2)
@@ -110,7 +115,8 @@ class TestForward:
         res = forward(x, ahat, params, TINY)
         assert res.y_hat.shape == (2, 4, TINY.horizon)
         assert res.nfe_static == res.nfe_adaptive == 2 * TINY.steps
-        assert len(res.traces_static) == len(res.traces_adaptive) == TINY.steps
+        assert len(res.lte_static) == len(res.lte_adaptive) == TINY.steps
+        assert res.masks_static is None and res.masks_adaptive is None
 
     def test_deterministic(self):
         params = init_params(TINY, seed=3)
@@ -144,6 +150,34 @@ class TestForward:
         res = forward(x, ahat, params, TINY, collect_masks=True)
         assert len(res.masks_static) == TINY.steps
         assert res.masks_static[0].shape == (2, 4, TINY.hidden_dim)
+
+    def test_gate_stats_fold_both_streams(self):
+        params = init_params(TINY, seed=3)
+        x, ahat = tiny_inputs(TINY)
+        stats = GateStats()
+        res = forward(x, ahat, params, TINY, collect_masks=True, gate_stats=stats)
+        masks = res.masks_static + res.masks_adaptive
+        assert stats.steps == 2 * TINY.steps
+        assert stats.count == sum(m.size for m in masks)
+        assert stats.total == pytest.approx(sum(m.sum() for m in masks), rel=1e-15)
+        plain = forward(x, ahat, params, TINY)
+        assert np.array_equal(res.y_hat.data, plain.y_hat.data)
+
+    def test_no_gate_stats_computes_no_statistic(self, monkeypatch):
+        def boom(*_args, **_kwargs):
+            raise AssertionError("gate statistic computed on a forward without gate_stats")
+
+        monkeypatch.setattr(GateStats, "add", boom)
+        monkeypatch.setattr(odegate.dynamics, "percentile95", boom)
+        monkeypatch.setattr(np, "histogram", boom)
+        monkeypatch.setattr(np, "percentile", boom)
+        params = init_params(TINY, seed=3)
+        x, ahat = tiny_inputs(TINY)
+        forward(x, ahat, params, TINY)
+        forward(x, ahat, params, TINY, Tape())
+        windows = WindowSet(x=x.data, y=np.zeros((2, TINY.n_nodes, TINY.horizon)),
+                            origins=np.arange(2))
+        predict(params, TINY, ahat, windows, batch_size=1)
 
     def test_gradcheck_compact(self):
         config = dataclasses.replace(TINY, window=2, horizon=2, mask_grad=True)
@@ -266,6 +300,47 @@ class TestCheckpoint:
         payload["params"]["stray"] = [1.0]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="stray"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mode", ["lte", "off", "learned", "uniform_one"])
+    def test_param_shapes_match_init(self, mode):
+        config = dataclasses.replace(TINY, mask_mode=mode)
+        named = init_params(config).named()
+        assert param_shapes(config) == {n: t.shape for n, t in named.items()}
+
+    def _edited(self, tmp_path, edit):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params(TINY), TINY)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda p: p["config"].update(warp=1), "unknown config keys"),
+        (lambda p: p["config"].pop("steps"), "config keys missing"),
+        (lambda p: p["config"].update(steps="2"), "'steps' must be int"),
+        (lambda p: p["config"].update(steps=2.0), "'steps' must be int"),
+        (lambda p: p["config"].update(n_nodes=True), "'n_nodes' must be int"),
+        (lambda p: p["config"].update(mask_grad=0), "'mask_grad' must be bool"),
+        (lambda p: p.pop("config"), "no config object"),
+        (lambda p: p.update(params=[]), "no params object"),
+        (lambda p: p["params"].update(readout_bias=[0.0]), r"shape \(1,\)"),
+        (lambda p: p["params"].update(readout_bias=[[0.0, 1.0]]), "readout_bias"),
+        (lambda p: p["params"].update(readout_bias=[0.0, "x"]), "readout_bias"),
+        (lambda p: p["params"].update(readout_bias=[[0.0], 1.0]), "readout_bias"),
+    ], ids=["unknown_key", "missing_key", "str_int", "float_int", "bool_int",
+            "int_bool", "no_config", "params_not_object", "bias_shape",
+            "bias_rank", "bias_text", "bias_ragged"])
+    def test_bad_config_and_shapes_rejected(self, tmp_path, edit, match):
+        with pytest.raises(ValidationError, match=match):
+            load_checkpoint(self._edited(tmp_path, edit))
+
+    def test_non_finite_param_rejected(self, tmp_path):
+        path = self._edited(tmp_path,
+                            lambda p: p["params"].update(readout_bias=[0.0, float("nan")]))
+        with pytest.raises(ValidationError, match="non-finite"):
             load_checkpoint(path)
 
     def test_save_deterministic(self, tmp_path):

@@ -210,6 +210,54 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match=r"epoch 0 batch 0:"):
             train(ds, TINY_MODEL, TrainConfig(epochs=1, batch_size=16))
 
+    def test_history_covers_every_batch(self, monkeypatch):
+        # replay the same seeded run with masks and gradient norms captured
+        ds = tiny_dataset()
+        cfg = TrainConfig(epochs=2, batch_size=16, clip_norm=1.7)
+        plain = train(ds, TINY_MODEL, cfg)
+        taped_masks, norms = [], []
+        real_forward = odegate.training.forward
+        real_clip = odegate.training.clip_gradients
+
+        def forward_collecting(x, ahat, params, config, tape=None, **kwargs):
+            kwargs["collect_masks"] = True
+            res = real_forward(x, ahat, params, config, tape, **kwargs)
+            if tape is not None:
+                taped_masks.append(res.masks_static + res.masks_adaptive)
+            return res
+
+        def clip_recording(named, max_norm):
+            norms.append(real_clip(named, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(odegate.training, "forward", forward_collecting)
+        monkeypatch.setattr(odegate.training, "clip_gradients", clip_recording)
+        result = train(ds, TINY_MODEL, cfg)
+        assert result.history == plain.history
+        per_epoch = math.ceil(ds.splits["train"].count / cfg.batch_size)
+        assert len(taped_masks) == len(norms) == 2 * per_epoch > 2
+        assert 0.0 < result.history[1]["clip_frac"] < 1.0
+        for e, h in enumerate(result.history):
+            steps = [m for batch in taped_masks[e * per_epoch:(e + 1) * per_epoch]
+                     for m in batch]
+            values = np.concatenate([m.ravel() for m in steps])
+            assert h["m_mean"] == pytest.approx(values.mean(), rel=0, abs=1e-12)
+            assert h["m_std"] == pytest.approx(values.std(), rel=0, abs=1e-12)
+            assert h["m_p95"] == pytest.approx(
+                np.mean([np.percentile(m, 95) for m in steps]), rel=0, abs=1e-12)
+            epoch_norms = np.array(norms[e * per_epoch:(e + 1) * per_epoch])
+            assert h["grad_norm"] == pytest.approx(epoch_norms.mean(), rel=1e-15)
+            assert h["clip_frac"] == np.mean(epoch_norms > cfg.clip_norm)
+
+    def test_no_compensation_history_has_no_gate(self):
+        ds = tiny_dataset()
+        result = train(ds, config_for_variant(TINY_MODEL, "no_compensation"),
+                       TrainConfig(variant="no_compensation", epochs=1,
+                                   batch_size=16))
+        h = result.history[0]
+        assert (h["m_mean"], h["m_std"], h["m_p95"]) == (0.0, 0.0, 0.0)
+        assert h["grad_norm"] > 0.0 and 0.0 <= h["clip_frac"] <= 1.0
+
     def test_predict_batching_invariant(self):
         ds = tiny_dataset()
         params = init_params(TINY_MODEL, seed=0)
@@ -224,15 +272,18 @@ class TestTrainLoop:
 class TestHistoryCsv:
     def test_written_values_survive_float_repr(self, tmp_path):
         history = [{"epoch": 0, "train_loss": 0.1 + 0.2, "val_mae": 1e-17,
-                    "m_mean": 0.5, "m_std": 0.0, "m_p95": 0.75}]
+                    "m_mean": 0.5, "m_std": 0.0, "m_p95": 0.75,
+                    "grad_norm": 2.5, "clip_frac": 0.25}]
         path = tmp_path / "history.csv"
         write_history_csv(path, history)
         lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_mae,m_mean,m_std,m_p95"
+        assert lines[0] == ("epoch,train_loss,val_mae,m_mean,m_std,m_p95,"
+                            "grad_norm,clip_frac")
         cells = lines[1].split(",")
         assert int(cells[0]) == 0
         assert float(cells[1]) == 0.1 + 0.2
         assert float(cells[2]) == 1e-17
+        assert float(cells[6]) == 2.5 and float(cells[7]) == 0.25
 
 
 class TestEvaluate:
