@@ -37,7 +37,7 @@ from .data import (ShockScenario, build_dataset, default_graph,
                    write_dataset_files)
 from .dynamics import MASK_MODES, CompensatorParams, VectorFieldParams, evolve
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
-                     ValidationError)
+                     ValidationError, read_text)
 from .graph import SpatialGraph, normalize_adjacency
 from .model import (ModelConfig, flop_report, forward, init_params,
                     load_checkpoint, save_checkpoint)
@@ -56,6 +56,7 @@ ERROR_MAP = (
     (NumericError, "numeric", EXIT_NUMERIC),
     (ContractError, "contract", EXIT_NUMERIC),
     (DimensionError, "dimension", EXIT_NUMERIC),
+    (FloatingPointError, "numeric", EXIT_NUMERIC),
     (OSError, "io", EXIT_DATA),
 )
 
@@ -125,21 +126,20 @@ def _format_value(value) -> str:
 
 def parse_config_file(path, allowed) -> dict:
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ParseError(f"{path}: line {lineno}: expected key=value")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in KEY_TYPES:
-                raise ParseError(f"{path}: line {lineno}: unknown key '{key}'")
-            if key not in allowed:
-                raise ParseError(
-                    f"{path}: line {lineno}: key '{key}' does not apply here")
-            values[key] = _coerce(key, raw.strip())
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ParseError(f"{path}: line {lineno}: expected key=value")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key not in KEY_TYPES:
+            raise ParseError(f"{path}: line {lineno}: unknown key '{key}'")
+        if key not in allowed:
+            raise ParseError(
+                f"{path}: line {lineno}: key '{key}' does not apply here")
+        values[key] = _coerce(key, raw.strip())
     return values
 
 
@@ -355,13 +355,13 @@ def cmd_nfe_report(args) -> int:
     rng = np.random.default_rng(cfg["seed"])
     x = Tensor(rng.standard_normal((2, cfg["n_nodes"], cfg["window"], 1)))
     expected = 2 * cfg["steps"]
+    base = ModelConfig(n_nodes=cfg["n_nodes"], window=cfg["window"],
+                       horizon=cfg["horizon"], proj_dim=cfg["proj_dim"],
+                       embed_dim=cfg["embed_dim"], steps=cfg["steps"])
 
     modes = {}
     for mode in MASK_MODES:
-        model_config = ModelConfig(
-            n_nodes=cfg["n_nodes"], window=cfg["window"], horizon=cfg["horizon"],
-            proj_dim=cfg["proj_dim"], embed_dim=cfg["embed_dim"],
-            steps=cfg["steps"], mask_mode=mode)
+        model_config = dataclasses.replace(base, mask_mode=mode)
         params = init_params(model_config, seed=cfg["seed"])
         res = forward(x, ahat, params, model_config)
         modes[mode] = {"nfe_static": res.nfe_static,
@@ -375,9 +375,6 @@ def cmd_nfe_report(args) -> int:
                 f"mode '{mode}': measured NFE {res.nfe_static}/"
                 f"{res.nfe_adaptive}, expected {expected} per stream")
 
-    base = ModelConfig(n_nodes=cfg["n_nodes"], window=cfg["window"],
-                       horizon=cfg["horizon"], proj_dim=cfg["proj_dim"],
-                       embed_dim=cfg["embed_dim"], steps=1, mask_mode="lte")
     sweep = []
     for s in FLOP_SWEEP_STEPS:
         rep = flop_report(dataclasses.replace(base, steps=s))
@@ -518,7 +515,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; we reserve 2 for data problems
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        # overflow from extreme but finite inputs: one error line, no warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except tuple(cls for cls, _, _ in ERROR_MAP) as exc:
         for cls, kind, code in ERROR_MAP:
             if isinstance(exc, cls):

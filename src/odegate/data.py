@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 from .graph import SpatialGraph, load_graph, normalize_adjacency, write_edge_list
 
 DEFAULT_TICK_SECONDS = 300
@@ -248,8 +248,7 @@ def write_series_csv(path, series: np.ndarray) -> None:
 
 
 def read_series_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -285,8 +284,7 @@ def write_events_csv(path, events) -> None:
 
 
 def read_events_csv(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "t,node,magnitude":
         raise ParseError(f"{path}: bad events header")
     events = []
@@ -327,19 +325,19 @@ def write_meta(path, scenario: ShockScenario, edge_list_path: str,
 
 
 def read_meta(path) -> dict:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: expected a JSON object")
     missing = [k for k in META_REQUIRED if k not in payload]
     if missing:
         raise ParseError(f"{path}: missing keys {missing}")
-    n_nodes = payload["n_nodes"]
-    if type(n_nodes) is not int or n_nodes < 1:
-        raise ParseError(f"{path}: n_nodes must be a positive integer, got {n_nodes!r}")
+    for key in ("n_nodes", "in_dim", "tick_seconds"):
+        value = payload[key]
+        if type(value) is not int or value < 1:
+            raise ParseError(f"{path}: {key} must be a positive integer, got {value!r}")
     if not isinstance(payload["edge_list_path"], str):
         raise ParseError(f"{path}: edge_list_path must be a string")
     return payload
@@ -371,6 +369,9 @@ def load_dataset_files(data_dir):
         raise ValidationError(
             f"{data_dir}: series has {series.shape[1]} nodes, meta says {meta['n_nodes']}")
     for line, ev in enumerate(events, start=2):
+        if not 0 <= ev.t < series.shape[0]:
+            raise ValidationError(f"{data_dir}: events.csv line {line}: tick {ev.t} "
+                                  f"outside [0, {series.shape[0]})")
         if not 0 <= ev.node < meta["n_nodes"]:
             raise ValidationError(f"{data_dir}: events.csv line {line}: node {ev.node} "
                                   f"outside [0, {meta['n_nodes']})")

@@ -2,7 +2,8 @@
 
 Each class maps onto one failure family so callers (and the CLI exit-code
 mapping) can distinguish bad shapes, bad data files, broken numerics, and
-violated call contracts without string matching.
+violated call contracts without string matching.  `read_text` is how every
+input file is read, so a file that is not text is a ParseError too.
 """
 
 
@@ -28,3 +29,12 @@ class ValidationError(OdegateError):
 
 class ParseError(ValidationError):
     """A file could not be parsed; message carries row/column context."""
+
+
+def read_text(path) -> str:
+    """The whole text of an input file; undecodable bytes are a ParseError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc})") from exc

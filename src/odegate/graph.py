@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Tensor, add, divide, matmul, relu, transpose
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,11 @@ class SpatialGraph:
         for src, dst, weight in self.edges:
             if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
                 raise ValidationError(
-                    f"edge ({src},{dst}) references a node >= n_nodes={self.n_nodes}")
+                    f"edge ({src},{dst}) references a node outside [0, {self.n_nodes})")
             if src == dst:
                 raise ValidationError(f"self-loop on node {src} not allowed")
+            if not np.isfinite(weight):
+                raise ValidationError(f"edge ({src},{dst}) has non-finite weight {weight}")
             if weight < 0:
                 raise ValidationError(f"edge ({src},{dst}) has negative weight {weight}")
 
@@ -110,30 +112,25 @@ def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:
     ignored for the duplicate check since edges are undirected.
     """
     merged: dict[tuple[int, int], float] = {}
-    with open(edge_list_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["src", "dst", "weight"]:
-            raise ParseError(f"{edge_list_path}: line 1: expected header 'src,dst,weight'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{edge_list_path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                src, dst, weight = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{edge_list_path}: line {lineno}: {exc}") from exc
-            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-                raise ValidationError(
-                    f"{edge_list_path}: line {lineno}: node index outside [0, {n_nodes})")
-            if src == dst:
-                raise ValidationError(f"{edge_list_path}: line {lineno}: self-loop on node {src}")
-            if weight < 0:
-                raise ValidationError(
-                    f"{edge_list_path}: line {lineno}: negative weight {weight}")
-            key = (src, dst) if src <= dst else (dst, src)
-            merged[key] = merged.get(key, 0.0) + weight
+    reader = csv.reader(read_text(edge_list_path).splitlines())
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:3]] != ["src", "dst", "weight"]:
+        raise ParseError(f"{edge_list_path}: line 1: expected header 'src,dst,weight'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise ParseError(f"{edge_list_path}: line {lineno}: expected 3 fields, got {len(row)}")
+        try:
+            src, dst, weight = int(row[0]), int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise ParseError(f"{edge_list_path}: line {lineno}: {exc}") from exc
+        try:
+            SpatialGraph(n_nodes, [(src, dst, weight)])   # the edge rules, per line
+        except ValidationError as exc:
+            raise ValidationError(f"{edge_list_path}: line {lineno}: {exc}") from exc
+        key = (src, dst) if src <= dst else (dst, src)
+        merged[key] = merged.get(key, 0.0) + weight
     edges = [(s, d, w) for (s, d), w in merged.items()]
     return SpatialGraph(n_nodes=n_nodes, edges=edges)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tape, Tensor, affine, concat_channels, expand_batch
 from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult, GateStats,
                        LearnedMaskParams, NFECounter, VectorFieldParams, evolve)
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError, read_text
 from .graph import NodeEmbeddings, adaptive_adjacency
 
 CHECKPOINT_MAGIC = "odegate-checkpoint"
@@ -56,122 +56,94 @@ class ModelConfig:
         return 1.0 / self.steps
 
 
-@dataclass
+def param_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of every parameter the config implies, in draw order.
+
+    The one description of the parameter set; checkpoints use these names.
+    """
+    d_h = config.hidden_dim
+    square, vector = (d_h, d_h), (d_h,)
+    shapes = {"input_projection": (config.window * config.in_dim, config.proj_dim),
+              "node_embeddings": (config.n_nodes, config.embed_dim),
+              "static_field_weight": square, "static_field_bias": vector,
+              "adaptive_field_weight": square, "adaptive_field_bias": vector}
+    if config.mask_mode != "off":
+        for prefix in ("static", "adaptive"):
+            for s in range(config.steps):
+                shapes[f"{prefix}_comp_weight_{s}"] = square
+                shapes[f"{prefix}_comp_bias_{s}"] = vector
+    if config.mask_mode == "learned":
+        for prefix in ("static", "adaptive"):
+            shapes[f"{prefix}_mask_weight"] = square
+            shapes[f"{prefix}_mask_bias"] = vector
+    shapes["readout_weight"] = (2 * d_h, config.horizon)
+    shapes["readout_bias"] = (config.horizon,)
+    return shapes
+
+
 class ModelParams:
-    w_input: Tensor                       # [window*in_dim, proj_dim]
-    e_node: NodeEmbeddings                # [n_nodes, embed_dim]
-    vf_static: VectorFieldParams
-    vf_adaptive: VectorFieldParams
-    w_out: Tensor                         # [2*hidden_dim, horizon]
-    b_out: Tensor                         # [horizon]
-    comp_static: CompensatorParams | None = None
-    comp_adaptive: CompensatorParams | None = None
-    mask_static: LearnedMaskParams | None = None
-    mask_adaptive: LearnedMaskParams | None = None
+    """Every parameter, as one name -> Tensor map in `param_shapes` order.
+
+    The per-stream views that `forward` reads hold the same Tensor objects,
+    so an in-place update through `named()` is what the next forward sees.
+    """
+
+    def __init__(self, tensors: dict):
+        self._tensors = dict(tensors)
+        t = self._tensors
+
+        def pair(prefix: str, suffix: str = "") -> tuple:
+            return t[f"{prefix}_weight{suffix}"], t[f"{prefix}_bias{suffix}"]
+
+        def stream(name: str) -> tuple:
+            per_step = []
+            while f"{name}_comp_weight_{len(per_step)}" in t:
+                per_step.append(pair(f"{name}_comp", f"_{len(per_step)}"))
+            return (VectorFieldParams(*pair(f"{name}_field")),
+                    CompensatorParams(per_step) if per_step else None,
+                    LearnedMaskParams(*pair(f"{name}_mask"))
+                    if f"{name}_mask_weight" in t else None)
+
+        self.w_input = t["input_projection"]
+        self.e_node = NodeEmbeddings(t["node_embeddings"])
+        self.vf_static, self.comp_static, self.mask_static = stream("static")
+        self.vf_adaptive, self.comp_adaptive, self.mask_adaptive = stream("adaptive")
+        self.w_out, self.b_out = pair("readout")
 
     def named(self) -> dict:
         """Fixed-order name -> Tensor map over every parameter present."""
-        out = {"input_projection": self.w_input,
-               "node_embeddings": self.e_node.table,
-               "static_field_weight": self.vf_static.w_f,
-               "static_field_bias": self.vf_static.b_f,
-               "adaptive_field_weight": self.vf_adaptive.w_f,
-               "adaptive_field_bias": self.vf_adaptive.b_f}
-        for prefix, comp in (("static", self.comp_static),
-                             ("adaptive", self.comp_adaptive)):
-            if comp is not None:
-                for s, (w_g, b_g) in enumerate(comp.per_step):
-                    out[f"{prefix}_comp_weight_{s}"] = w_g
-                    out[f"{prefix}_comp_bias_{s}"] = b_g
-        for prefix, mask in (("static", self.mask_static),
-                             ("adaptive", self.mask_adaptive)):
-            if mask is not None:
-                out[f"{prefix}_mask_weight"] = mask.w_m
-                out[f"{prefix}_mask_bias"] = mask.b_m
-        out["readout_weight"] = self.w_out
-        out["readout_bias"] = self.b_out
-        return out
+        return dict(self._tensors)
 
     @property
     def count(self) -> int:
-        return sum(t.size for t in self.named().values())
+        return sum(t.size for t in self._tensors.values())
 
     def zero_grad(self) -> None:
-        for t in self.named().values():
+        for t in self._tensors.values():
             t.zero_grad()
 
     def copy(self) -> "ModelParams":
         """Deep copy of the parameter values (used for best-epoch snapshots)."""
-
-        def dup(t: Tensor) -> Tensor:
-            return Tensor(t.data.copy(), requires_grad=t.requires_grad)
-
-        def dup_comp(c):
-            if c is None:
-                return None
-            return CompensatorParams([(dup(w), dup(b)) for w, b in c.per_step])
-
-        def dup_mask(m):
-            if m is None:
-                return None
-            return LearnedMaskParams(dup(m.w_m), dup(m.b_m))
-
-        return ModelParams(
-            w_input=dup(self.w_input),
-            e_node=NodeEmbeddings(dup(self.e_node.table)),
-            vf_static=VectorFieldParams(dup(self.vf_static.w_f), dup(self.vf_static.b_f)),
-            vf_adaptive=VectorFieldParams(dup(self.vf_adaptive.w_f), dup(self.vf_adaptive.b_f)),
-            w_out=dup(self.w_out), b_out=dup(self.b_out),
-            comp_static=dup_comp(self.comp_static),
-            comp_adaptive=dup_comp(self.comp_adaptive),
-            mask_static=dup_mask(self.mask_static),
-            mask_adaptive=dup_mask(self.mask_adaptive))
-
-
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform(-limit, limit, size=(rows, cols)),
-                  requires_grad=True)
-
-
-def _zeros(n: int) -> Tensor:
-    return Tensor(np.zeros(n), requires_grad=True)
+        return ModelParams({name: Tensor(t.data, requires_grad=t.requires_grad)
+                            for name, t in self._tensors.items()})
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Seeded initialization; allocation follows the configured mask mode.
+    """Seeded initialization in `param_shapes` order.
 
-    Draw order is fixed (encoder, embeddings, static field, adaptive field,
-    static comp steps, adaptive comp steps, masks, readout) so identical seeds
-    give identical parameters across runs.
+    Matrices are Glorot-uniform draws and biases zeros, so equal seeds give
+    equal parameters.
     """
     rng = np.random.default_rng(seed)
-    d_h = config.hidden_dim
 
-    w_input = _glorot(rng, config.window * config.in_dim, config.proj_dim)
-    e_node = NodeEmbeddings(_glorot(rng, config.n_nodes, config.embed_dim))
-    vf_s = VectorFieldParams(_glorot(rng, d_h, d_h), _zeros(d_h))
-    vf_k = VectorFieldParams(_glorot(rng, d_h, d_h), _zeros(d_h))
+    def draw(shape: tuple) -> Tensor:
+        if len(shape) == 1:
+            return Tensor(np.zeros(shape), requires_grad=True)
+        limit = np.sqrt(6.0 / sum(shape))
+        return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
-    comp_s = comp_k = None
-    if config.mask_mode != "off":
-        comp_s = CompensatorParams(
-            [(_glorot(rng, d_h, d_h), _zeros(d_h)) for _ in range(config.steps)])
-        comp_k = CompensatorParams(
-            [(_glorot(rng, d_h, d_h), _zeros(d_h)) for _ in range(config.steps)])
-
-    mask_s = mask_k = None
-    if config.mask_mode == "learned":
-        mask_s = LearnedMaskParams(_glorot(rng, d_h, d_h), _zeros(d_h))
-        mask_k = LearnedMaskParams(_glorot(rng, d_h, d_h), _zeros(d_h))
-
-    w_out = _glorot(rng, 2 * d_h, config.horizon)
-    b_out = _zeros(config.horizon)
-    return ModelParams(w_input=w_input, e_node=e_node,
-                       vf_static=vf_s, vf_adaptive=vf_k,
-                       w_out=w_out, b_out=b_out,
-                       comp_static=comp_s, comp_adaptive=comp_k,
-                       mask_static=mask_s, mask_adaptive=mask_k)
+    return ModelParams({name: draw(shape)
+                        for name, shape in param_shapes(config).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +254,6 @@ def flop_report(config: ModelConfig, batch_size: int = 1) -> FlopReport:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def param_shapes(config: ModelConfig) -> dict:
-    """Name -> shape of every parameter the config implies, in `named()` order."""
-    d_h = config.hidden_dim
-    square, vector = (d_h, d_h), (d_h,)
-    shapes = {"input_projection": (config.window * config.in_dim, config.proj_dim),
-              "node_embeddings": (config.n_nodes, config.embed_dim),
-              "static_field_weight": square, "static_field_bias": vector,
-              "adaptive_field_weight": square, "adaptive_field_bias": vector}
-    if config.mask_mode != "off":
-        for prefix in ("static", "adaptive"):
-            for s in range(config.steps):
-                shapes[f"{prefix}_comp_weight_{s}"] = square
-                shapes[f"{prefix}_comp_bias_{s}"] = vector
-    if config.mask_mode == "learned":
-        for prefix in ("static", "adaptive"):
-            shapes[f"{prefix}_mask_weight"] = square
-            shapes[f"{prefix}_mask_bias"] = vector
-    shapes["readout_weight"] = (2 * d_h, config.horizon)
-    shapes["readout_bias"] = (config.horizon,)
-    return shapes
-
-
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
     """JSON checkpoint; float64 values survive the round trip exactly."""
     payload = {
@@ -345,11 +295,10 @@ def _stored_config(path, stored) -> ModelConfig:
 
 def load_checkpoint(path):
     """Read a checkpoint back as (params, config)."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -359,6 +308,10 @@ def load_checkpoint(path):
     stored = payload.get("params")
     if not isinstance(stored, dict):
         raise ValidationError(f"{path}: checkpoint has no params object")
+    # every step owns stored parameters; this also bounds param_shapes' loop
+    if config.mask_mode != "off" and config.steps > len(stored):
+        raise ValidationError(f"{path}: config steps={config.steps} exceeds the "
+                              f"{len(stored)} stored parameters")
     shapes = param_shapes(config)
     extra = set(stored) - set(shapes)
     if extra:
@@ -378,25 +331,4 @@ def load_checkpoint(path):
             raise ValidationError(f"{path}: parameter '{name}' has non-finite values")
         return Tensor(values, requires_grad=True)
 
-    comp_s = comp_k = None
-    if config.mask_mode != "off":
-        comp_s = CompensatorParams(
-            [(grab(f"static_comp_weight_{s}"), grab(f"static_comp_bias_{s}"))
-             for s in range(config.steps)])
-        comp_k = CompensatorParams(
-            [(grab(f"adaptive_comp_weight_{s}"), grab(f"adaptive_comp_bias_{s}"))
-             for s in range(config.steps)])
-    mask_s = mask_k = None
-    if config.mask_mode == "learned":
-        mask_s = LearnedMaskParams(grab("static_mask_weight"), grab("static_mask_bias"))
-        mask_k = LearnedMaskParams(grab("adaptive_mask_weight"), grab("adaptive_mask_bias"))
-
-    params = ModelParams(
-        w_input=grab("input_projection"),
-        e_node=NodeEmbeddings(grab("node_embeddings")),
-        vf_static=VectorFieldParams(grab("static_field_weight"), grab("static_field_bias")),
-        vf_adaptive=VectorFieldParams(grab("adaptive_field_weight"), grab("adaptive_field_bias")),
-        w_out=grab("readout_weight"), b_out=grab("readout_bias"),
-        comp_static=comp_s, comp_adaptive=comp_k,
-        mask_static=mask_s, mask_adaptive=mask_k)
-    return params, config
+    return ModelParams({name: grab(name) for name in shapes}), config

@@ -5,16 +5,22 @@ test at the bottom confirms the installed console script wires up to the same
 entry point.
 """
 
+import contextlib
 import filecmp
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odegate.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK,
                          EXIT_USAGE, GENERATE_KEYS, TRAIN_KEYS, _coerce,
@@ -22,6 +28,7 @@ from odegate.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK,
                          write_resolved)
 from odegate.data import read_series_csv
 from odegate.errors import ParseError, ValidationError
+from odegate.model import ModelConfig, init_params, save_checkpoint
 
 SMALL_TRAIN = ["--window", "4", "--horizon", "3", "--proj-dim", "4",
                "--embed-dim", "2", "--steps", "2", "--batch-size", "16",
@@ -177,6 +184,19 @@ class TestTrain:
             assert filecmp.cmp(full_run / name, rerun / name,
                                shallow=False), name
 
+    @pytest.mark.parametrize("in_dim", ["1.0", "true"])
+    def test_non_int_in_dim(self, data_dir, tmp_path, capsys, in_dim):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        meta = (bad / "meta.json").read_text()
+        (bad / "meta.json").write_text(meta.replace('"in_dim": 1,', f'"in_dim": {in_dim},'))
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "o")]
+                    + SMALL_TRAIN)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:") and "in_dim" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_data_dir(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "o")] + SMALL_TRAIN)
@@ -283,8 +303,9 @@ class TestEvaluate:
         assert err.startswith("error[validation]:") and "sparsity_tau" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("row", ["5,99,4.0", "5,0,nan"],
-                             ids=["node_out_of_range", "nan_magnitude"])
+    @pytest.mark.parametrize("row", ["5,99,4.0", "5,0,nan", "-5,0,4.0", "99999,0,4.0"],
+                             ids=["node_out_of_range", "nan_magnitude",
+                                  "tick_negative", "tick_past_end"])
     def test_corrupt_events_rejected(self, data_dir, full_run, tmp_path,
                                      capsys, row):
         bad = tmp_path / "data"
@@ -325,7 +346,14 @@ class TestEvaluate:
                       '"edge_list_path": "edges.csv"}\n'),
         ("meta.json", '{"n_nodes": 0, "in_dim": 1, "tick_seconds": 300, '
                       '"edge_list_path": "edges.csv"}\n'),
-    ], ids=["header_only_series", "string_n_nodes", "zero_n_nodes"])
+        ("meta.json", '{"n_nodes": 4, "in_dim": 1.0, "tick_seconds": 300, '
+                      '"edge_list_path": "edges.csv"}\n'),
+        ("meta.json", '{"n_nodes": 4, "in_dim": true, "tick_seconds": 300, '
+                      '"edge_list_path": "edges.csv"}\n'),
+        ("meta.json", '{"n_nodes": 4, "in_dim": 1, "tick_seconds": 300.5, '
+                      '"edge_list_path": "edges.csv"}\n'),
+    ], ids=["header_only_series", "string_n_nodes", "zero_n_nodes",
+            "float_in_dim", "bool_in_dim", "float_tick_seconds"])
     def test_malformed_dataset_files(self, data_dir, full_run, tmp_path, capsys,
                                      name, text):
         bad = tmp_path / "data"
@@ -337,6 +365,21 @@ class TestEvaluate:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error[parse]:") and name in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_edge_weight(self, data_dir, full_run, tmp_path, capsys,
+                                    weight):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        with open(bad / "edges.csv", "a") as fh:
+            fh.write(f"0,2,{weight}\n")
+        code = main(["evaluate", "--data", str(bad),
+                     "--checkpoint", str(full_run / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "non-finite weight" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -393,6 +436,73 @@ class TestIntersectDemo:
         assert np.array_equal(off[:, 1], off[:, 2])
         d = on[:, 1] - on[:, 2]
         assert d[0] > 0 and (d < 0).any()
+
+
+FUZZ_FILES = ("meta.json", "series.csv", "events.csv", "edges.csv", "checkpoint.json")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+CSV_CELLS = (st.integers().map(str) | st.floats().map(repr)
+             | st.text(max_size=8))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, data_dir):
+    """The small dataset plus an untrained checkpoint that evaluates on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(data_dir, root / "data")
+    config = ModelConfig(n_nodes=4, window=4, horizon=3, proj_dim=4, embed_dim=2,
+                         steps=2)
+    save_checkpoint(root / "data" / "checkpoint.json", init_params(config), config)
+    return root / "data"
+
+
+def _corrupt(raw: bytes, name: str, data) -> bytes:
+    """Replace one byte range, one JSON field or one CSV cell of `raw`."""
+    if data.draw(st.booleans(), label="byte range"):
+        start = data.draw(st.integers(0, len(raw)), label="start")
+        end = data.draw(st.integers(start, min(len(raw), start + 16)), label="end")
+        return raw[:start] + data.draw(st.binary(max_size=16), label="bytes") + raw[end:]
+    if name.endswith(".json"):
+        payload = json.loads(raw)
+        owners = [payload] + [v for v in payload.values() if isinstance(v, dict)]
+        owner = data.draw(st.sampled_from(owners), label="object")
+        key = data.draw(st.sampled_from(sorted(owner)), label="key")
+        owner[key] = data.draw(JSON_VALUES, label="value")
+        return json.dumps(payload).encode()
+    lines = raw.decode().split("\n")
+    row = data.draw(st.integers(0, len(lines) - 2), label="row")
+    cells = lines[row].split(",")
+    col = data.draw(st.integers(0, len(cells) - 1), label="column")
+    cells[col] = data.draw(CSV_CELLS, label="cell")
+    lines[row] = ",".join(cells)
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(FUZZ_FILES), data=st.data())
+def test_corrupted_input_exits_cleanly(fuzz_inputs, name, data):
+    # Every malformed input ends in exit 0, 2 or 3, and a failure prints
+    # exactly one `error[kind]:` line; no exception escapes main().
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "data"
+        shutil.copytree(fuzz_inputs, work)
+        (work / name).write_bytes(_corrupt((work / name).read_bytes(), name, data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", "--data", str(work), "--out", str(Path(tmp) / "o"),
+                         "--checkpoint", str(work / "checkpoint.json")])
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC)
+    # a command-line run prints warnings on stderr too
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    if code == EXIT_OK:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error["), lines
 
 
 def test_console_script_runs():

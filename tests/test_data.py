@@ -296,6 +296,30 @@ class TestCsvFormats:
         with pytest.raises(ParseError, match="n_nodes must be a positive integer"):
             read_meta(path)
 
+    @pytest.mark.parametrize("key", ["in_dim", "tick_seconds"])
+    @pytest.mark.parametrize("value", ["1.0", "true", "0", '"1"', "null"])
+    def test_meta_int_keys_must_be_positive_int(self, tmp_path, key, value):
+        payload = {"n_nodes": "3", "in_dim": "1", "tick_seconds": "300",
+                   "edge_list_path": '"edges.csv"', key: value}
+        path = tmp_path / "meta.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in payload.items()) + "}\n")
+        with pytest.raises(ParseError, match=f"{key} must be a positive integer"):
+            read_meta(path)
+
+    @pytest.mark.parametrize("row", ["-5,0,4.0", "80,0,4.0", "99999,0,4.0",
+                                     "5,99,4.0", "5,0,nan"],
+                             ids=["tick_negative", "tick_at_end", "tick_far_past_end",
+                                  "node_out_of_range", "nan_magnitude"])
+    def test_bad_event_row_names_line(self, tmp_path, row):
+        sc = ShockScenario(n_nodes=4, total_t=80, seed=8)
+        g = default_graph(4, seed=8)
+        series, events = generate_shock_series(sc, g)
+        write_dataset_files(tmp_path, sc, g, series, events)
+        with open(tmp_path / "events.csv", "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValidationError, match=f"events.csv line {len(events) + 2}:"):
+            load_dataset_files(tmp_path)
+
     def test_meta_edge_list_path_must_be_string(self, tmp_path):
         path = tmp_path / "meta.json"
         path.write_text('{"n_nodes": 3, "in_dim": 1, "tick_seconds": 300, '

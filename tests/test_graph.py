@@ -34,6 +34,12 @@ class TestSpatialGraph:
             SpatialGraph(n_nodes=2, edges=[(0, 1, -0.5)])
 
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            SpatialGraph(n_nodes=2, edges=[(0, 1, weight)])
+
+
 class TestNormalizeAdjacency:
     def test_two_node_oracle(self):
         # A+I = [[1,1],[1,1]], degrees 2, so every entry is 1/2
@@ -178,6 +184,13 @@ class TestEdgeListIO:
         path.write_text("src,dst,weight\n0,1,-2.0\n")
         with pytest.raises(ValidationError, match="negative"):
             load_graph(path, 2)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_line(self, tmp_path, weight):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"src,dst,weight\n0,1,1.0\n1,2,{weight}\n")
+        with pytest.raises(ValidationError, match="line 3: .*non-finite weight"):
+            load_graph(path, 3)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -1,6 +1,7 @@
 """Model assembly: parameter bookkeeping, forward pass, cost model, checkpoints."""
 
 import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -83,6 +84,68 @@ class TestParams:
         q.w_input.data[0, 0] += 1.0
         assert p.w_input.data[0, 0] != q.w_input.data[0, 0]
         assert np.array_equal(p.vf_static.w_f.data, q.vf_static.w_f.data)
+
+    # sha256 over (name, shape, little-endian float64 bytes) of every
+    # parameter, computed with the hand-written initializer that preceded
+    # `param_shapes`-driven init: pins names, shapes and the draw order.
+    INIT_DIGESTS = {
+        ("tiny", "lte"): "30ad4f0673a487dc7ac12a38440d2d15523d970063c925fedd65843c175fb56f",
+        ("tiny", "uniform_one"): "30ad4f0673a487dc7ac12a38440d2d15523d970063c925fedd65843c175fb56f",
+        ("tiny", "learned"): "8d0ded4b111d0957492ac5beec45f923da6a64d4afdb24fc1b286749d6458263",
+        ("tiny", "off"): "6446b61ccdc9b25e10c756d2b32601d9b7980e5fb986be485d22461027358dc3",
+        ("default", "lte"): "d68297b6d106d370d1aff4137edaf4dda0a10658f743bb83b9f435fa9cbc4553",
+        ("default", "uniform_one"): "d68297b6d106d370d1aff4137edaf4dda0a10658f743bb83b9f435fa9cbc4553",
+        ("default", "learned"): "c9fc6ddd3c21d2e02126f58b75a3835188b8dd11aaac455bb636b49113b9bfc6",
+        ("default", "off"): "549ebc88fb0d31d1c394615b29e89b68a87bec4038e9a7fb0f86b777cd3acf25",
+    }
+
+    @pytest.mark.parametrize("size, mode", sorted(INIT_DIGESTS))
+    def test_init_pinned(self, size, mode):
+        base, seed = (TINY, 1) if size == "tiny" else (DEFAULT, 0)
+        h = hashlib.sha256()
+        for name, t in init_params(dataclasses.replace(base, mask_mode=mode),
+                                   seed=seed).named().items():
+            h.update(name.encode())
+            h.update(str(t.shape).encode())
+            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        assert h.hexdigest() == self.INIT_DIGESTS[size, mode]
+
+
+def _views(params) -> dict:
+    """Every per-stream view tensor of `params`, keyed by its checkpoint name."""
+    views = {"input_projection": params.w_input,
+             "node_embeddings": params.e_node.table,
+             "readout_weight": params.w_out, "readout_bias": params.b_out}
+    for stream in ("static", "adaptive"):
+        vf = getattr(params, f"vf_{stream}")
+        views[f"{stream}_field_weight"], views[f"{stream}_field_bias"] = vf.w_f, vf.b_f
+        comp = getattr(params, f"comp_{stream}")
+        for s, (w_g, b_g) in enumerate(comp.per_step if comp else []):
+            views[f"{stream}_comp_weight_{s}"] = w_g
+            views[f"{stream}_comp_bias_{s}"] = b_g
+        mask = getattr(params, f"mask_{stream}")
+        if mask is not None:
+            views[f"{stream}_mask_weight"], views[f"{stream}_mask_bias"] = mask.w_m, mask.b_m
+    return views
+
+
+@pytest.mark.parametrize("mode", ["lte", "uniform_one", "learned", "off"])
+@pytest.mark.parametrize("source", ["init", "copy", "load"])
+def test_views_are_the_named_tensors(tmp_path, mode, source):
+    # Adam updates through named() while forward reads the views, so a view
+    # that is not the very same Tensor would silently stop training.
+    config = dataclasses.replace(TINY, mask_mode=mode)
+    params = init_params(config, seed=2)
+    if source == "copy":
+        params = params.copy()
+    elif source == "load":
+        save_checkpoint(tmp_path / "ckpt.json", params, config)
+        params, _ = load_checkpoint(tmp_path / "ckpt.json")
+    named, views = params.named(), _views(params)
+    assert list(named) == list(param_shapes(config))
+    assert sorted(views) == sorted(named)
+    for name, view in views.items():
+        assert view is named[name], name
 
 
 class TestInitializeState:
@@ -330,9 +393,10 @@ class TestCheckpoint:
         (lambda p: p["params"].update(readout_bias=[[0.0, 1.0]]), "readout_bias"),
         (lambda p: p["params"].update(readout_bias=[0.0, "x"]), "readout_bias"),
         (lambda p: p["params"].update(readout_bias=[[0.0], 1.0]), "readout_bias"),
+        (lambda p: p["config"].update(steps=10 ** 12), "steps=1000000000000 exceeds"),
     ], ids=["unknown_key", "missing_key", "str_int", "float_int", "bool_int",
             "int_bool", "no_config", "params_not_object", "bias_shape",
-            "bias_rank", "bias_text", "bias_ragged"])
+            "bias_rank", "bias_text", "bias_ragged", "huge_steps"])
     def test_bad_config_and_shapes_rejected(self, tmp_path, edit, match):
         with pytest.raises(ValidationError, match=match):
             load_checkpoint(self._edited(tmp_path, edit))
