@@ -1,18 +1,25 @@
 """Dense float64 tensors with a record/replay reverse-mode gradient tape.
 
-The design is deliberately small: a `Tensor` wraps a numpy array plus an
-optional gradient buffer, and every differentiable operation is a module-level
-function that takes an explicit `tape`.  When a tape is supplied and any input
-requires gradients, the op appends one backward rule to the tape; replaying the
-rules in reverse recording order propagates gradients from a scalar loss to
-every parameter.  Recording order is execution order, so the reverse replay is
-always a valid topological sweep.
+A `Tensor` wraps a numpy array plus an optional gradient buffer, and every
+differentiable operation is a module-level function that takes an explicit
+`tape`.  Reverse mode needs one thing from each op: for every input, its
+vector-Jacobian product (VJP), the map from the gradient of the op's output
+to that input's share of it.  An op computes its forward array and hands it
+to `_out` with one VJP per input; nothing else about the backward pass is
+written per op.
+
+`_out` is the only place that records a backward rule: given a tape and an
+input that requires gradients, it appends one rule that accumulates `vjp(g)`
+into each such input once the output has a gradient g.  Replaying the rules
+in reverse recording order carries gradients from a scalar loss to every
+parameter; recording order is execution order, so the reverse replay is a
+valid topological sweep, and fan-out sums because gradients accumulate.
 
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
-named op with an explicit backward rule: `propagate` applies a graph operator
-over the node axis of a batched state, `affine` applies a shared channel map
-(plus bias), and `expand_batch` replicates along a new batch axis.  That keeps
-every rule auditable against the finite-difference oracle at the bottom of
+named op with its own VJPs: `propagate` applies a graph operator over the
+node axis of a batched state, `affine` applies a shared channel map (plus
+bias), and `expand_batch` replicates along a new batch axis.  That keeps
+every VJP auditable against the finite-difference oracle at the bottom of
 this module.
 
 Every op validates that its output is finite; NaN/Inf raise `NumericError`
@@ -134,14 +141,30 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 def _out(arr: np.ndarray, op: str, tape: Tape | None, inputs: Sequence[Tensor],
-         make_backward) -> Tensor:
-    """Wrap an op result, recording its backward rule when gradients are live."""
+         vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Wrap an op result; when gradients are live, record its one backward rule.
+
+    `vjps[i]` maps the output's gradient to the gradient of `inputs[i]`; it is
+    called only for inputs that require one, and only once the output has
+    received a gradient.
+    """
     _finite(arr, op)
     live = tape is not None and any(t.requires_grad for t in inputs)
-    result = Tensor._wrap(arr, live)
+    out = Tensor._wrap(arr, live)
     if live:
-        tape.record(op, make_backward(result))
-    return result
+        def rule():
+            g = out.grad
+            if g is None:
+                return
+            for t, vjp in zip(inputs, vjps):
+                if t.requires_grad:
+                    t.accumulate_grad(vjp(g))
+        tape.record(op, rule)
+    return out
+
+
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -159,19 +182,8 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise DimensionError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
-        return rule
-
-    return _out(a.data @ b.data, "matmul", tape, (a, b), make)
+    return _out(a.data @ b.data, "matmul", tape, (a, b),
+                (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
@@ -182,19 +194,9 @@ def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape != (h.shape[1], h.shape[1]):
         raise DimensionError(
             f"propagate: operator {a.shape} does not match {h.shape[1]} nodes")
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(np.tensordot(g, h.data, axes=([0, 2], [0, 2])))
-            if h.requires_grad:
-                h.accumulate_grad(a.data.T @ g)
-        return rule
-
-    return _out(a.data @ h.data, "propagate", tape, (a, h), make)
+    return _out(a.data @ h.data, "propagate", tape, (a, h),
+                (lambda g: np.tensordot(g, h.data, axes=([0, 2], [0, 2])),
+                 lambda g: a.data.T @ g))
 
 
 def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
@@ -207,69 +209,28 @@ def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
     k, m = w.shape
     flat = h.data.reshape(-1, k)
     out_flat = flat @ w.data
+    inputs = (h, w)
+    vjps = (lambda g: (g.reshape(-1, m) @ w.data.T).reshape(h.shape),
+            lambda g: flat.T @ g.reshape(-1, m))
     if b is not None:
         out_flat += b.data
-    inputs = (h, w) if b is None else (h, w, b)
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            g_flat = g.reshape(-1, m)
-            if h.requires_grad:
-                h.accumulate_grad((g_flat @ w.data.T).reshape(h.shape))
-            if w.requires_grad:
-                w.accumulate_grad(flat.T @ g_flat)
-            if b is not None and b.requires_grad:
-                b.accumulate_grad(g_flat.sum(axis=0))
-        return rule
-
-    return _out(out_flat.reshape(h.shape[:-1] + (m,)), "affine", tape, inputs, make)
+        inputs += (b,)
+        vjps += (lambda g: g.reshape(-1, m).sum(axis=0),)
+    return _out(out_flat.reshape(h.shape[:-1] + (m,)), "affine", tape, inputs, vjps)
 
 
 def add(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
     if isinstance(b, (int, float)):
-        def make(out: Tensor):
-            def rule():
-                if out.grad is not None and a.requires_grad:
-                    a.accumulate_grad(out.grad)
-            return rule
-        return _out(a.data + float(b), "add", tape, (a,), make)
-
+        return _out(a.data + float(b), "add", tape, (a,), (_same,))
     _check_same_shape(a, b, "add")
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(g)
-        return rule
-
-    return _out(a.data + b.data, "add", tape, (a, b), make)
+    return _out(a.data + b.data, "add", tape, (a, b), (_same, _same))
 
 
 def sub(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
     if isinstance(b, (int, float)):
         return add(a, -float(b), tape)
     _check_same_shape(a, b, "sub")
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(-g)
-        return rule
-
-    return _out(a.data - b.data, "sub", tape, (a, b), make)
+    return _out(a.data - b.data, "sub", tape, (a, b), (_same, np.negative))
 
 
 def hadamard(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
@@ -277,31 +238,13 @@ def hadamard(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
     if isinstance(b, (int, float)):
         return scale(a, float(b), tape)
     _check_same_shape(a, b, "hadamard")
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(g * b.data)
-            if b.requires_grad:
-                b.accumulate_grad(g * a.data)
-        return rule
-
-    return _out(a.data * b.data, "hadamard", tape, (a, b), make)
+    return _out(a.data * b.data, "hadamard", tape, (a, b),
+                (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def scale(a: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
     s = float(s)
-
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(out.grad * s)
-        return rule
-
-    return _out(a.data * s, "scale", tape, (a,), make)
+    return _out(a.data * s, "scale", tape, (a,), (lambda g: g * s,))
 
 
 def divide(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
@@ -310,53 +253,23 @@ def divide(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
             raise NumericError("divide: scalar denominator is zero")
         return scale(a, 1.0 / float(b), tape)
     _check_same_shape(a, b, "divide")
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(g / b.data)
-            if b.requires_grad:
-                b.accumulate_grad(-g * a.data / (b.data * b.data))
-        return rule
-
-    return _out(a.data / b.data, "divide", tape, (a, b), make)
+    return _out(a.data / b.data, "divide", tape, (a, b),
+                (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def absolute(a: Tensor, tape: Tape | None = None) -> Tensor:
     """|a| element-wise; the backward rule uses sign with subgradient 0 at 0."""
-
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(out.grad * np.sign(a.data))
-        return rule
-
-    return _out(np.abs(a.data), "abs", tape, (a,), make)
+    return _out(np.abs(a.data), "abs", tape, (a,), (lambda g: g * np.sign(a.data),))
 
 
 def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(out.grad * (1.0 - out.data * out.data))
-        return rule
-
-    return _out(out_data, "tanh", tape, (a,), make)
+    y = np.tanh(a.data)
+    return _out(y, "tanh", tape, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(out.grad * (a.data > 0.0))
-        return rule
-
-    return _out(np.maximum(a.data, 0.0), "relu", tape, (a,), make)
+    return _out(np.maximum(a.data, 0.0), "relu", tape, (a,),
+                (lambda g: g * (a.data > 0.0),))
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -370,15 +283,8 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out_data = _sigmoid_values(a.data)
-
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(out.grad * out.data * (1.0 - out.data))
-        return rule
-
-    return _out(out_data, "sigmoid", tape, (a,), make)
+    y = _sigmoid_values(a.data)
+    return _out(y, "sigmoid", tape, (a,), (lambda g: g * y * (1.0 - y),))
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +295,9 @@ def transpose(a: Tensor, axes: Sequence[int], tape: Tape | None = None) -> Tenso
     axes = tuple(int(x) for x in axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise DimensionError(f"transpose: axes {axes} are not a permutation for shape {a.shape}")
-    inverse = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
-
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(out.grad.transpose(inverse))
-        return rule
-
-    return _out(a.data.transpose(axes).copy(), "transpose", tape, (a,), make)
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    return _out(a.data.transpose(axes).copy(), "transpose", tape, (a,),
+                (lambda g: g.transpose(inverse),))
 
 
 def concat_channels(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -406,35 +306,16 @@ def concat_channels(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise DimensionError(
             f"concat_channels: leading shapes differ, {a.shape} vs {b.shape}")
     split = a.shape[-1]
-
-    def make(out: Tensor):
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(g[..., :split])
-            if b.requires_grad:
-                b.accumulate_grad(g[..., split:])
-        return rule
-
-    return _out(np.concatenate([a.data, b.data], axis=-1), "concat_channels",
-                tape, (a, b), make)
+    return _out(np.concatenate([a.data, b.data], axis=-1), "concat_channels", tape,
+                (a, b), (lambda g: g[..., :split], lambda g: g[..., split:]))
 
 
 def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
     """Replicate `a` along a new leading batch axis; backward sums it out."""
     if batch < 1:
         raise ContractError(f"expand_batch: batch must be >= 1, got {batch}")
-
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(out.grad.sum(axis=0))
-        return rule
-
     arr = np.broadcast_to(a.data, (batch,) + a.shape).copy()
-    return _out(arr, "expand_batch", tape, (a,), make)
+    return _out(arr, "expand_batch", tape, (a,), (lambda g: g.sum(axis=0),))
 
 
 # ---------------------------------------------------------------------------
@@ -442,25 +323,14 @@ def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def total_sum(a: Tensor, tape: Tape | None = None) -> Tensor:
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(np.full(a.shape, float(out.grad)))
-        return rule
-
-    return _out(np.array(a.data.sum()), "total_sum", tape, (a,), make)
+    return _out(np.array(a.data.sum()), "total_sum", tape, (a,),
+                (lambda g: np.full(a.shape, float(g)),))
 
 
 def mean_all(a: Tensor, tape: Tape | None = None) -> Tensor:
     inv = 1.0 / a.size
-
-    def make(out: Tensor):
-        def rule():
-            if out.grad is not None and a.requires_grad:
-                a.accumulate_grad(np.full(a.shape, float(out.grad) * inv))
-        return rule
-
-    return _out(np.array(a.data.mean()), "mean_all", tape, (a,), make)
+    return _out(np.array(a.data.mean()), "mean_all", tape, (a,),
+                (lambda g: np.full(a.shape, float(g) * inv),))
 
 
 def mean_abs_error(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:
@@ -469,19 +339,11 @@ def mean_abs_error(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Te
     diff = pred.data - target.data
     inv = 1.0 / pred.size
 
-    def make(out: Tensor):
-        def rule():
-            if out.grad is None:
-                return
-            g = float(out.grad) * inv * np.sign(diff)
-            if pred.requires_grad:
-                pred.accumulate_grad(g)
-            if target.requires_grad:
-                target.accumulate_grad(-g)
-        return rule
+    def d_pred(g):
+        return float(g) * inv * np.sign(diff)
 
     return _out(np.array(np.abs(diff).mean()), "mean_abs_error", tape,
-                (pred, target), make)
+                (pred, target), (d_pred, lambda g: -d_pred(g)))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,7 @@ class Scaler:
 
 
 SPLIT_FRACTIONS = {"train": 0.6, "val": 0.2}   # test takes the remainder
+ROUND_TRIP_TOL = 1e-6   # relative error allowed in inverse(transform(series))
 
 
 @dataclass
@@ -222,10 +223,21 @@ def build_dataset(series: np.ndarray, events, graph: SpatialGraph,
               "val": (n_train, n_train + n_val),
               "test": (n_train + n_val, total_t)}
     scaler = Scaler.fit(series[:n_train])
+    scaled = scaler.transform(series)
+    # a value far outside the training scale makes every other value round
+    # to the mean, so its forecasts and metrics would be meaningless
+    lost = (np.abs(scaler.inverse(scaled) - series)
+            > ROUND_TRIP_TOL * np.maximum(1.0, np.abs(series)))
+    if np.any(lost):
+        t, node = (int(i) for i in np.argwhere(lost)[0])
+        raise ValidationError(
+            f"build_dataset: standardizing by the training mean "
+            f"{float(scaler.mean[0])!r} and std {float(scaler.std[0])!r} loses the "
+            f"value {float(series[t, node])!r} at tick {t}, node {node}; the series "
+            f"spans too wide a range")
     splits = {}
     for name, (lo, hi) in bounds.items():
-        scaled = scaler.transform(series[lo:hi])
-        splits[name] = make_windows(scaled, window, horizon, stride, t_offset=lo)
+        splits[name] = make_windows(scaled[lo:hi], window, horizon, stride, t_offset=lo)
     if splits["train"].count == 0:
         raise ValidationError(
             f"build_dataset: train segment of {n_train} ticks yields no "

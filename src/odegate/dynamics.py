@@ -14,8 +14,9 @@ The two solver estimates share k1, so the error signal costs exactly zero
 additional vector-field evaluations: every step performs 2 NFEs regardless of
 how the mask and compensation are configured.
 
-`evolve` composes S such steps over unit time (dt = 1/S). Gate statistics
-are opt-in: pass a `GateStats` to fold each step's mask into it.
+`evolve` composes S such steps over unit time (dt = 1/S). The gate values
+are opt-in: pass collect_masks=True to get each step's mask, which a caller
+can fold into a `GateStats`.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class LearnedMaskParams:
 class EvolveResult:
     h_final: Tensor
     lte: list                    # per-step error tensors, kept on the tape
-    masks: list | None = None    # per-step mask values (numpy) when collected
+    masks: list | None = None    # per-step mask arrays (read-only) when collected
     states: list | None = None   # per-step states (numpy) when collected
 
 
@@ -213,8 +214,7 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
            mask_mode: str = "lte", *, mask_params: LearnedMaskParams | None = None,
            mask_grad: bool = False, tape: Tape | None = None,
            nfe: NFECounter | None = None,
-           collect_masks: bool = False, collect_states: bool = False,
-           gate_stats: GateStats | None = None) -> EvolveResult:
+           collect_masks: bool = False, collect_states: bool = False) -> EvolveResult:
     """Run S hybrid steps over unit time.
 
     mask_mode selects the ablation behavior:
@@ -226,8 +226,8 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
     By default the error feeding the mask is detached from the tape; pass
     mask_grad=True to let gradients flow through the gate.  The per-step error
     tensors returned in `lte` always stay on the tape (the smoothness-penalty
-    loss needs them differentiable).  When gate_stats is given, every gated
-    step's mask is folded into it; mask_mode 'off' folds nothing.
+    loss needs them differentiable).  With collect_masks, `masks` holds every
+    gated step's mask array (read-only); mask_mode 'off' collects none.
     """
     if steps < 1:
         raise ContractError(f"evolve: steps must be >= 1, got {steps}")
@@ -266,10 +266,8 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
                     m = sigmoid(node_linear(h, mask_params.w_m, mask_params.b_m, tape), tape)
 
                 h_next = compensate(h, h_rk2, m, step, comp, tape)
-                if gate_stats is not None:
-                    gate_stats.add(m.data)
                 if masks is not None:
-                    masks.append(m.data.copy())
+                    masks.append(m.data)
         except OdegateError as exc:
             raise type(exc)(f"step {step}: {exc}") from exc
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor, affine, concat_channels, expand_batch
-from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult, GateStats,
+from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult,
                        LearnedMaskParams, NFECounter, VectorFieldParams, evolve)
 from .errors import DimensionError, ParseError, ValidationError, read_text
 from .graph import NodeEmbeddings, adaptive_adjacency
 
 CHECKPOINT_MAGIC = "odegate-checkpoint"
 CHECKPOINT_VERSION = 1
+MAX_STEPS = 1000   # integration steps per unit time; each costs 2 NFEs per stream
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class ModelConfig:
                      "proj_dim", "embed_dim", "steps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"ModelConfig.{name} must be >= 1")
+        if self.steps > MAX_STEPS:
+            raise ValidationError(f"ModelConfig.steps={self.steps} exceeds "
+                                  f"the ceiling of {MAX_STEPS}")
         if self.mask_mode not in MASK_MODES:
             raise ValidationError(f"ModelConfig.mask_mode '{self.mask_mode}' "
                                   f"is not one of {list(MASK_MODES)}")
@@ -177,11 +181,10 @@ def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
 
 
 def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
-            tape: Tape | None = None, collect_masks: bool = False,
-            gate_stats: GateStats | None = None) -> ForwardResult:
+            tape: Tape | None = None, collect_masks: bool = False) -> ForwardResult:
     """Run both streams from the shared initial state and decode the horizon.
 
-    When gate_stats is given, both streams fold their gate values into it.
+    With collect_masks, each stream returns its per-step gate arrays.
     """
     n = config.n_nodes
     if ahat.shape != (n, n):
@@ -191,8 +194,7 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     a_adaptive = adaptive_adjacency(params.e_node, tape)
 
     common = dict(steps=config.steps, dt=config.dt, mask_mode=config.mask_mode,
-                  mask_grad=config.mask_grad, tape=tape, collect_masks=collect_masks,
-                  gate_stats=gate_stats)
+                  mask_grad=config.mask_grad, tape=tape, collect_masks=collect_masks)
     nfe_s, nfe_k = NFECounter(), NFECounter()
     res_s: EvolveResult = evolve(h0, a_op=ahat, vf=params.vf_static,
                                  comp=params.comp_static,
@@ -308,10 +310,6 @@ def load_checkpoint(path):
     stored = payload.get("params")
     if not isinstance(stored, dict):
         raise ValidationError(f"{path}: checkpoint has no params object")
-    # every step owns stored parameters; this also bounds param_shapes' loop
-    if config.mask_mode != "off" and config.steps > len(stored):
-        raise ValidationError(f"{path}: config steps={config.steps} exceeds the "
-                              f"{len(stored)} stored parameters")
     shapes = param_shapes(config)
     extra = set(stored) - set(shapes)
     if extra:

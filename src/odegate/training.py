@@ -221,11 +221,13 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                 x = Tensor(train_set.x[idx])
                 y = Tensor(train_set.y[idx])
                 res = forward(x, ahat, params, model_config, tape,
-                              gate_stats=gate)
+                              collect_masks=True)
                 if res.nfe_static != expected_nfe or res.nfe_adaptive != expected_nfe:
                     raise ContractError(
                         f"NFE {res.nfe_static}/{res.nfe_adaptive} per stream, "
                         f"expected {expected_nfe}")
+                for m in res.masks_static + res.masks_adaptive:
+                    gate.add(m)
                 loss = batch_loss(res, y, train_config.lam, model_config.steps, tape)
                 params.zero_grad()
                 backward(loss, tape)

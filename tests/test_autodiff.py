@@ -1,11 +1,14 @@
 """Tensor/tape engine tests: every op against numpy forward oracles and the
 central-difference gradient oracle, plus the tape-lifecycle contracts."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odegate.autodiff
 from odegate.autodiff import (Tape, Tensor, absolute, add, affine, backward,
                               concat_channels, detach, divide, expand_batch,
                               finite_diff_gradient, hadamard, matmul, mean_abs_error,
@@ -333,6 +336,99 @@ class TestGradientOracles:
         d = detach(a)
         backward(total_sum(hadamard(d, d, t), t), t)
         assert a.grad is None
+
+
+def _away_from_zero(rng, *shape):
+    # entries at least 0.5 from the relu/abs kinks, with both signs
+    r = rng.standard_normal(shape)
+    return np.sign(r) * (np.abs(r) + 0.5)
+
+
+def _mae_pair(rng):
+    pred = rng.standard_normal((3, 4))
+    return pred, pred + _away_from_zero(rng, 3, 4)
+
+
+# Every tape op: (call on tensor inputs under tape t, seeded input arrays).
+ORACLE_TABLE = {
+    "matmul": (lambda t, a, b: matmul(a, b, t),
+               lambda rng: (rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))),
+    "propagate": (lambda t, a, h: propagate(a, h, t),
+                  lambda rng: (rng.standard_normal((4, 4)),
+                               rng.standard_normal((3, 4, 2)))),
+    "affine": (lambda t, h, w, b: affine(h, w, b, t),
+               lambda rng: (rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)),
+                            rng.standard_normal(5))),
+    "add": (lambda t, a, b: add(a, b, t),
+            lambda rng: (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))),
+    "sub": (lambda t, a, b: sub(a, b, t),
+            lambda rng: (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))),
+    "hadamard": (lambda t, a, b: hadamard(a, b, t),
+                 lambda rng: (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))),
+    "scale": (lambda t, a: scale(a, -1.5, t), lambda rng: (rng.standard_normal(4),)),
+    "divide": (lambda t, a, b: divide(a, b, t),
+               lambda rng: (rng.standard_normal((3, 3)),
+                            np.abs(rng.standard_normal((3, 3))) + 0.5)),
+    "absolute": (lambda t, a: absolute(a, t), lambda rng: (_away_from_zero(rng, 3, 3),)),
+    "tanh": (lambda t, a: tanh(a, t), lambda rng: (rng.standard_normal((3, 3)),)),
+    "relu": (lambda t, a: relu(a, t), lambda rng: (_away_from_zero(rng, 3, 3),)),
+    "sigmoid": (lambda t, a: sigmoid(a, t), lambda rng: (rng.standard_normal((3, 3)),)),
+    "transpose": (lambda t, a: transpose(a, (2, 0, 1), t),
+                  lambda rng: (rng.standard_normal((2, 3, 4)),)),
+    "concat_channels": (lambda t, a, b: concat_channels(a, b, t),
+                        lambda rng: (rng.standard_normal((2, 3, 4)),
+                                     rng.standard_normal((2, 3, 2)))),
+    "expand_batch": (lambda t, a: expand_batch(a, 3, t),
+                     lambda rng: (rng.standard_normal((3, 2)),)),
+    "total_sum": (lambda t, a: total_sum(a, t), lambda rng: (rng.standard_normal((3, 4)),)),
+    "mean_all": (lambda t, a: mean_all(a, t), lambda rng: (rng.standard_normal((3, 4)),)),
+    "mean_abs_error": (lambda t, pred, target: mean_abs_error(pred, target, t), _mae_pair),
+}
+
+# (op, index of the input without requires_grad): None for every op, and each
+# input in turn for the ops with more than one
+ORACLE_CASES = [(name, frozen) for name, (_, inputs) in ORACLE_TABLE.items()
+                for n in [len(inputs(np.random.default_rng(0)))]
+                for frozen in [None] + (list(range(n)) if n > 1 else [])]
+
+
+def _oracle_case(name, frozen=None):
+    """Inputs of one table entry (all live but `frozen`) and a scalar build."""
+    call, inputs = ORACLE_TABLE[name]
+    tensors = [Tensor(x, requires_grad=k != frozen)
+               for k, x in enumerate(inputs(np.random.default_rng(7)))]
+    return tensors, lambda t: total_sum(tanh(call(t, *tensors), t), t)
+
+
+class TestSingleBackwardPath:
+    """Every op routes its gradients through the one rule `_out` records."""
+
+    def test_every_tape_op_has_an_oracle(self):
+        ops = {name for name, fn in inspect.getmembers(odegate.autodiff, inspect.isfunction)
+               if fn.__module__ == odegate.autodiff.__name__ and not name.startswith("_")
+               and "tape" in inspect.signature(fn).parameters and name != "backward"}
+        assert ops == set(ORACLE_TABLE)
+
+    @pytest.mark.parametrize("name, frozen", ORACLE_CASES)
+    def test_vjps_against_oracle(self, name, frozen):
+        # every live input's gradient matches central differences; a frozen
+        # input gets none
+        tensors, build = _oracle_case(name, frozen)
+        grad_matches(build, [x for k, x in enumerate(tensors) if k != frozen])
+        if frozen is not None:
+            assert tensors[frozen].grad is None
+
+    def test_unused_output_leaves_inputs_untouched(self):
+        t = Tape()
+        a = Tensor(rand(2, 3), requires_grad=True)
+        b = Tensor(rand(2, 3), requires_grad=True)
+        hadamard(a, b, t)                     # recorded, never reaches the loss
+        tanh(b, t)
+        loss = total_sum(scale(a, 2.0, t), t)
+        assert len(t) == 4
+        backward(loss, t)
+        assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+        assert b.grad is None
 
 
 class TestFiniteDiffOracle:

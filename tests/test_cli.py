@@ -367,6 +367,38 @@ class TestEvaluate:
         assert err.startswith("error[parse]:") and name in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_huge_steps_gateless_checkpoint(self, data_dir, no_comp_run, tmp_path):
+        # a gateless checkpoint stores no per-step parameters, so only the
+        # config's step ceiling keeps evaluate from integrating 10**9 steps
+        ckpt = self._edited_checkpoint(no_comp_run, tmp_path, steps=10 ** 9)
+        proc = subprocess.run(
+            [sys.executable, "-m", "odegate.cli", "evaluate", "--data", str(data_dir),
+             "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr.startswith("error[validation]:")
+        assert "steps=1000000000 exceeds" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    def test_series_destroyed_by_scaling(self, data_dir, full_run, tmp_path, capsys):
+        # one huge training cell sets a scale that rounds every other value
+        # to the mean; evaluate used to exit 0 with mape=nan
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        lines = (bad / "series.csv").read_text().splitlines()
+        cells = lines[11].split(",")
+        cells[2] = "1.3e154"
+        lines[11] = ",".join(cells)
+        (bad / "series.csv").write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--data", str(bad),
+                     "--checkpoint", str(full_run / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "standardizing" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_edge_weight(self, data_dir, full_run, tmp_path, capsys,
                                     weight):

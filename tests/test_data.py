@@ -222,6 +222,15 @@ class TestSplits:
         expected = ds.scaler.transform(series[:6]).T
         assert np.array_equal(first, expected)
 
+    def test_series_lost_to_scaling_rejected(self):
+        ds, series = self.build()
+        assert np.abs(ds.scaler.inverse(ds.scaler.transform(series)) - series).max() \
+            <= 1e-12 * np.abs(series).max()
+        g = default_graph(4, seed=3)
+        series[10, 1] = 1.3e154
+        with pytest.raises(ValidationError, match="standardizing .* at tick 0, node 0"):
+            build_dataset(series, [], g, window=6, horizon=4)
+
     def test_train_too_short_rejected(self):
         sc = ShockScenario(n_nodes=2, total_t=12, seed=0)
         g = default_graph(2)

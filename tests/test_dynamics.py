@@ -309,11 +309,12 @@ class TestEvolveBehavior:
         assert len(res.lte) == 4
 
     def test_uniform_mode_pins_gate_to_one(self):
-        stats = GateStats()
         res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
-                     mask_mode="uniform_one", collect_masks=True,
-                     gate_stats=stats)
+                     mask_mode="uniform_one", collect_masks=True)
         assert all(np.all(m == 1.0) for m in res.masks)
+        stats = GateStats()
+        for m in res.masks:
+            stats.add(m)
         assert (stats.steps, stats.count) == (4, 4 * self.h0.size)
         assert (stats.mean, stats.std, stats.p95) == (1.0, 0.0, 1.0)
 
@@ -325,21 +326,21 @@ class TestEvolveBehavior:
             assert np.all(err.data >= 0.0)
 
     def test_off_mode_is_pure_solver(self):
-        stats = GateStats()
         res = evolve(self.h0, 2, 0.5, self.a, self.vf, None, mask_mode="off",
-                     collect_masks=True, gate_stats=stats)
+                     collect_masks=True)
         h = self.h0
         for _ in range(2):
             _, h = embedded_dual_step(h, 0.5, self.a, self.vf)
         assert np.array_equal(res.h_final.data, h.data)
         assert res.masks == []
-        assert (stats.steps, stats.count, stats.mean) == (0, 0, 0.0)
 
     def test_gate_stats_match_collected_masks(self):
-        stats = GateStats()
         res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
-                     collect_masks=True, gate_stats=stats)
+                     collect_masks=True)
         ref = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp)
+        stats = GateStats()
+        for m in res.masks:
+            stats.add(m)
         assert np.array_equal(res.h_final.data, ref.h_final.data)
         values = np.concatenate([m.ravel() for m in res.masks])
         assert stats.count == values.size and stats.steps == 4

@@ -13,9 +13,9 @@ from odegate.data import WindowSet
 from odegate.dynamics import GateStats
 from odegate.errors import DimensionError, ValidationError
 from odegate.graph import SpatialGraph, normalize_adjacency
-from odegate.model import (ModelConfig, flop_report, forward, init_params,
-                           initialize_state, load_checkpoint, param_shapes,
-                           save_checkpoint)
+from odegate.model import (MAX_STEPS, ModelConfig, flop_report, forward,
+                           init_params, initialize_state, load_checkpoint,
+                           param_shapes, save_checkpoint)
 from odegate.training import predict
 
 DEFAULT = ModelConfig(n_nodes=20)
@@ -41,6 +41,12 @@ class TestConfig:
             ModelConfig(n_nodes=0)
         with pytest.raises(ValidationError):
             ModelConfig(n_nodes=4, steps=0)
+
+    @pytest.mark.parametrize("mode", ["lte", "off"])
+    def test_steps_ceiling(self, mode):
+        assert ModelConfig(n_nodes=4, steps=MAX_STEPS, mask_mode=mode).steps == MAX_STEPS
+        with pytest.raises(ValidationError, match=f"steps={MAX_STEPS + 1} exceeds"):
+            ModelConfig(n_nodes=4, steps=MAX_STEPS + 1, mask_mode=mode)
 
 
 class TestParams:
@@ -217,9 +223,11 @@ class TestForward:
     def test_gate_stats_fold_both_streams(self):
         params = init_params(TINY, seed=3)
         x, ahat = tiny_inputs(TINY)
-        stats = GateStats()
-        res = forward(x, ahat, params, TINY, collect_masks=True, gate_stats=stats)
+        res = forward(x, ahat, params, TINY, collect_masks=True)
         masks = res.masks_static + res.masks_adaptive
+        stats = GateStats()
+        for m in masks:
+            stats.add(m)
         assert stats.steps == 2 * TINY.steps
         assert stats.count == sum(m.size for m in masks)
         assert stats.total == pytest.approx(sum(m.sum() for m in masks), rel=1e-15)
@@ -228,7 +236,7 @@ class TestForward:
 
     def test_no_gate_stats_computes_no_statistic(self, monkeypatch):
         def boom(*_args, **_kwargs):
-            raise AssertionError("gate statistic computed on a forward without gate_stats")
+            raise AssertionError("gate statistic computed by a forward")
 
         monkeypatch.setattr(GateStats, "add", boom)
         monkeypatch.setattr(odegate.dynamics, "percentile95", boom)
@@ -394,9 +402,12 @@ class TestCheckpoint:
         (lambda p: p["params"].update(readout_bias=[0.0, "x"]), "readout_bias"),
         (lambda p: p["params"].update(readout_bias=[[0.0], 1.0]), "readout_bias"),
         (lambda p: p["config"].update(steps=10 ** 12), "steps=1000000000000 exceeds"),
+        (lambda p: (p["config"].update(mask_mode="off", steps=10 ** 9),
+                    [p["params"].pop(k) for k in list(p["params"]) if "_comp_" in k]),
+         "steps=1000000000 exceeds"),
     ], ids=["unknown_key", "missing_key", "str_int", "float_int", "bool_int",
             "int_bool", "no_config", "params_not_object", "bias_shape",
-            "bias_rank", "bias_text", "bias_ragged", "huge_steps"])
+            "bias_rank", "bias_text", "bias_ragged", "huge_steps", "off_huge_steps"])
     def test_bad_config_and_shapes_rejected(self, tmp_path, edit, match):
         with pytest.raises(ValidationError, match=match):
             load_checkpoint(self._edited(tmp_path, edit))
