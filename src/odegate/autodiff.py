@@ -1,19 +1,28 @@
 """Dense float64 tensors with a record/replay reverse-mode gradient tape.
 
-A `Tensor` wraps a numpy array plus an optional gradient buffer, and every
-differentiable operation is a module-level function that takes an explicit
-`tape`.  Reverse mode needs one thing from each op: for every input, its
-vector-Jacobian product (VJP), the map from the gradient of the op's output
-to that input's share of it.  An op computes its forward array and hands it
-to `_out` with one VJP per input; nothing else about the backward pass is
-written per op.
+A `Tensor` wraps a numpy array, and every differentiable operation is a
+module-level function that takes an explicit `tape`.  Reverse mode needs one
+thing from each op: for every input, its vector-Jacobian product (VJP), the
+map from the gradient of the op's output to that input's share of it.  An op
+computes its forward array and hands it to `_out` with one VJP per input;
+nothing else about the backward pass is written per op.  A VJP closes over
+the arrays it reads and nothing else, never over a `Tensor` only for its
+shape, so an output that no VJP reads is freed as soon as the forward code
+drops it.
 
-`_out` is the only place that records a backward rule: given a tape and an
-input that requires gradients, it appends one rule that accumulates `vjp(g)`
-into each such input once the output has a gradient g.  Replaying the rules
-in reverse recording order carries gradients from a scalar loss to every
-parameter; recording order is execution order, so the reverse replay is a
-valid topological sweep, and fan-out sums because gradients accumulate.
+`_out` is the only place that records a backward rule.  Given a tape and an
+input that requires gradients, it gives the output a small gradient slot and
+appends one rule that holds that slot and, for each such input, a route: the
+input's own slot and its VJP.  The rule and the routes hold slots, never the
+output tensors.  Replaying the rules in reverse recording order carries
+gradients from a scalar loss to every parameter; recording order is execution
+order, so the reverse replay is a valid topological sweep, and fan-out sums
+because gradients accumulate.
+
+`backward` consumes the tape: it pops each rule as it runs it, and a rule
+drops its slot's gradient once its VJPs have routed it.  Only leaves (tensors
+built directly, such as parameters and inputs) keep `.grad`, and a tape is
+spent after `backward`.
 
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
@@ -37,14 +46,33 @@ from .errors import ContractError, DimensionError, NumericError
 Scalar = int | float
 
 
-class Tensor:
-    """Immutable dense float64 array with an optional gradient buffer.
+class _Slot:
+    """Gradient buffer of one value; an op output's lives apart from its array."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # a fresh buffer: `_same` hands one array to several slots, and a
+            # later += into one of them must not reach the others
+            self.grad = g + 0.0
+        else:
+            self.grad += g
+
+
+class Tensor(_Slot):
+    """Immutable dense float64 array; a leaf is its own gradient slot.
 
     Treat `.data` as read-only once constructed; the only sanctioned mutation
-    is the optimizer's in-place parameter update between passes.
+    is the optimizer's in-place parameter update between passes.  Only a leaf
+    (built by the constructor) gets `.grad`; an op output routes its gradient
+    through a separate slot that backward frees.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -52,15 +80,17 @@ class Tensor:
             raise NumericError("tensor constructed from non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self.grad = None
+        self._slot = None
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
+    def _wrap(cls, arr: np.ndarray, slot: _Slot | None = None) -> "Tensor":
         # Internal fast path for op outputs; `arr` is already validated float64.
         t = object.__new__(cls)
         t.data = arr
-        t.requires_grad = requires_grad
+        t.requires_grad = slot is not None
         t.grad = None
+        t._slot = slot
         return t
 
     @property
@@ -76,17 +106,16 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+def _slot_of(t: Tensor) -> _Slot:
+    return t if t._slot is None else t._slot
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -96,38 +125,47 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 def detach(t: Tensor) -> Tensor:
     """A view of `t` cut off from gradient tracking."""
-    return Tensor._wrap(t.data, False)
+    return Tensor._wrap(t.data)
 
 
 class Tape:
-    """Ordered record of backward rules for one forward pass (single-writer)."""
+    """Ordered record of backward rules for one forward pass (single-writer).
 
-    __slots__ = ("nodes",)
+    `backward` pops the rules as it runs them, so a tape is spent after one
+    `backward`; record a new tape for the next pass.
+    """
+
+    __slots__ = ("nodes", "spent")
 
     def __init__(self):
         self.nodes: list[tuple[str, Callable[[], None]]] = []
+        self.spent = False
 
     def record(self, name: str, backward: Callable[[], None]) -> None:
         self.nodes.append((name, backward))
-
-    def clear(self) -> None:
-        self.nodes = []
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate `.grad` for every recorded tensor reachable from `loss`.
+    """Accumulate d loss / d leaf into `.grad` of every leaf that requires it.
 
     Gradients accumulate additively across fan-out.  The loss must be scalar
-    and must have been produced under `tape`.
+    and must have been produced under `tape`.  Each rule is popped as it runs
+    and op outputs keep no gradient, so the tape is spent afterwards: a
+    second call on it raises `ContractError`.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    loss.accumulate_grad(np.ones_like(loss.data))
-    for _name, rule in reversed(tape.nodes):
-        rule()
+    if tape.spent:
+        raise ContractError("backward: the tape is spent by an earlier backward; "
+                            "record a new tape for each pass")
+    tape.spent = True
+    nodes = tape.nodes
+    _slot_of(loss).accumulate_grad(np.ones_like(loss.data))
+    while nodes:
+        nodes.pop()[1]()
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +183,26 @@ def _out(arr: np.ndarray, op: str, tape: Tape | None, inputs: Sequence[Tensor],
     """Wrap an op result; when gradients are live, record its one backward rule.
 
     `vjps[i]` maps the output's gradient to the gradient of `inputs[i]`; it is
-    called only for inputs that require one, and only once the output has
-    received a gradient.
+    kept, and called once the output has received a gradient, only for an
+    input that requires one.
     """
     _finite(arr, op)
-    live = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor._wrap(arr, live)
-    if live:
-        def rule():
-            g = out.grad
-            if g is None:
-                return
-            for t, vjp in zip(inputs, vjps):
-                if t.requires_grad:
-                    t.accumulate_grad(vjp(g))
-        tape.record(op, rule)
-    return out
+    if tape is None:
+        return Tensor._wrap(arr)
+    routes = [(_slot_of(t), vjp) for t, vjp in zip(inputs, vjps) if t.requires_grad]
+    if not routes:
+        return Tensor._wrap(arr)
+    slot = _Slot()
+
+    def rule():
+        g, slot.grad = slot.grad, None
+        if g is None:
+            return
+        for target, vjp in routes:
+            target.accumulate_grad(vjp(g))
+
+    tape.record(op, rule)
+    return Tensor._wrap(arr, slot)
 
 
 def _same(g: np.ndarray) -> np.ndarray:
@@ -182,8 +224,8 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise DimensionError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return _out(a.data @ b.data, "matmul", tape, (a, b),
-                (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+    x, y = a.data, b.data
+    return _out(x @ y, "matmul", tape, (a, b), (lambda g: g @ y.T, lambda g: x.T @ g))
 
 
 def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
@@ -194,9 +236,10 @@ def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape != (h.shape[1], h.shape[1]):
         raise DimensionError(
             f"propagate: operator {a.shape} does not match {h.shape[1]} nodes")
-    return _out(a.data @ h.data, "propagate", tape, (a, h),
-                (lambda g: np.tensordot(g, h.data, axes=([0, 2], [0, 2])),
-                 lambda g: a.data.T @ g))
+    mat, x = a.data, h.data
+    return _out(mat @ x, "propagate", tape, (a, h),
+                (lambda g: np.tensordot(g, x, axes=([0, 2], [0, 2])),
+                 lambda g: mat.T @ g))
 
 
 def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
@@ -207,10 +250,11 @@ def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
     if b is not None and b.shape != (w.shape[1],):
         raise DimensionError(f"affine: bias {b.shape} does not match {w.shape}")
     k, m = w.shape
+    shape, wt = h.shape, w.data
     flat = h.data.reshape(-1, k)
-    out_flat = flat @ w.data
+    out_flat = flat @ wt
     inputs = (h, w)
-    vjps = (lambda g: (g.reshape(-1, m) @ w.data.T).reshape(h.shape),
+    vjps = (lambda g: (g.reshape(-1, m) @ wt.T).reshape(shape),
             lambda g: flat.T @ g.reshape(-1, m))
     if b is not None:
         out_flat += b.data
@@ -238,8 +282,8 @@ def hadamard(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
     if isinstance(b, (int, float)):
         return scale(a, float(b), tape)
     _check_same_shape(a, b, "hadamard")
-    return _out(a.data * b.data, "hadamard", tape, (a, b),
-                (lambda g: g * b.data, lambda g: g * a.data))
+    x, y = a.data, b.data
+    return _out(x * y, "hadamard", tape, (a, b), (lambda g: g * y, lambda g: g * x))
 
 
 def scale(a: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
@@ -253,13 +297,15 @@ def divide(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
             raise NumericError("divide: scalar denominator is zero")
         return scale(a, 1.0 / float(b), tape)
     _check_same_shape(a, b, "divide")
-    return _out(a.data / b.data, "divide", tape, (a, b),
-                (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
+    x, y = a.data, b.data
+    return _out(x / y, "divide", tape, (a, b),
+                (lambda g: g / y, lambda g: -g * x / (y * y)))
 
 
 def absolute(a: Tensor, tape: Tape | None = None) -> Tensor:
     """|a| element-wise; the backward rule uses sign with subgradient 0 at 0."""
-    return _out(np.abs(a.data), "abs", tape, (a,), (lambda g: g * np.sign(a.data),))
+    x = a.data
+    return _out(np.abs(x), "abs", tape, (a,), (lambda g: g * np.sign(x),))
 
 
 def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
@@ -268,8 +314,8 @@ def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
-    return _out(np.maximum(a.data, 0.0), "relu", tape, (a,),
-                (lambda g: g * (a.data > 0.0),))
+    x = a.data
+    return _out(np.maximum(x, 0.0), "relu", tape, (a,), (lambda g: g * (x > 0.0),))
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -323,14 +369,15 @@ def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def total_sum(a: Tensor, tape: Tape | None = None) -> Tensor:
+    shape = a.shape
     return _out(np.array(a.data.sum()), "total_sum", tape, (a,),
-                (lambda g: np.full(a.shape, float(g)),))
+                (lambda g: np.full(shape, float(g)),))
 
 
 def mean_all(a: Tensor, tape: Tape | None = None) -> Tensor:
-    inv = 1.0 / a.size
+    shape, inv = a.shape, 1.0 / a.size
     return _out(np.array(a.data.mean()), "mean_all", tape, (a,),
-                (lambda g: np.full(a.shape, float(g) * inv),))
+                (lambda g: np.full(shape, float(g) * inv),))
 
 
 def mean_abs_error(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:
@@ -372,7 +419,7 @@ def finite_diff_gradient(f, x: Tensor, eps: float = 1e-5) -> Tensor:
         hi[i] += eps
         lo = flat.copy()
         lo[i] -= eps
-        f_hi = _as_float(f(Tensor._wrap(hi.reshape(x.shape), False)))
-        f_lo = _as_float(f(Tensor._wrap(lo.reshape(x.shape), False)))
+        f_hi = _as_float(f(Tensor._wrap(hi.reshape(x.shape))))
+        f_lo = _as_float(f(Tensor._wrap(lo.reshape(x.shape))))
         grad[i] = (f_hi - f_lo) / (2.0 * eps)
-    return Tensor._wrap(grad.reshape(x.shape), False)
+    return Tensor._wrap(grad.reshape(x.shape))

@@ -40,7 +40,7 @@ from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      ValidationError, read_text)
 from .graph import SpatialGraph, normalize_adjacency
 from .model import (ModelConfig, flop_report, forward, init_params,
-                    load_checkpoint, save_checkpoint)
+                    load_checkpoint, save_checkpoint, tape_peak_bytes)
 from .training import (VARIANTS, TrainConfig, evaluate, mask_report, train,
                        write_history_csv)
 
@@ -377,9 +377,14 @@ def cmd_nfe_report(args) -> int:
 
     sweep = []
     for s in FLOP_SWEEP_STEPS:
-        rep = flop_report(dataclasses.replace(base, steps=s))
-        sweep.append({"steps": s, "solver": rep.solver, "total": rep.total})
-        print(f"steps={s} solver_flops={rep.solver} total_flops={rep.total}")
+        model_config = dataclasses.replace(base, steps=s)
+        rep = flop_report(model_config)
+        peak = tape_peak_bytes(x, ahat, init_params(model_config, seed=cfg["seed"]),
+                               model_config)
+        sweep.append({"steps": s, "solver": rep.solver, "total": rep.total,
+                      "tape_peak_bytes": peak})
+        print(f"steps={s} solver_flops={rep.solver} total_flops={rep.total} "
+              f"tape_peak_bytes={peak}")
     for a, b in zip(sweep, sweep[1:]):
         if not b["total"] > a["total"]:
             raise ContractError(

@@ -178,8 +178,15 @@ class Scaler:
     @classmethod
     def fit(cls, segment: np.ndarray) -> "Scaler":
         """Fit on a [length, n_nodes] training segment (one channel)."""
-        mean = np.array([segment.mean()])
-        std = np.array([segment.std()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.array([segment.mean()])
+            std = np.array([segment.std()])
+        if not (np.isfinite(mean[0]) and np.isfinite(std[0])):
+            t, node = (int(i) for i in np.unravel_index(np.argmax(np.abs(segment)),
+                                                        segment.shape))
+            raise ValidationError(
+                f"Scaler.fit: the training mean or std overflows float64; the "
+                f"largest value {float(segment[t, node])!r} is at tick {t}, node {node}")
         for c, s in enumerate(std):
             if s == 0.0:
                 raise ValidationError(f"Scaler.fit: channel {c} has zero variance")

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, affine, concat_channels, expand_batch
+from .autodiff import (Tape, Tensor, affine, backward, concat_channels,
+                       expand_batch, mean_abs_error)
 from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult,
                        LearnedMaskParams, NFECounter, VectorFieldParams, evolve)
 from .errors import DimensionError, ParseError, ValidationError, read_text
@@ -250,6 +252,25 @@ def flop_report(config: ModelConfig, batch_size: int = 1) -> FlopReport:
         compensation=(2 * b * 2 * s * n * d_h * d_h) if comp_active else 0,
         mask=(2 * b * 2 * s * n * d_h * d_h) if config.mask_mode == "learned" else 0,
         decoder=2 * b * n * 2 * d_h * config.horizon)
+
+
+def tape_peak_bytes(x: Tensor, ahat: Tensor, params: ModelParams,
+                    config: ModelConfig) -> int:
+    """Peak bytes allocated by one taped forward plus backward, by tracemalloc.
+
+    The loss is the training MAE against a zero target.  The count covers the
+    tape, the gradients and the transient arrays of both passes: the memory a
+    training batch needs at this step count.
+    """
+    y = Tensor(np.zeros((x.shape[0], config.n_nodes, config.horizon)))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        res = forward(x, ahat, params, config, tape)
+        backward(mean_abs_error(res.y_hat, y, tape), tape)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 central-difference gradient oracle, plus the tape-lifecycle contracts."""
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -109,12 +110,48 @@ class TestTapeLifecycle:
         with pytest.raises(ContractError):
             backward(out, t)
 
-    def test_clear(self):
+    def test_backward_spends_tape(self):
         t = Tape()
-        a = Tensor(rand(2), requires_grad=True)
-        total_sum(a, t)
-        t.clear()
+        a = Tensor(rand(3), requires_grad=True)
+        h = tanh(a, t)
+        loss = total_sum(h, t)
+        backward(loss, t)
         assert len(t) == 0
+        assert a.grad is not None and h.grad is None   # only leaves keep .grad
+        with pytest.raises(ContractError, match="spent"):
+            backward(loss, t)
+        assert np.array_equal(a.grad, 1.0 - np.tanh(a.data) ** 2)
+
+    @pytest.mark.parametrize("op", ["scale", "affine", "total_sum", "mean_all"])
+    def test_tape_keeps_only_what_vjps_read(self, op):
+        # none of these VJPs reads its input's array, so the tape must not
+        # keep it once the forward code drops the input
+        t = Tape()
+        a = Tensor(rand(2, 3, 4), requires_grad=True)
+        frozen = Tensor(rand(4, 2))
+        x = scale(a, 2.0, t)
+        y = {"scale": lambda: scale(x, 0.5, t),
+             "affine": lambda: affine(x, frozen, tape=t),
+             "total_sum": lambda: total_sum(x, t),
+             "mean_all": lambda: mean_all(x, t)}[op]()
+        arr = x.data
+        del x
+        assert sys.getrefcount(arr) == 2   # `arr` and the call's argument
+        backward(total_sum(y, t) if y.size > 1 else y, t)
+        assert a.grad.shape == a.shape
+
+    def test_shared_gradient_not_aliased(self):
+        # add's VJPs hand one array to both inputs; b's slot then gains more,
+        # which must not reach a's gradient
+        t = Tape()
+        a = Tensor(rand(3), requires_grad=True)
+        x = Tensor(rand(3), requires_grad=True)
+        b = tanh(x, t)
+        c = scale(b, 3.0, t)
+        s = add(a, b, t)
+        backward(add(total_sum(s, t), total_sum(c, t), t), t)
+        assert np.array_equal(a.grad, np.ones(3))
+        assert np.allclose(x.grad, 4.0 * (1.0 - np.tanh(x.data) ** 2), rtol=1e-15)
 
     def test_fanout_accumulates(self):
         # y = sum(a*a + a*a) so dy/da = 4a

@@ -399,6 +399,24 @@ class TestEvaluate:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o" / "metrics.json").exists()
 
+    def test_series_overflowing_the_scaler(self, data_dir, full_run, tmp_path, capsys):
+        # a training cell past ~1.34e154 overflows the scaler's std
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        lines = (bad / "series.csv").read_text().splitlines()
+        cells = lines[11].split(",")
+        cells[2] = "2e154"
+        lines[11] = ",".join(cells)
+        (bad / "series.csv").write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--data", str(bad),
+                     "--checkpoint", str(full_run / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "tick 10, node 1" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_edge_weight(self, data_dir, full_run, tmp_path, capsys,
                                     weight):
@@ -453,6 +471,11 @@ class TestNfeReport:
         assert [e["steps"] for e in payload["flop_sweep"]] == [1, 2, 4, 6, 8]
         totals = [e["total"] for e in payload["flop_sweep"]]
         assert totals == sorted(totals) and len(set(totals)) == 5
+        # training memory grows with the step count
+        peaks = [e["tape_peak_bytes"] for e in payload["flop_sweep"]]
+        assert all(b > a > 0 for a, b in zip(peaks, peaks[1:])), peaks
+        assert [l.split()[-1] for l in lines if l.startswith("steps=")] == [
+            f"tape_peak_bytes={p}" for p in peaks]
 
 
 class TestIntersectDemo:

@@ -189,6 +189,16 @@ class TestScaler:
         with pytest.raises(ValidationError, match="channel 0"):
             Scaler.fit(np.full((10, 2), 3.0))
 
+    @pytest.mark.parametrize("errors", ["warn", "raise"])
+    def test_overflow_names_the_cell(self, errors):
+        # the square in std() overflows past ~1.34e154; with and without the
+        # CLI's raising errstate this is bad data, not a numeric fault
+        segment = np.random.default_rng(2).standard_normal((10, 3))
+        segment[4, 1] = 2e154
+        with np.errstate(all=errors), \
+                pytest.raises(ValidationError, match=r"2e\+154 is at tick 4, node 1"):
+            Scaler.fit(segment)
+
 
 class TestSplits:
     def build(self, total_t=200):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from odegate.graph import SpatialGraph, normalize_adjacency
 from odegate.model import (MAX_STEPS, ModelConfig, flop_report, forward,
                            init_params, initialize_state, load_checkpoint,
                            param_shapes, save_checkpoint)
-from odegate.training import predict
+from odegate.training import batch_loss, predict
 
 DEFAULT = ModelConfig(n_nodes=20)
 TINY = ModelConfig(n_nodes=4, window=3, horizon=2, proj_dim=5, embed_dim=3, steps=2)
@@ -280,6 +281,69 @@ class TestForward:
             numeric = finite_diff_gradient(f, p).data
             denom = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
             assert np.abs(analytic - numeric).max() / denom < 1e-6, name
+
+
+def _grad_digest(mode, mask_grad, lam):
+    """sha256 over every parameter gradient of one seeded training batch."""
+    config = dataclasses.replace(TINY, steps=3, mask_mode=mode, mask_grad=mask_grad)
+    params = init_params(config, seed=5)
+    x, ahat = tiny_inputs(config, batch=3, seed=6)
+    y = Tensor(np.random.default_rng(7).standard_normal((3, config.n_nodes,
+                                                         config.horizon)))
+    tape = Tape()
+    res = forward(x, ahat, params, config, tape)
+    backward(batch_loss(res, y, lam, config.steps, tape), tape)
+    h = hashlib.sha256()
+    for name, p in params.named().items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestGradientBits:
+    # Computed while the tape still kept every op output until the batch
+    # ended; how the tape holds and frees gradients must not move a bit.
+    # lam > 0 is the manifold_penalty loss, whose mean_all nodes carry the
+    # penalty.
+    GRAD_DIGESTS = {
+        ("lte", False, 0.0):
+            "088134baed4bb863af181985c9a0aa821b50dc0cc8d3caa4845f8abc38b0cf9c",
+        ("lte", True, 0.0):
+            "9f4f489c4d4fc759795ec6b142b0c5a11b3752e8d8939969337bc65d05f4779f",
+        ("learned", False, 0.0):
+            "28d419cf5a0e972e1f6b79ceba1ccaa372a27666a77d157d470a3b7c04949520",
+        ("lte", False, 0.5):
+            "239da669a2977d71322845b3d9f7ef5f264aa634eeb100a2ecb51e4536e0f2fd",
+    }
+
+    @pytest.mark.parametrize("mode, mask_grad, lam", sorted(GRAD_DIGESTS))
+    def test_gradients_pinned(self, mode, mask_grad, lam):
+        assert _grad_digest(mode, mask_grad, lam) == self.GRAD_DIGESTS[mode, mask_grad, lam]
+
+    def test_tape_memory_per_step(self):
+        # growth of a taped forward from steps=2 to steps=4, in state-sized
+        # arrays per stream per step: keeping every op output costs about 17,
+        # keeping only what backward reads about 7.5
+        batch = 8
+
+        def live_bytes(steps):
+            config = dataclasses.replace(DEFAULT, steps=steps)
+            params = init_params(config, seed=1)
+            x, ahat = tiny_inputs(config, batch=batch)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tape = Tape()
+                res = forward(x, ahat, params, config, tape)
+                grown = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert len(tape) and res.nfe_static == 2 * steps
+            return grown
+
+        state = batch * DEFAULT.n_nodes * DEFAULT.hidden_dim * 8
+        per_step = (live_bytes(4) - live_bytes(2)) / (2 * 2 * state)
+        assert per_step <= 9.0, per_step
 
 
 class TestFlopReport:
