@@ -76,7 +76,7 @@ class Tensor(_Slot):
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor constructed from non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -173,7 +173,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # ---------------------------------------------------------------------------
 
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     return arr
 
@@ -270,22 +270,6 @@ def add(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
     return _out(a.data + b.data, "add", tape, (a, b), (_same, _same))
 
 
-def sub(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
-    if isinstance(b, (int, float)):
-        return add(a, -float(b), tape)
-    _check_same_shape(a, b, "sub")
-    return _out(a.data - b.data, "sub", tape, (a, b), (_same, np.negative))
-
-
-def hadamard(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
-    """Element-wise product; a scalar second operand degenerates to `scale`."""
-    if isinstance(b, (int, float)):
-        return scale(a, float(b), tape)
-    _check_same_shape(a, b, "hadamard")
-    x, y = a.data, b.data
-    return _out(x * y, "hadamard", tape, (a, b), (lambda g: g * y, lambda g: g * x))
-
-
 def scale(a: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
     s = float(s)
     return _out(a.data * s, "scale", tape, (a,), (lambda g: g * s,))
@@ -302,15 +286,31 @@ def divide(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
                 (lambda g: g / y, lambda g: -g * x / (y * y)))
 
 
-def absolute(a: Tensor, tape: Tape | None = None) -> Tensor:
-    """|a| element-wise; the backward rule uses sign with subgradient 0 at 0."""
-    x = a.data
-    return _out(np.abs(x), "abs", tape, (a,), (lambda g: g * np.sign(x),))
+def axpy(h: Tensor, k: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
+    """h + k * s, the solver's stage update, in one node."""
+    _check_same_shape(h, k, "axpy")
+    s = float(s)
+    return _out(h.data + k.data * s, "axpy", tape, (h, k), (_same, lambda g: g * s))
 
 
-def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
-    y = np.tanh(a.data)
-    return _out(y, "tanh", tape, (a,), (lambda g: g * (1.0 - y * y),))
+def abs_diff(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    """|a - b| element-wise; the backward rule uses sign with subgradient 0 at 0."""
+    _check_same_shape(a, b, "abs_diff")
+    d = a.data - b.data
+
+    def d_a(g):
+        return g * np.sign(d)
+
+    return _out(np.abs(d), "abs_diff", tape, (a, b), (d_a, lambda g: -d_a(g)))
+
+
+def gated_tanh(base: Tensor, m: Tensor, z: Tensor, tape: Tape | None = None) -> Tensor:
+    """base + m * tanh(z), the gated jump, in one node."""
+    _check_same_shape(base, m, "gated_tanh")
+    _check_same_shape(m, z, "gated_tanh")
+    x, j = m.data, np.tanh(z.data)
+    return _out(base.data + x * j, "gated_tanh", tape, (base, m, z),
+                (_same, lambda g: g * j, lambda g: (g * x) * (1.0 - j * j)))
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:

@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -177,6 +178,28 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def blas_info() -> dict:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas.get("name"), "version": blas.get("version")}
+    except (KeyError, TypeError, ValueError):
+        return {"name": "unknown", "version": "unknown"}
+
+
+def run_manifest(model_config: ModelConfig, train_config: TrainConfig) -> dict:
+    """What a training run ran on and with: versions, cores, configs, seed."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_info(),
+        "cpu_count": os.cpu_count(),
+        "model_config": dataclasses.asdict(model_config),
+        "train_config": dataclasses.asdict(train_config),
+        "seed": train_config.seed,
+    }
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -244,6 +267,9 @@ def cmd_train(args) -> int:
                     result.params, model_config)
     write_history_csv(os.path.join(args.out, "history.csv"), result.history)
     write_resolved(args.out, cfg)
+    write_json(os.path.join(args.out, "timing.json"), result.timing)
+    write_json(os.path.join(args.out, "run.json"),
+               run_manifest(model_config, train_config))
     print(f"variant={variant}")
     print(f"param_count={result.params.count}")
     print(f"best_epoch={result.best_epoch}")

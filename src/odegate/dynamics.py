@@ -14,6 +14,12 @@ The two solver estimates share k1, so the error signal costs exactly zero
 additional vector-field evaluations: every step performs 2 NFEs regardless of
 how the mask and compensation are configured.
 
+On a tape, a step in `lte` mode records 10 nodes per stream: `propagate` and
+`affine` per field evaluation, one `axpy` per stage update (h_euler, the
+midpoint, h_rk2), one `abs_diff` for the error, and the jump's `affine` and
+`gated_tanh`.  The gate's `sigmoid` reads the detached error, so it records
+none unless mask_grad is set.
+
 `evolve` composes S such steps over unit time (dt = 1/S). The gate values
 are opt-in: pass collect_masks=True to get each step's mask, which a caller
 can fold into a `GateStats`.
@@ -25,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tape, Tensor, absolute, add, detach, hadamard, scale,
-                       sigmoid, sub, tanh)
+from .autodiff import Tape, Tensor, abs_diff, axpy, detach, gated_tanh, sigmoid
 from .autodiff import affine as node_linear, propagate as graph_propagate
 from .errors import ContractError, NumericError, OdegateError
 
@@ -167,17 +172,17 @@ def embedded_dual_step(h: Tensor, dt: float, a_op: Tensor, params: VectorFieldPa
     if dt <= 0:
         raise ContractError(f"embedded_dual_step: dt must be positive, got {dt}")
     k1 = vector_field(h, a_op, params, tape, nfe)
-    h_euler = add(h, scale(k1, dt, tape), tape)
-    midpoint = add(h, scale(k1, dt / 2.0, tape), tape)
+    h_euler = axpy(h, k1, dt, tape)
+    midpoint = axpy(h, k1, dt / 2.0, tape)
     k2 = vector_field(midpoint, a_op, params, tape, nfe)
-    h_rk2 = add(h, scale(k2, dt, tape), tape)
+    h_rk2 = axpy(h, k2, dt, tape)
     return h_euler, h_rk2
 
 
 def local_truncation_error(h_euler: Tensor, h_rk2: Tensor,
                            tape: Tape | None = None) -> Tensor:
     """Per-entry |h_rk2 - h_euler|; nonnegative by construction."""
-    return absolute(sub(h_rk2, h_euler, tape), tape)
+    return abs_diff(h_rk2, h_euler, tape)
 
 
 def attention_mask(e: Tensor, tape: Tape | None = None) -> Tensor:
@@ -186,7 +191,7 @@ def attention_mask(e: Tensor, tape: Tape | None = None) -> Tensor:
     Zero error anchors the gate at exactly 0.5; larger errors saturate it
     toward 1.
     """
-    if np.any(e.data < 0):
+    if (e.data < 0).any():
         raise ContractError("attention_mask: error signal must be nonnegative")
     return sigmoid(e, tape)
 
@@ -201,8 +206,7 @@ def compensate(h_t: Tensor, h_rk2: Tensor, m: Tensor, step: int,
         raise ContractError(
             f"compensate: step {step} outside [0, {params.n_steps})")
     w_g, b_g = params.per_step[step]
-    jump = tanh(node_linear(h_t, w_g, b_g, tape), tape)
-    return add(h_rk2, hadamard(m, jump, tape), tape)
+    return gated_tanh(h_rk2, m, node_linear(h_t, w_g, b_g, tape), tape)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +279,7 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
             states.append(h_next.data.copy())
         h = h_next
 
-    if not np.all(np.isfinite(h.data)):
+    if not np.isfinite(h.data).all():
         raise NumericError("evolve: final state is non-finite")
     return EvolveResult(h_final=h, lte=lte_tensors,
                         masks=masks, states=states)

@@ -18,6 +18,7 @@ discriminating.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +97,7 @@ class AdamState:
 
 def check_finite_grads(named: dict) -> None:
     for name, p in named.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+        if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(f"gradient for '{name}' is non-finite")
 
 
@@ -163,6 +164,7 @@ class TrainResult:
     history: list
     best_epoch: int
     best_val_mae: float
+    timing: dict      # seconds per phase, summed over epochs; see TIMING_PHASES
 
 
 def _forward_batches(params, config, ahat, windows: WindowSet, batch_size: int,
@@ -189,9 +191,17 @@ def _val_mae(params, config, ahat, windows: WindowSet, batch_size: int) -> float
     return float(np.mean(np.abs(y_hat - windows.y)))
 
 
+TIMING_PHASES = ("forward", "backward", "clip", "adam", "validate", "total")
+
+
 def train(dataset: ForecastDataset, model_config: ModelConfig,
           train_config: TrainConfig, log=None) -> TrainResult:
-    """Seeded minibatch training with early stopping on validation MAE."""
+    """Seeded minibatch training with early stopping on validation MAE.
+
+    `timing` sums wall seconds per phase over all epochs: forward (with the
+    loss), backward (with the finite-gradient check), clip, adam, validate,
+    and the total of the loop, which also holds the bookkeeping in between.
+    """
     if model_config.mask_mode != VARIANTS[train_config.variant]:
         raise ContractError(
             f"model mask_mode '{model_config.mask_mode}' does not match "
@@ -208,6 +218,9 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
     best_val = float("inf")
     best_epoch = -1
     history = []
+    timing = dict.fromkeys(TIMING_PHASES, 0.0)
+    clock = time.perf_counter
+    start = clock()
 
     for epoch in range(train_config.epochs):
         order = rng.permutation(train_set.count)
@@ -217,6 +230,7 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
         for b, lo in enumerate(range(0, train_set.count, train_config.batch_size)):
             idx = order[lo:lo + train_config.batch_size]
             try:
+                t0 = clock()
                 tape = Tape()
                 x = Tensor(train_set.x[idx])
                 y = Tensor(train_set.y[idx])
@@ -229,18 +243,28 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                 for m in res.masks_static + res.masks_adaptive:
                     gate.add(m)
                 loss = batch_loss(res, y, train_config.lam, model_config.steps, tape)
+                t1 = clock()
                 params.zero_grad()
                 backward(loss, tape)
                 named = params.named()
                 check_finite_grads(named)
+                t2 = clock()
                 grad_norms.append(clip_gradients(named, train_config.clip_norm))
+                t3 = clock()
                 adam_step(named, opt, train_config.lr)
+                t4 = clock()
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {b}: {exc}") from exc
             losses.append(loss.item())
+            timing["forward"] += t1 - t0
+            timing["backward"] += t2 - t1
+            timing["clip"] += t3 - t2
+            timing["adam"] += t4 - t3
 
+        t0 = clock()
         val_mae = _val_mae(params, model_config, ahat, val_set,
                            train_config.batch_size)
+        timing["validate"] += clock() - t0
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),
@@ -263,9 +287,10 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
         elif epoch - best_epoch >= train_config.patience:
             break
 
+    timing["total"] = clock() - start
     return TrainResult(params=best, model_config=model_config,
                        train_config=train_config, history=history,
-                       best_epoch=best_epoch, best_val_mae=best_val)
+                       best_epoch=best_epoch, best_val_mae=best_val, timing=timing)
 
 
 def write_history_csv(path, history) -> None:

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odegate.autodiff
-from odegate.autodiff import (Tape, Tensor, absolute, add, affine, backward,
-                              concat_channels, detach, divide, expand_batch,
-                              finite_diff_gradient, hadamard, matmul, mean_abs_error,
-                              mean_all, propagate, relu, scale, sigmoid, sub, tanh,
-                              tensor, total_sum, transpose)
+from odegate.autodiff import (Tape, Tensor, _finite, abs_diff, add, affine, axpy,
+                              backward, concat_channels, detach, divide, expand_batch,
+                              finite_diff_gradient, gated_tanh, matmul, mean_abs_error,
+                              mean_all, propagate, relu, scale, sigmoid, tensor,
+                              total_sum, transpose)
 from odegate.errors import ContractError, DimensionError, NumericError
 
 RNG = np.random.default_rng(12345)
@@ -87,7 +87,7 @@ class TestTensor:
 class TestTapeLifecycle:
     def test_no_tape_records_nothing(self):
         a = Tensor(rand(3, 3), requires_grad=True)
-        out = tanh(a, None)
+        out = sigmoid(a, None)
         assert not out.requires_grad
 
     def test_no_grad_inputs_record_nothing(self):
@@ -100,27 +100,27 @@ class TestTapeLifecycle:
     def test_recording_marks_output_live(self):
         t = Tape()
         a = Tensor(rand(2, 2), requires_grad=True)
-        out = tanh(a, t)
+        out = sigmoid(a, t)
         assert out.requires_grad and len(t) == 1
 
     def test_backward_needs_scalar(self):
         t = Tape()
         a = Tensor(rand(3), requires_grad=True)
-        out = tanh(a, t)
+        out = sigmoid(a, t)
         with pytest.raises(ContractError):
             backward(out, t)
 
     def test_backward_spends_tape(self):
         t = Tape()
         a = Tensor(rand(3), requires_grad=True)
-        h = tanh(a, t)
+        h = sigmoid(a, t)
         loss = total_sum(h, t)
         backward(loss, t)
         assert len(t) == 0
         assert a.grad is not None and h.grad is None   # only leaves keep .grad
         with pytest.raises(ContractError, match="spent"):
             backward(loss, t)
-        assert np.array_equal(a.grad, 1.0 - np.tanh(a.data) ** 2)
+        assert np.array_equal(a.grad, h.data * (1.0 - h.data))
 
     @pytest.mark.parametrize("op", ["scale", "affine", "total_sum", "mean_all"])
     def test_tape_keeps_only_what_vjps_read(self, op):
@@ -146,21 +146,21 @@ class TestTapeLifecycle:
         t = Tape()
         a = Tensor(rand(3), requires_grad=True)
         x = Tensor(rand(3), requires_grad=True)
-        b = tanh(x, t)
+        b = sigmoid(x, t)
         c = scale(b, 3.0, t)
         s = add(a, b, t)
         backward(add(total_sum(s, t), total_sum(c, t), t), t)
         assert np.array_equal(a.grad, np.ones(3))
-        assert np.allclose(x.grad, 4.0 * (1.0 - np.tanh(x.data) ** 2), rtol=1e-15)
+        assert np.allclose(x.grad, 4.0 * b.data * (1.0 - b.data), rtol=1e-15)
 
     def test_fanout_accumulates(self):
-        # y = sum(a*a + a*a) so dy/da = 4a
+        # y = sum(p + p) with p = a + a * 3, so dy/da = 8
         t = Tape()
         a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        p = hadamard(a, a, t)
+        p = axpy(a, a, 3.0, t)
         s = add(p, p, t)
         backward(total_sum(s, t), t)
-        assert np.allclose(a.grad, 4.0 * a.data)
+        assert np.array_equal(a.grad, np.full(3, 8.0))
 
 
 class TestForwardOracles:
@@ -175,18 +175,17 @@ class TestForwardOracles:
             matmul(Tensor(rand(3, 4)), Tensor(rand(5, 2)))
 
     def test_elementwise(self):
-        a, b = rand(2, 3), rand(2, 3)
+        a, b, c = rand(2, 3), rand(2, 3), rand(2, 3)
         assert np.array_equal(add(Tensor(a), Tensor(b)).data, a + b)
-        assert np.array_equal(sub(Tensor(a), Tensor(b)).data, a - b)
-        assert np.array_equal(hadamard(Tensor(a), Tensor(b)).data, a * b)
         assert np.array_equal(scale(Tensor(a), 2.5).data, a * 2.5)
-        assert np.array_equal(absolute(Tensor(a)).data, np.abs(a))
+        assert np.array_equal(axpy(Tensor(a), Tensor(b), 2.5).data, a + b * 2.5)
+        assert np.array_equal(abs_diff(Tensor(a), Tensor(b)).data, np.abs(a - b))
+        assert np.array_equal(gated_tanh(Tensor(a), Tensor(b), Tensor(c)).data,
+                              a + b * np.tanh(c))
 
     def test_scalar_second_operand(self):
         a = rand(4)
         assert np.array_equal(add(Tensor(a), 1.5).data, a + 1.5)
-        assert np.array_equal(sub(Tensor(a), 1.5).data, a - 1.5)
-        assert np.array_equal(hadamard(Tensor(a), 3.0).data, a * 3.0)
         assert np.array_equal(divide(Tensor(a), 2.0).data, a / 2.0)
 
     def test_divide_tensor(self):
@@ -199,10 +198,15 @@ class TestForwardOracles:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionError):
             add(Tensor(rand(2, 3)), Tensor(rand(3, 2)))
+        with pytest.raises(DimensionError):
+            axpy(Tensor(rand(2, 3)), Tensor(rand(3, 2)), 0.5)
+        with pytest.raises(DimensionError):
+            abs_diff(Tensor(rand(2, 3)), Tensor(rand(3, 2)))
+        with pytest.raises(DimensionError):
+            gated_tanh(Tensor(rand(2, 3)), Tensor(rand(2, 3)), Tensor(rand(3, 2)))
 
     def test_activations(self):
         x = rand(5)
-        assert np.array_equal(tanh(Tensor(x)).data, np.tanh(x))
         assert np.array_equal(relu(Tensor(x)).data, np.maximum(x, 0.0))
         assert np.allclose(sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)),
                            rtol=0, atol=1e-15)
@@ -210,7 +214,7 @@ class TestForwardOracles:
     def test_closed_form_anchors(self):
         assert sigmoid(Tensor(0.0)).item() == 0.5
         assert sigmoid(Tensor(0.5)).item() == 0.6224593312018546
-        assert tanh(Tensor(20.0)).item() == 1.0
+        assert gated_tanh(Tensor(0.0), Tensor(1.0), Tensor(20.0)).item() == 1.0
 
     def test_sigmoid_extreme_inputs_stable(self):
         out = sigmoid(Tensor([-1000.0, -50.0, 0.0, 50.0, 1000.0])).data
@@ -279,6 +283,25 @@ class TestForwardOracles:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             matmul(big, big)
 
+    @pytest.mark.parametrize("op", ["axpy", "abs_diff", "gated_tanh"])
+    def test_fused_overflow_names_the_op(self, op):
+        # each operand is finite; only the fused result overflows
+        big, low = Tensor(np.full(3, 1e308)), Tensor(np.full(3, -1e308))
+        call = {"axpy": lambda: axpy(big, big, 2.0),
+                "abs_diff": lambda: abs_diff(big, low),
+                "gated_tanh": lambda: gated_tanh(big, big, Tensor(np.full(3, 5.0)))}[op]
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match=f"^{op} produced non-finite"):
+            call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finite_check_rejects(self, bad):
+        arr = rand(2, 3)
+        assert _finite(arr, "probe") is arr
+        arr[1, 2] = bad
+        with pytest.raises(NumericError, match="probe produced non-finite"):
+            _finite(arr, "probe")
+
 
 class TestGradientOracles:
     """Each op's backward rule against finite differences."""
@@ -286,15 +309,15 @@ class TestGradientOracles:
     def test_matmul(self):
         a = Tensor(rand(3, 4), requires_grad=True)
         b = Tensor(rand(4, 2), requires_grad=True)
-        grad_matches(lambda t: total_sum(tanh(matmul(a, b, t), t), t), [a, b])
+        grad_matches(lambda t: total_sum(sigmoid(matmul(a, b, t), t), t), [a, b])
 
-    def test_add_sub_hadamard_divide(self):
+    def test_binary_ops(self):
         a = Tensor(rand(3, 3), requires_grad=True)
         b = Tensor(np.abs(rand(3, 3)) + 0.5, requires_grad=True)
         grad_matches(lambda t: total_sum(add(a, b, t), t), [a, b])
-        grad_matches(lambda t: total_sum(sub(a, b, t), t), [a, b])
-        grad_matches(lambda t: total_sum(hadamard(a, b, t), t), [a, b])
         grad_matches(lambda t: total_sum(divide(a, b, t), t), [a, b])
+        grad_matches(lambda t: total_sum(axpy(a, b, -0.75, t), t), [a, b])
+        grad_matches(lambda t: total_sum(abs_diff(a, scale(a, 3.0, t), t), t), [a])
 
     def test_scalar_forms(self):
         a = Tensor(rand(4), requires_grad=True)
@@ -303,14 +326,21 @@ class TestGradientOracles:
         grad_matches(lambda t: total_sum(divide(a, 4.0, t), t), [a])
 
     def test_activations(self):
-        # keep entries away from relu/abs kinks where the subgradient is taken
+        # keep entries away from the relu kink where the subgradient is taken
         a = Tensor(rand(3, 3) + 3.0, requires_grad=True)
         b = Tensor(rand(3, 3) - 3.0, requires_grad=True)
-        grad_matches(lambda t: total_sum(tanh(a, t), t), [a])
         grad_matches(lambda t: total_sum(sigmoid(a, t), t), [a])
         grad_matches(lambda t: total_sum(relu(a, t), t), [a])
         grad_matches(lambda t: total_sum(relu(b, t), t), [b])
-        grad_matches(lambda t: total_sum(absolute(b, t), t), [b])
+
+    def test_abs_diff_zero_gradient_where_equal(self):
+        # subgradient 0 at the kink, for both operands, exactly
+        a = Tensor([1.0, 2.0, -3.0, 4.0], requires_grad=True)
+        b = Tensor([1.0, 0.5, -3.0, 5.0], requires_grad=True)
+        t = Tape()
+        backward(total_sum(abs_diff(a, b, t), t), t)
+        assert np.array_equal(a.grad, [0.0, 1.0, 0.0, -1.0])
+        assert np.array_equal(b.grad, [0.0, -1.0, 0.0, 1.0])
 
     def test_sigmoid_slope_at_zero(self):
         t = Tape()
@@ -322,14 +352,14 @@ class TestGradientOracles:
         a = Tensor(rand(2, 3, 4), requires_grad=True)
         b = Tensor(rand(2, 3, 2), requires_grad=True)
         e = Tensor(rand(3, 2), requires_grad=True)
-        grad_matches(lambda t: total_sum(tanh(transpose(a, (2, 0, 1), t), t), t), [a])
-        grad_matches(lambda t: total_sum(tanh(concat_channels(a, b, t), t), t), [a, b])
-        grad_matches(lambda t: total_sum(tanh(expand_batch(e, 3, t), t), t), [e])
+        grad_matches(lambda t: total_sum(sigmoid(transpose(a, (2, 0, 1), t), t), t), [a])
+        grad_matches(lambda t: total_sum(sigmoid(concat_channels(a, b, t), t), t), [a, b])
+        grad_matches(lambda t: total_sum(sigmoid(expand_batch(e, 3, t), t), t), [e])
 
     def test_propagate(self):
         a = Tensor(rand(4, 4), requires_grad=True)
         h = Tensor(rand(3, 4, 2), requires_grad=True)
-        grad_matches(lambda t: total_sum(tanh(propagate(a, h, t), t), t), [a, h])
+        grad_matches(lambda t: total_sum(sigmoid(propagate(a, h, t), t), t), [a, h])
 
     def test_propagate_learnable_operator(self):
         # the adaptive operator is itself built on the tape from embeddings
@@ -337,8 +367,8 @@ class TestGradientOracles:
         h = Tensor(rand(3, 4, 2), requires_grad=True)
 
         def build(t):
-            a = tanh(matmul(e, transpose(e, (1, 0), t), t), t)
-            return total_sum(tanh(propagate(a, h, t), t), t)
+            a = sigmoid(matmul(e, transpose(e, (1, 0), t), t), t)
+            return total_sum(sigmoid(propagate(a, h, t), t), t)
 
         grad_matches(build, [e, h])
 
@@ -346,13 +376,13 @@ class TestGradientOracles:
         h = Tensor(rand(2, 3, 4), requires_grad=True)
         w = Tensor(rand(4, 5), requires_grad=True)
         bias = Tensor(rand(5), requires_grad=True)
-        grad_matches(lambda t: total_sum(tanh(affine(h, w, bias, t), t), t), [h, w, bias])
-        grad_matches(lambda t: total_sum(tanh(affine(h, w, tape=t), t), t), [h, w])
+        grad_matches(lambda t: total_sum(sigmoid(affine(h, w, bias, t), t), t), [h, w, bias])
+        grad_matches(lambda t: total_sum(sigmoid(affine(h, w, tape=t), t), t), [h, w])
 
     def test_reductions(self):
         a = Tensor(rand(3, 4), requires_grad=True)
         y = Tensor(rand(3, 4))
-        grad_matches(lambda t: mean_all(hadamard(a, a, t), t), [a])
+        grad_matches(lambda t: mean_all(sigmoid(a, t), t), [a])
         grad_matches(lambda t: mean_abs_error(a, y, t), [a])
 
     def test_composite_chain(self):
@@ -371,7 +401,7 @@ class TestGradientOracles:
         t = Tape()
         a = Tensor(rand(3), requires_grad=True)
         d = detach(a)
-        backward(total_sum(hadamard(d, d, t), t), t)
+        backward(total_sum(axpy(d, d, 2.0, t), t), t)
         assert a.grad is None
 
 
@@ -386,6 +416,10 @@ def _mae_pair(rng):
     return pred, pred + _away_from_zero(rng, 3, 4)
 
 
+def _normal(*shapes):
+    return lambda rng: tuple(rng.standard_normal(s) for s in shapes)
+
+
 # Every tape op: (call on tensor inputs under tape t, seeded input arrays).
 ORACLE_TABLE = {
     "matmul": (lambda t, a, b: matmul(a, b, t),
@@ -398,16 +432,14 @@ ORACLE_TABLE = {
                             rng.standard_normal(5))),
     "add": (lambda t, a, b: add(a, b, t),
             lambda rng: (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))),
-    "sub": (lambda t, a, b: sub(a, b, t),
-            lambda rng: (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))),
-    "hadamard": (lambda t, a, b: hadamard(a, b, t),
-                 lambda rng: (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))),
+    "axpy": (lambda t, h, k: axpy(h, k, 0.25, t), _normal((3, 3), (3, 3))),
+    "abs_diff": (lambda t, a, b: abs_diff(a, b, t), _mae_pair),
+    "gated_tanh": (lambda t, base, m, z: gated_tanh(base, m, z, t),
+                   _normal((3, 3), (3, 3), (3, 3))),
     "scale": (lambda t, a: scale(a, -1.5, t), lambda rng: (rng.standard_normal(4),)),
     "divide": (lambda t, a, b: divide(a, b, t),
                lambda rng: (rng.standard_normal((3, 3)),
                             np.abs(rng.standard_normal((3, 3))) + 0.5)),
-    "absolute": (lambda t, a: absolute(a, t), lambda rng: (_away_from_zero(rng, 3, 3),)),
-    "tanh": (lambda t, a: tanh(a, t), lambda rng: (rng.standard_normal((3, 3)),)),
     "relu": (lambda t, a: relu(a, t), lambda rng: (_away_from_zero(rng, 3, 3),)),
     "sigmoid": (lambda t, a: sigmoid(a, t), lambda rng: (rng.standard_normal((3, 3)),)),
     "transpose": (lambda t, a: transpose(a, (2, 0, 1), t),
@@ -434,7 +466,7 @@ def _oracle_case(name, frozen=None):
     call, inputs = ORACLE_TABLE[name]
     tensors = [Tensor(x, requires_grad=k != frozen)
                for k, x in enumerate(inputs(np.random.default_rng(7)))]
-    return tensors, lambda t: total_sum(tanh(call(t, *tensors), t), t)
+    return tensors, lambda t: total_sum(sigmoid(call(t, *tensors), t), t)
 
 
 class TestSingleBackwardPath:
@@ -459,8 +491,8 @@ class TestSingleBackwardPath:
         t = Tape()
         a = Tensor(rand(2, 3), requires_grad=True)
         b = Tensor(rand(2, 3), requires_grad=True)
-        hadamard(a, b, t)                     # recorded, never reaches the loss
-        tanh(b, t)
+        abs_diff(a, b, t)                     # recorded, never reaches the loss
+        sigmoid(b, t)
         loss = total_sum(scale(a, 2.0, t), t)
         assert len(t) == 4
         backward(loss, t)

@@ -184,6 +184,25 @@ class TestTrain:
             assert filecmp.cmp(full_run / name, rerun / name,
                                shallow=False), name
 
+    def test_run_files(self, full_run):
+        timing = json.loads((full_run / "timing.json").read_text())
+        assert set(timing) == {"forward", "backward", "clip", "adam", "validate", "total"}
+        assert all(type(v) is float and v >= 0.0 for v in timing.values())
+        assert sum(v for k, v in timing.items() if k != "total") <= timing["total"]
+        assert timing["forward"] > 0.0 and timing["backward"] > 0.0
+
+        run = json.loads((full_run / "run.json").read_text())
+        assert set(run) == {"python", "numpy", "blas", "cpu_count", "model_config",
+                            "train_config", "seed"}
+        assert run["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert run["numpy"] == np.__version__
+        assert set(run["blas"]) == {"name", "version"}
+        assert type(run["cpu_count"]) is int and run["cpu_count"] >= 1
+        assert run["model_config"]["steps"] == 2 and run["model_config"]["n_nodes"] == 4
+        assert run["model_config"]["mask_mode"] == "lte"
+        assert run["train_config"]["epochs"] == 2 and run["train_config"]["variant"] == "full"
+        assert run["seed"] == run["train_config"]["seed"] == 0
+
     @pytest.mark.parametrize("in_dim", ["1.0", "true"])
     def test_non_int_in_dim(self, data_dir, tmp_path, capsys, in_dim):
         bad = tmp_path / "data"

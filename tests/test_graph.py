@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odegate.autodiff import Tape, Tensor, backward, finite_diff_gradient, total_sum
+from odegate.autodiff import (Tape, Tensor, backward, finite_diff_gradient, propagate,
+                              sigmoid, total_sum)
 from odegate.errors import ParseError, ValidationError
 from odegate.graph import (NodeEmbeddings, SpatialGraph, adaptive_adjacency,
                            load_graph, normalize_adjacency, write_edge_list)
@@ -101,11 +102,11 @@ class TestAdaptiveAdjacency:
         emb = NodeEmbeddings(table)
 
         tape = Tape()
-        weights = Tensor(rng.standard_normal((4, 4)))
+        h = Tensor(rng.standard_normal((1, 4, 4)))
 
         def build(t):
-            from odegate.autodiff import hadamard
-            return total_sum(hadamard(adaptive_adjacency(emb, t), weights, t), t)
+            # sigmoid makes each entry of the operator count with its own slope
+            return total_sum(sigmoid(propagate(adaptive_adjacency(emb, t), h, t), t), t)
 
         loss = build(tape)
         backward(loss, tape)

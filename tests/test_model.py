@@ -207,6 +207,16 @@ class TestForward:
         # affine nodes are the per-step jumps, the encoder and the readout
         assert ops["propagate"] == evals
         assert ops["affine"] == evals + 2 * TINY.steps + 2
+        # one lte step of one stream: 2 field evaluations, 3 stage updates,
+        # the error and the gated jump
+        h = Tensor(np.random.default_rng(4).standard_normal((2, TINY.n_nodes,
+                                                             TINY.hidden_dim)),
+                   requires_grad=True)
+        tape = Tape()
+        odegate.dynamics.evolve(h, 1, 1.0, ahat, params.vf_static, params.comp_static,
+                                "lte", tape=tape)
+        assert Counter(name for name, _ in tape.nodes) == {
+            "propagate": 2, "affine": 3, "axpy": 3, "abs_diff": 1, "gated_tanh": 1}
 
     def test_operator_shape_checked(self):
         params = init_params(TINY)
@@ -298,6 +308,30 @@ def _grad_digest(mode, mask_grad, lam):
         h.update(name.encode())
         h.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def _forward_digest(mode):
+    """sha256 of a tape-free forward's y_hat for one seeded batch."""
+    config = dataclasses.replace(TINY, steps=3, mask_mode=mode)
+    params = init_params(config, seed=5)
+    x, ahat = tiny_inputs(config, batch=3, seed=6)
+    y_hat = forward(x, ahat, params, config).y_hat.data
+    return hashlib.sha256(np.ascontiguousarray(y_hat, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestForwardBits:
+    # Computed while each stage update, the error and the jump were chains of
+    # single-purpose ops; fusing them must not move a bit.
+    Y_HAT_DIGESTS = {
+        "lte": "20b65b8de00b518822fd002f542d8cbd3090c2c0852b6a0568c3a7bb21dbc53a",
+        "learned": "4cab773f8d779bd6eadbefe94e85cf8c8fbc50c27bbfa3080648e57a2921cabd",
+        "uniform_one": "88124ab5b36d0e50cf80592cbf7740894234cfa710af8ab809ebbcda6b216d52",
+        "off": "b4dbd647ee368d8b798d66c027e7f81da25b6c22e457c06bc10d4fe6369b9639",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(Y_HAT_DIGESTS))
+    def test_forward_pinned(self, mode):
+        assert _forward_digest(mode) == self.Y_HAT_DIGESTS[mode]
 
 
 class TestGradientBits:
