@@ -319,9 +319,12 @@ def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+    pos = x >= 0
+    if pos.all():
+        # exp(-x) <= 1 cannot overflow, so one exp serves every entry
+        return 1.0 / (1.0 + np.exp(-x))
     # Split by sign so exp never overflows.
     out = np.empty_like(x)
-    pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
@@ -329,6 +332,7 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
+    """Logistic function; bitwise the same whichever of its two formulas runs."""
     y = _sigmoid_values(a.data)
     return _out(y, "sigmoid", tape, (a,), (lambda g: g * y * (1.0 - y),))
 

@@ -14,11 +14,13 @@ The two solver estimates share k1, so the error signal costs exactly zero
 additional vector-field evaluations: every step performs 2 NFEs regardless of
 how the mask and compensation are configured.
 
-On a tape, a step in `lte` mode records 10 nodes per stream: `propagate` and
+On a tape, a step in `lte` mode records 9 nodes per stream: `propagate` and
 `affine` per field evaluation, one `axpy` per stage update (h_euler, the
-midpoint, h_rk2), one `abs_diff` for the error, and the jump's `affine` and
-`gated_tanh`.  The gate's `sigmoid` reads the detached error, so it records
-none unless mask_grad is set.
+midpoint, h_rk2), and the jump's `affine` and `gated_tanh`.  The gate reads
+the error's values only, so the error is computed off the tape and freed
+with its step.  Only a reader of its gradient puts it on the tape, as a tenth
+node, `abs_diff`: a caller that collects the errors (the smoothness penalty
+differentiates them), or mask_grad, which adds the gate's `sigmoid` too.
 
 `evolve` composes S such steps over unit time (dt = 1/S). The gate values
 are opt-in: pass collect_masks=True to get each step's mask, which a caller
@@ -73,7 +75,7 @@ class LearnedMaskParams:
 @dataclass
 class EvolveResult:
     h_final: Tensor
-    lte: list                    # per-step error tensors, kept on the tape
+    lte: list | None             # per-step error tensors, on the tape, when collected
     masks: list | None = None    # per-step mask arrays (read-only) when collected
     states: list | None = None   # per-step states (numpy) when collected
 
@@ -217,7 +219,7 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
            vf: VectorFieldParams, comp: CompensatorParams | None = None,
            mask_mode: str = "lte", *, mask_params: LearnedMaskParams | None = None,
            mask_grad: bool = False, tape: Tape | None = None,
-           nfe: NFECounter | None = None,
+           nfe: NFECounter | None = None, collect_lte: bool = True,
            collect_masks: bool = False, collect_states: bool = False) -> EvolveResult:
     """Run S hybrid steps over unit time.
 
@@ -228,10 +230,13 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
       off          pure embedded RK2, compensator skipped entirely
 
     By default the error feeding the mask is detached from the tape; pass
-    mask_grad=True to let gradients flow through the gate.  The per-step error
-    tensors returned in `lte` always stay on the tape (the smoothness-penalty
-    loss needs them differentiable).  With collect_masks, `masks` holds every
-    gated step's mask array (read-only); mask_mode 'off' collects none.
+    mask_grad=True to let gradients flow through the gate.  With collect_lte
+    (the default), `lte` holds every step's error tensor, on the tape (the
+    smoothness-penalty loss differentiates them), in every mode.  Without it,
+    `lte` is None: `lte` mode computes each error off the tape (on it with
+    mask_grad) and drops it with its step, and the other modes, which never
+    read it, skip it.  With collect_masks, `masks` holds every gated step's
+    mask array (read-only); mask_mode 'off' collects none.
     """
     if steps < 1:
         raise ContractError(f"evolve: steps must be >= 1, got {steps}")
@@ -248,15 +253,19 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
             f"evolve: compensator has {comp.n_steps} step entries, need {steps}")
 
     h = h0
-    lte_tensors: list[Tensor] = []
+    lte_tensors = [] if collect_lte else None
+    # the error's tape: only a gradient reader (the collector, mask_grad) needs it
+    err_tape = tape if collect_lte or mask_grad else None
     masks = [] if collect_masks else None
     states = [h0.data.copy()] if collect_states else None
 
     for step in range(steps):
         try:
             h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, vf, tape, nfe)
-            err = local_truncation_error(h_euler, h_rk2, tape)
-            lte_tensors.append(err)
+            if collect_lte or mask_mode == "lte":
+                err = local_truncation_error(h_euler, h_rk2, err_tape)
+                if lte_tensors is not None:
+                    lte_tensors.append(err)
 
             if mask_mode == "off":
                 h_next = h_rk2

@@ -159,8 +159,8 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 @dataclass
 class ForwardResult:
     y_hat: Tensor                 # [batch, n_nodes, horizon]
-    lte_static: list              # per-step error tensors, on the tape
-    lte_adaptive: list
+    lte_static: list | None       # per-step error tensors, on the tape, when collected
+    lte_adaptive: list | None
     nfe_static: int
     nfe_adaptive: int
     masks_static: list | None = None
@@ -183,10 +183,15 @@ def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
 
 
 def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
-            tape: Tape | None = None, collect_masks: bool = False) -> ForwardResult:
+            tape: Tape | None = None, collect_masks: bool = False,
+            collect_lte: bool = False) -> ForwardResult:
     """Run both streams from the shared initial state and decode the horizon.
 
-    With collect_masks, each stream returns its per-step gate arrays.
+    With collect_masks, each stream returns its per-step gate arrays.  With
+    collect_lte, each stream returns its per-step error tensors, on the tape,
+    for a loss that differentiates them (the smoothness penalty); without
+    it, `lte_static` and `lte_adaptive` are None and no error outlives its
+    step or enters the tape unless mask_grad differentiates the gate.
     """
     n = config.n_nodes
     if ahat.shape != (n, n):
@@ -196,7 +201,8 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     a_adaptive = adaptive_adjacency(params.e_node, tape)
 
     common = dict(steps=config.steps, dt=config.dt, mask_mode=config.mask_mode,
-                  mask_grad=config.mask_grad, tape=tape, collect_masks=collect_masks)
+                  mask_grad=config.mask_grad, tape=tape, collect_lte=collect_lte,
+                  collect_masks=collect_masks)
     nfe_s, nfe_k = NFECounter(), NFECounter()
     res_s: EvolveResult = evolve(h0, a_op=ahat, vf=params.vf_static,
                                  comp=params.comp_static,
@@ -258,9 +264,10 @@ def tape_peak_bytes(x: Tensor, ahat: Tensor, params: ModelParams,
                     config: ModelConfig) -> int:
     """Peak bytes allocated by one taped forward plus backward, by tracemalloc.
 
-    The loss is the training MAE against a zero target.  The count covers the
-    tape, the gradients and the transient arrays of both passes: the memory a
-    training batch needs at this step count.
+    The forward is the one a default training batch runs, which collects no
+    truncation errors, and the loss is the training MAE against a zero target.
+    The count covers the tape, the gradients and the transient arrays of both
+    passes: the memory a training batch needs at this step count.
     """
     y = Tensor(np.zeros((x.shape[0], config.n_nodes, config.horizon)))
     tracemalloc.start()

@@ -139,11 +139,15 @@ def batch_loss(result, y: Tensor, lam: float, steps: int, tape: Tape):
     """MAE plus, when lam != 0, lam times the mean per-entry truncation error.
 
     With lam == 0 no penalty nodes are built at all, so a zero-lam penalty run
-    is bit-identical to the full variant.
+    is bit-identical to the full variant.  A penalty needs the errors that
+    `forward` returns only when called with collect_lte=True.
     """
     mae = mean_abs_error(result.y_hat, y, tape)
     if lam == 0.0:
         return mae
+    if result.lte_static is None or result.lte_adaptive is None:
+        raise ContractError(f"batch_loss: lam={lam} needs the truncation errors; "
+                            "run forward with collect_lte=True")
     acc = None
     for e in result.lte_static + result.lte_adaptive:
         m = mean_all(e, tape)
@@ -235,7 +239,8 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                 x = Tensor(train_set.x[idx])
                 y = Tensor(train_set.y[idx])
                 res = forward(x, ahat, params, model_config, tape,
-                              collect_masks=True)
+                              collect_masks=True,
+                              collect_lte=train_config.lam != 0.0)
                 if res.nfe_static != expected_nfe or res.nfe_adaptive != expected_nfe:
                     raise ContractError(
                         f"NFE {res.nfe_static}/{res.nfe_adaptive} per stream, "

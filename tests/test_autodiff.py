@@ -221,6 +221,44 @@ class TestForwardOracles:
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[-1] == 1.0
 
+    @pytest.mark.parametrize("kind", ["nonnegative", "mixed"])
+    def test_sigmoid_one_exp_matches_split(self, kind, monkeypatch):
+        # the one-exp formula for inputs without a negative entry must equal
+        # the sign split bitwise, whichever formula runs
+        def split(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        real_exp = np.exp
+        exp_sizes = []
+
+        def counting_exp(v):
+            exp_sizes.append(v.size)
+            return real_exp(v)
+
+        rng = np.random.default_rng(31)
+        edges = np.array([0.0, -0.0, 5e-324, 1e-300, 0.5, 39.9, 40.0, 41.0, 745.0, 1e308])
+        for shape in ((1, 20, 40), (32, 300, 40)):
+            x = rng.standard_normal(shape) * 20.0
+            if kind == "nonnegative":
+                x = np.abs(x)
+                x.flat[:edges.size] = edges
+            else:
+                x.flat[:2 * edges.size] = np.concatenate([edges, -edges])
+            expected = split(x)
+            exp_sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np, "exp", counting_exp)
+                out = sigmoid(Tensor._wrap(x)).data
+            assert np.array_equal(out, expected)
+            # nothing negative: one exp over the whole input; else the split's two
+            assert len(exp_sizes) == (1 if kind == "nonnegative" else 2)
+            assert sum(exp_sizes) == x.size
+
     def test_structural(self):
         a = rand(2, 3, 4)
         assert np.array_equal(transpose(Tensor(a), (1, 0, 2)).data,

@@ -9,6 +9,7 @@ than against the implementation.
 import numpy as np
 import pytest
 
+import odegate.dynamics
 from odegate.autodiff import Tape, Tensor, backward, mean_all, total_sum
 from odegate.dynamics import (CompensatorParams, GateStats, LearnedMaskParams,
                               NFECounter, VectorFieldParams, attention_mask,
@@ -361,6 +362,35 @@ class TestEvolveBehavior:
         r1 = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp)
         r2 = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp)
         assert np.array_equal(r1.h_final.data, r2.h_final.data)
+
+    @pytest.mark.parametrize("mode, mask_grad", [
+        ("lte", False), ("lte", True), ("uniform_one", False), ("learned", False),
+        ("off", False)])
+    def test_uncollected_error_stays_off_the_tape(self, mode, mask_grad, monkeypatch):
+        # the gate reads the error's values, so only mask_grad tapes it; the
+        # other modes never read it, so they do not compute it
+        mask_params = LearnedMaskParams(
+            Tensor(self.rng.standard_normal((3, 3))),
+            Tensor(np.zeros(3))) if mode == "learned" else None
+        run = dict(mask_mode=mode, mask_params=mask_params, mask_grad=mask_grad)
+        collected = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+                           tape=Tape(), **run)
+        tapes = []
+        real = odegate.dynamics.local_truncation_error
+
+        def recording(h_euler, h_rk2, tape=None):
+            tapes.append(tape)
+            return real(h_euler, h_rk2, tape)
+
+        monkeypatch.setattr(odegate.dynamics, "local_truncation_error", recording)
+        tape = Tape()
+        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp, tape=tape,
+                     collect_lte=False, **run)
+        assert res.lte is None
+        expected = {"lte": [tape if mask_grad else None] * 4}.get(mode, [])
+        assert tapes == expected
+        assert ("abs_diff" in {name for name, _ in tape.nodes}) == mask_grad
+        assert np.array_equal(res.h_final.data, collected.h_final.data)
 
 
 class TestGateGradientFlow:

@@ -185,8 +185,11 @@ class TestForward:
         res = forward(x, ahat, params, TINY)
         assert res.y_hat.shape == (2, 4, TINY.horizon)
         assert res.nfe_static == res.nfe_adaptive == 2 * TINY.steps
-        assert len(res.lte_static) == len(res.lte_adaptive) == TINY.steps
+        assert res.lte_static is None and res.lte_adaptive is None
         assert res.masks_static is None and res.masks_adaptive is None
+        collected = forward(x, ahat, params, TINY, collect_lte=True)
+        assert len(collected.lte_static) == len(collected.lte_adaptive) == TINY.steps
+        assert np.array_equal(collected.y_hat.data, res.y_hat.data)
 
     def test_deterministic(self):
         params = init_params(TINY, seed=3)
@@ -207,16 +210,19 @@ class TestForward:
         # affine nodes are the per-step jumps, the encoder and the readout
         assert ops["propagate"] == evals
         assert ops["affine"] == evals + 2 * TINY.steps + 2
-        # one lte step of one stream: 2 field evaluations, 3 stage updates,
-        # the error and the gated jump
+        assert "abs_diff" not in ops
+        # one lte step of one stream: 2 field evaluations, 3 stage updates and
+        # the gated jump, plus the error when it is collected
         h = Tensor(np.random.default_rng(4).standard_normal((2, TINY.n_nodes,
                                                              TINY.hidden_dim)),
                    requires_grad=True)
-        tape = Tape()
-        odegate.dynamics.evolve(h, 1, 1.0, ahat, params.vf_static, params.comp_static,
-                                "lte", tape=tape)
-        assert Counter(name for name, _ in tape.nodes) == {
-            "propagate": 2, "affine": 3, "axpy": 3, "abs_diff": 1, "gated_tanh": 1}
+        step = {"propagate": 2, "affine": 3, "axpy": 3, "gated_tanh": 1}
+        for collect_lte, extra in ((False, {}), (True, {"abs_diff": 1})):
+            tape = Tape()
+            odegate.dynamics.evolve(h, 1, 1.0, ahat, params.vf_static,
+                                    params.comp_static, "lte", tape=tape,
+                                    collect_lte=collect_lte)
+            assert Counter(name for name, _ in tape.nodes) == {**step, **extra}
 
     def test_operator_shape_checked(self):
         params = init_params(TINY)
@@ -301,7 +307,7 @@ def _grad_digest(mode, mask_grad, lam):
     y = Tensor(np.random.default_rng(7).standard_normal((3, config.n_nodes,
                                                          config.horizon)))
     tape = Tape()
-    res = forward(x, ahat, params, config, tape)
+    res = forward(x, ahat, params, config, tape, collect_lte=lam != 0.0)
     backward(batch_loss(res, y, lam, config.steps, tape), tape)
     h = hashlib.sha256()
     for name, p in params.named().items():
@@ -357,7 +363,8 @@ class TestGradientBits:
     def test_tape_memory_per_step(self):
         # growth of a taped forward from steps=2 to steps=4, in state-sized
         # arrays per stream per step: keeping every op output costs about 17,
-        # keeping only what backward reads about 7.5
+        # keeping only what backward reads about 7.5, and leaving the
+        # uncollected error off the tape about 5.5
         batch = 8
 
         def live_bytes(steps):
@@ -377,7 +384,7 @@ class TestGradientBits:
 
         state = batch * DEFAULT.n_nodes * DEFAULT.hidden_dim * 8
         per_step = (live_bytes(4) - live_bytes(2)) / (2 * 2 * state)
-        assert per_step <= 9.0, per_step
+        assert per_step <= 6.0, per_step
 
 
 class TestFlopReport:

@@ -5,7 +5,9 @@ bit-identical to the full variant when lam == 0, otherwise penalty sweeps are
 not comparable against the full baseline.
 """
 
+import dataclasses
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -148,6 +150,15 @@ class TestBatchLoss:
         # mae 1.5 plus 0.5/2 * (mean(e1) + mean(e2)) = 1.5 + 0.25 * (0.3 + 0.7)
         assert loss.item() == pytest.approx(1.75, rel=1e-12)
 
+    def test_penalty_needs_collected_errors(self):
+        tape = Tape()
+        res = self.make_result(tape)
+        res.lte_static = res.lte_adaptive = None
+        y = Tensor(np.array([[[0.0, 0.0]]]))
+        assert batch_loss(res, y, lam=0.0, steps=1, tape=tape).item() == 1.5
+        with pytest.raises(ContractError, match="collect_lte"):
+            batch_loss(res, y, lam=0.5, steps=1, tape=tape)
+
     def test_penalty_scales_inversely_with_steps(self):
         y = Tensor(np.array([[[0.0, 0.0]]]))
         t1, t4 = Tape(), Tape()
@@ -193,6 +204,41 @@ class TestTrainLoop:
         assert r_full.history == r_pen.history
         for (_, p1), (_, p2) in zip(r_full.params.named().items(),
                                     r_pen.params.named().items()):
+            assert np.array_equal(p1.data, p2.data)
+
+    def test_default_batch_tapes_no_error(self, monkeypatch):
+        # a default training batch (4 steps, lam 0): 9 nodes per step and
+        # stream, 3 encoder, 8 graph build, 2 readout and the loss
+        tapes = []
+        real_backward = odegate.training.backward
+
+        def counting(loss, tape):
+            tapes.append(Counter(name for name, _ in tape.nodes))
+            real_backward(loss, tape)
+
+        monkeypatch.setattr(odegate.training, "backward", counting)
+        config = dataclasses.replace(TINY_MODEL, steps=4)
+        train(tiny_dataset(), config, TrainConfig(epochs=1, batch_size=16))
+        assert tapes
+        for ops in tapes:
+            assert "abs_diff" not in ops
+            assert sum(ops.values()) == 86
+
+    def test_zero_lam_collecting_errors_matches_bitwise(self, monkeypatch):
+        ds = tiny_dataset()
+        cfg = TrainConfig(epochs=2, batch_size=16)
+        plain = train(ds, TINY_MODEL, cfg)
+        real_forward = odegate.training.forward
+
+        def forward_collecting(*args, **kwargs):
+            kwargs["collect_lte"] = True
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(odegate.training, "forward", forward_collecting)
+        collected = train(ds, TINY_MODEL, cfg)
+        assert collected.history == plain.history
+        for (_, p1), (_, p2) in zip(plain.params.named().items(),
+                                    collected.params.named().items()):
             assert np.array_equal(p1.data, p2.data)
 
     def test_early_stopping_cuts_epochs(self):
