@@ -7,7 +7,7 @@ compensation where the smooth dynamics are struggling (shocks) and almost
 nowhere else, at exactly two field evaluations per step.
 """
 
-from .autodiff import Tape, Tensor, backward, finite_diff_gradient, tensor
+from .autodiff import Tape, Tensor, backward, finite_diff_gradient
 from .data import (ForecastDataset, Scaler, ShockEvent, ShockScenario,
                    WindowSet, build_dataset, default_graph,
                    generate_shock_series, load_dataset_files, make_windows,
@@ -18,8 +18,8 @@ from .dynamics import (CompensatorParams, EvolveResult, GateStats,
                        local_truncation_error, vector_field)
 from .errors import (ContractError, DimensionError, NumericError, OdegateError,
                      ParseError, ValidationError)
-from .graph import (NodeEmbeddings, SpatialGraph, adaptive_adjacency,
-                    load_graph, normalize_adjacency, write_edge_list)
+from .graph import (SpatialGraph, adaptive_adjacency, load_graph,
+                    normalize_adjacency, write_edge_list)
 from .model import (FlopReport, ForwardResult, ModelConfig, ModelParams,
                     flop_report, forward, init_params, load_checkpoint,
                     save_checkpoint)
@@ -33,7 +33,7 @@ __all__ = [
     "AdamState", "CompensatorParams", "ContractError", "DimensionError",
     "EvalReport", "EvolveResult", "FlopReport", "ForecastDataset",
     "ForwardResult", "GateStats", "LearnedMaskParams", "MaskReport", "ModelConfig",
-    "ModelParams", "NFECounter", "NodeEmbeddings", "NumericError",
+    "ModelParams", "NFECounter", "NumericError",
     "OdegateError", "ParseError", "Scaler", "ShockEvent", "ShockScenario",
     "SpatialGraph", "Tape", "Tensor", "TrainConfig",
     "TrainResult", "ValidationError", "VectorFieldParams", "WindowSet",
@@ -43,6 +43,6 @@ __all__ = [
     "generate_shock_series", "init_params", "load_checkpoint",
     "load_dataset_files", "load_graph", "local_truncation_error",
     "make_windows", "mask_report", "normalize_adjacency", "save_checkpoint",
-    "tensor", "train", "vector_field", "write_dataset_files",
+    "train", "vector_field", "write_dataset_files",
     "write_edge_list",
 ]

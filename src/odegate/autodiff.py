@@ -27,7 +27,8 @@ spent after `backward`.
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
 node axis of a batched state, `affine` applies a shared channel map (plus
-bias), and `expand_batch` replicates along a new batch axis.  That keeps
+bias), `gram` and `row_normalize` build the adaptive graph, and
+`expand_batch` replicates along a new batch axis.  That keeps
 every VJP auditable against the finite-difference oracle at the bottom of
 this module.
 
@@ -116,11 +117,6 @@ class Tensor(_Slot):
 
 def _slot_of(t: Tensor) -> _Slot:
     return t if t._slot is None else t._slot
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Build a tensor from array-like data (always copies into float64)."""
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def detach(t: Tensor) -> Tensor:
@@ -218,16 +214,6 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # arithmetic ops
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """2-D matrix product a[m,k] @ b[k,n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    x, y = a.data, b.data
-    return _out(x @ y, "matmul", tape, (a, b), (lambda g: g @ y.T, lambda g: x.T @ g))
-
-
 def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
     """Graph operator over the node axis of a batch, a[N,N] @ h[B,N,d]."""
     if a.data.ndim != 2 or h.data.ndim != 3:
@@ -240,6 +226,42 @@ def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
     return _out(mat @ x, "propagate", tape, (a, h),
                 (lambda g: np.tensordot(g, x, axes=([0, 2], [0, 2])),
                  lambda g: mat.T @ g))
+
+
+def gram(e: Tensor, tape: Tape | None = None) -> Tensor:
+    """Gram matrix of the rows of a 2-D table, e[N,k] @ e[N,k]^T."""
+    if e.data.ndim != 2:
+        raise DimensionError(f"gram: expects a 2-D table [rows x width], got {e.shape}")
+    x = e.data
+    xt = x.T.copy()
+    # the VJP is that of E times a copy of E^T, product by product; the
+    # shorter (G + G^T) E rounds differently
+    return _out(x @ xt, "gram", tape, (e,), (lambda g: g @ xt.T + (x.T @ g).T,))
+
+
+def row_normalize(s: Tensor, tape: Tape | None = None) -> Tensor:
+    """Each row of s[N,M] divided by its sum; an all-zero row becomes 1/M.
+
+    With z the 0/1 indicator of an all-zero row, the result is
+    (s + z/M) / (rowsum + z).  z is a constant, so the other rows keep their
+    exact gradients.  Row sums are products with a ones column, in forward
+    and backward alike.
+    """
+    if s.data.ndim != 2:
+        raise DimensionError(f"row_normalize: expects a 2-D matrix, got {s.shape}")
+    x = s.data
+    m = x.shape[1]
+    ones = np.ones((m, 1))
+    rows = x @ ones
+    z = (rows == 0.0).astype(np.float64)
+    denom = rows + z
+    numer = x + z / m
+
+    def d_s(g):
+        g_denom = -g * numer / (denom * denom)
+        return g / denom + g_denom @ ones
+
+    return _out(numer / denom, "row_normalize", tape, (s,), (d_s,))
 
 
 def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
@@ -263,9 +285,7 @@ def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
     return _out(out_flat.reshape(h.shape[:-1] + (m,)), "affine", tape, inputs, vjps)
 
 
-def add(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
-    if isinstance(b, (int, float)):
-        return _out(a.data + float(b), "add", tape, (a,), (_same,))
+def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _check_same_shape(a, b, "add")
     return _out(a.data + b.data, "add", tape, (a, b), (_same, _same))
 
@@ -273,17 +293,6 @@ def add(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
 def scale(a: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
     s = float(s)
     return _out(a.data * s, "scale", tape, (a,), (lambda g: g * s,))
-
-
-def divide(a: Tensor, b: Tensor | Scalar, tape: Tape | None = None) -> Tensor:
-    if isinstance(b, (int, float)):
-        if b == 0:
-            raise NumericError("divide: scalar denominator is zero")
-        return scale(a, 1.0 / float(b), tape)
-    _check_same_shape(a, b, "divide")
-    x, y = a.data, b.data
-    return _out(x / y, "divide", tape, (a, b),
-                (lambda g: g / y, lambda g: -g * x / (y * y)))
 
 
 def axpy(h: Tensor, k: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
@@ -341,15 +350,6 @@ def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
 # structural ops
 # ---------------------------------------------------------------------------
 
-def transpose(a: Tensor, axes: Sequence[int], tape: Tape | None = None) -> Tensor:
-    axes = tuple(int(x) for x in axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise DimensionError(f"transpose: axes {axes} are not a permutation for shape {a.shape}")
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    return _out(a.data.transpose(axes).copy(), "transpose", tape, (a,),
-                (lambda g: g.transpose(inverse),))
-
-
 def concat_channels(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Concatenate along the trailing (channel) axis; leading dims must agree."""
     if a.data.ndim != b.data.ndim or a.shape[:-1] != b.shape[:-1]:
@@ -371,12 +371,6 @@ def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
-
-def total_sum(a: Tensor, tape: Tape | None = None) -> Tensor:
-    shape = a.shape
-    return _out(np.array(a.data.sum()), "total_sum", tape, (a,),
-                (lambda g: np.full(shape, float(g)),))
-
 
 def mean_all(a: Tensor, tape: Tape | None = None) -> Tensor:
     shape, inv = a.shape, 1.0 / a.size

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, divide, matmul, relu, transpose
+from .autodiff import Tape, Tensor, gram, relu, row_normalize
 from .errors import ParseError, ValidationError, read_text
 
 
@@ -51,26 +51,6 @@ class SpatialGraph:
         return a
 
 
-@dataclass(frozen=True)
-class NodeEmbeddings:
-    """Learnable per-node embedding table, one row per node."""
-
-    table: Tensor
-
-    def __post_init__(self):
-        if self.table.data.ndim != 2:
-            raise ValidationError(
-                f"embedding table must be 2-D [nodes x width], got {self.table.shape}")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.table.shape[1]
-
-
 def normalize_adjacency(graph: SpatialGraph) -> Tensor:
     """Symmetric normalization with self-loops: D^{-1/2} (A + I) D^{-1/2}.
 
@@ -86,23 +66,13 @@ def normalize_adjacency(graph: SpatialGraph) -> Tensor:
     return Tensor(a_hat)
 
 
-def adaptive_adjacency(emb: NodeEmbeddings, tape: Tape | None = None) -> Tensor:
-    """Row-normalized relu(E E^T); rows that relu to all-zero fall back to 1/N.
+def adaptive_adjacency(table: Tensor, tape: Tape | None = None) -> Tensor:
+    """Row-normalized relu(E E^T) of the embedding table E [nodes x width].
 
-    The fallback is blended in through constants so the non-degenerate rows
-    keep exact gradients to the embedding table: with z the 0/1 indicator of
-    an all-zero row, A = (relu(E E^T) + z/N) / (rowsum + z).
+    A row that relu zeroes falls back to 1/N (see `row_normalize`); the other
+    rows keep exact gradients to the table.
     """
-    n = emb.n_nodes
-    scores = relu(matmul(emb.table, transpose(emb.table, (1, 0), tape), tape), tape)
-    ones_col = Tensor(np.ones((n, 1)))
-    row_sum = matmul(scores, ones_col, tape)                      # [n, 1]
-    zero_rows = (row_sum.data == 0.0).astype(np.float64)          # constant mask
-    zero_full = np.repeat(zero_rows, n, axis=1)                  # [n, n]
-    ones_row = Tensor(np.ones((1, n)))
-    denom = add(matmul(row_sum, ones_row, tape), Tensor(zero_full), tape)
-    numer = add(scores, Tensor(zero_full / n), tape)
-    return divide(numer, denom, tape)
+    return row_normalize(relu(gram(table, tape), tape), tape)
 
 
 def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:

@@ -22,7 +22,7 @@ from .autodiff import (Tape, Tensor, affine, backward, concat_channels,
 from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult,
                        LearnedMaskParams, NFECounter, VectorFieldParams, evolve)
 from .errors import DimensionError, ParseError, ValidationError, read_text
-from .graph import NodeEmbeddings, adaptive_adjacency
+from .graph import adaptive_adjacency
 
 CHECKPOINT_MAGIC = "odegate-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -111,7 +111,7 @@ class ModelParams:
                     if f"{name}_mask_weight" in t else None)
 
         self.w_input = t["input_projection"]
-        self.e_node = NodeEmbeddings(t["node_embeddings"])
+        self.e_node = t["node_embeddings"]
         self.vf_static, self.comp_static, self.mask_static = stream("static")
         self.vf_adaptive, self.comp_adaptive, self.mask_adaptive = stream("adaptive")
         self.w_out, self.b_out = pair("readout")
@@ -178,7 +178,7 @@ def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
             f"initialize_state: input {x.shape} does not match config "
             f"(n_nodes={config.n_nodes}, window={config.window}, in_dim={config.in_dim})")
     proj = affine(Tensor(x.data.reshape(b, n, t * d)), params.w_input, tape=tape)
-    emb = expand_batch(params.e_node.table, b, tape)
+    emb = expand_batch(params.e_node, b, tape)
     return concat_channels(proj, emb, tape)
 
 

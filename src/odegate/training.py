@@ -171,6 +171,14 @@ class TrainResult:
     timing: dict      # seconds per phase, summed over epochs; see TIMING_PHASES
 
 
+def _split_windows(dataset: ForecastDataset, split: str, caller: str) -> WindowSet:
+    """The windows of one split; an empty split is bad data, not an empty result."""
+    windows = dataset.splits[split]
+    if windows.count == 0:
+        raise ValidationError(f"{caller}: split '{split}' has no windows")
+    return windows
+
+
 def _forward_batches(params, config, ahat, windows: WindowSet, batch_size: int,
                      collect_masks: bool = False):
     """Tape-free forward over a window set; yields (slice, ForwardResult)."""
@@ -210,12 +218,12 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
         raise ContractError(
             f"model mask_mode '{model_config.mask_mode}' does not match "
             f"variant '{train_config.variant}'")
+    train_set = _split_windows(dataset, "train", "train")
+    val_set = _split_windows(dataset, "val", "train")
     ahat = normalize_adjacency(dataset.graph)
     params = init_params(model_config, seed=train_config.seed)
     opt = AdamState()
     rng = np.random.default_rng(train_config.seed)
-    train_set = dataset.splits["train"]
-    val_set = dataset.splits["val"]
     expected_nfe = 2 * model_config.steps
 
     best = params.copy()
@@ -326,9 +334,7 @@ class EvalReport:
 def evaluate(params, model_config: ModelConfig, dataset: ForecastDataset,
              split: str = "test", batch_size: int = 64) -> EvalReport:
     """Metrics in original units; MAPE skips near-zero targets."""
-    windows = dataset.splits[split]
-    if windows.count == 0:
-        raise ValidationError(f"evaluate: split '{split}' has no windows")
+    windows = _split_windows(dataset, split, "evaluate")
     ahat = normalize_adjacency(dataset.graph)
     y_hat = dataset.scaler.inverse(
         predict(params, model_config, ahat, windows, batch_size))
@@ -375,7 +381,7 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
     """Aggregate gate statistics over both streams and all steps of a split."""
     if model_config.mask_mode == "off":
         raise ContractError("mask_report: variant has no gate to report")
-    windows = dataset.splits[split]
+    windows = _split_windows(dataset, split, "mask_report")
     ahat = normalize_adjacency(dataset.graph)
     cells = shock_cell_matrix(windows, dataset.events, dataset.window)
 

@@ -45,6 +45,23 @@ def data_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def short_data(tmp_path_factory):
+    """100 ticks: 37 train windows of the default 12+12 ticks, none in val or test."""
+    out = tmp_path_factory.mktemp("short")
+    assert main(["generate-data", "--out", str(out),
+                 "--n-nodes", "4", "--total-t", "100"]) == EXIT_OK
+    config = ModelConfig(n_nodes=4)
+    save_checkpoint(out / "checkpoint.json", init_params(config), config)
+    return out
+
+
+def _one_error_line(capsys, kind: str) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[{kind}]:"), err
+    return err[0]
+
+
+@pytest.fixture(scope="module")
 def full_run(tmp_path_factory, data_dir):
     out = tmp_path_factory.mktemp("full")
     code = main(["train", "--data", str(data_dir), "--out", str(out)]
@@ -235,6 +252,12 @@ class TestTrain:
                     + SMALL_TRAIN)
         assert code == EXIT_DATA
         assert "manifold_penalty" in capsys.readouterr().err
+
+    def test_empty_validation_split(self, short_data, tmp_path, capsys):
+        code = main(["train", "--data", str(short_data), "--out", str(tmp_path / "o"),
+                     "--epochs", "1", "--quiet"])
+        assert code == EXIT_DATA
+        assert "split 'val' has no windows" in _one_error_line(capsys, "validation")
 
     def test_usage_errors(self, capsys):
         assert main(["train"]) == EXIT_USAGE                  # --data required
@@ -464,6 +487,14 @@ class TestMaskStats:
         assert 0.5 <= payload["mean"] < 1.0
         assert len(payload["histogram"]) == 20
         assert f"mean={payload['mean']!r}" in text
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_empty_split(self, short_data, tmp_path, capsys, split):
+        code = main(["mask-stats", "--data", str(short_data),
+                     "--checkpoint", str(short_data / "checkpoint.json"),
+                     "--out", str(tmp_path / "o"), "--split", split])
+        assert code == EXIT_DATA
+        assert f"split '{split}' has no windows" in _one_error_line(capsys, "validation")
 
     def test_gateless_checkpoint_rejected(self, data_dir, no_comp_run,
                                           tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import odegate.dynamics
-from odegate.autodiff import Tape, Tensor, backward, mean_all, total_sum
+from odegate.autodiff import Tape, Tensor, backward, mean_all
 from odegate.dynamics import (CompensatorParams, GateStats, LearnedMaskParams,
                               NFECounter, VectorFieldParams, attention_mask,
                               compensate, embedded_dual_step, evolve,
@@ -402,7 +402,7 @@ class TestGateGradientFlow:
         a = Tensor(np.eye(3) * 0.8)
         tape = Tape()
         res = evolve(h0, 2, 0.5, a, vf, comp, mask_grad=mask_grad, tape=tape)
-        backward(total_sum(res.h_final, tape), tape)
+        backward(mean_all(res.h_final, tape), tape)
         return vf.w_f.grad.copy()
 
     def test_detached_gate_changes_gradients(self):

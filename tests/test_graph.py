@@ -1,15 +1,17 @@
 """Graph construction, the two propagation operators, and edge-list I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odegate.autodiff import (Tape, Tensor, backward, finite_diff_gradient, propagate,
-                              sigmoid, total_sum)
-from odegate.errors import ParseError, ValidationError
-from odegate.graph import (NodeEmbeddings, SpatialGraph, adaptive_adjacency,
-                           load_graph, normalize_adjacency, write_edge_list)
+from odegate.autodiff import (Tape, Tensor, backward, finite_diff_gradient, mean_all,
+                              propagate, sigmoid)
+from odegate.errors import DimensionError, ParseError, ValidationError
+from odegate.graph import (SpatialGraph, adaptive_adjacency, load_graph,
+                           normalize_adjacency, write_edge_list)
 
 
 class TestSpatialGraph:
@@ -79,19 +81,19 @@ class TestNormalizeAdjacency:
 class TestAdaptiveAdjacency:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        emb = NodeEmbeddings(Tensor(rng.standard_normal((6, 3))))
+        emb = Tensor(rng.standard_normal((6, 3)))
         a = adaptive_adjacency(emb).data
         assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(a >= 0.0)
 
     def test_negative_scores_dropped(self):
         # rows [1,0] and [-1,0]: cross scores relu to zero, diagonals survive
-        emb = NodeEmbeddings(Tensor([[1.0, 0.0], [-1.0, 0.0]]))
+        emb = Tensor([[1.0, 0.0], [-1.0, 0.0]])
         a = adaptive_adjacency(emb).data
         assert np.allclose(a, np.eye(2), atol=1e-15)
 
     def test_zero_row_falls_back_to_uniform(self):
-        emb = NodeEmbeddings(Tensor([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+        emb = Tensor([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         a = adaptive_adjacency(emb).data
         assert np.allclose(a[1], np.full(3, 1.0 / 3.0), atol=1e-15)
         assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
@@ -99,14 +101,13 @@ class TestAdaptiveAdjacency:
     def test_differentiable_wrt_embeddings(self):
         rng = np.random.default_rng(3)
         table = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        emb = NodeEmbeddings(table)
 
         tape = Tape()
         h = Tensor(rng.standard_normal((1, 4, 4)))
 
         def build(t):
             # sigmoid makes each entry of the operator count with its own slope
-            return total_sum(sigmoid(propagate(adaptive_adjacency(emb, t), h, t), t), t)
+            return mean_all(sigmoid(propagate(adaptive_adjacency(table, t), h, t), t), t)
 
         loss = build(tape)
         backward(loss, tape)
@@ -125,8 +126,45 @@ class TestAdaptiveAdjacency:
         assert np.abs(analytic - numeric).max() / denom < 1e-6
 
     def test_embeddings_validation(self):
-        with pytest.raises(ValidationError):
-            NodeEmbeddings(Tensor([1.0, 2.0]))
+        with pytest.raises(DimensionError, match="2-D"):
+            adaptive_adjacency(Tensor([1.0, 2.0]))
+
+
+def _sha(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
+
+
+def _adjacency_digests(n, zero_row):
+    """sha256 of the adaptive adjacency and of the embedding gradient."""
+    rng = np.random.default_rng(n)
+    e = rng.standard_normal((n, 10))
+    if zero_row:
+        e[n // 3] = 0.0
+    table = Tensor(e, requires_grad=True)
+    h = Tensor(rng.standard_normal((2, n, 3)))
+    tape = Tape()
+    a = adaptive_adjacency(table, tape)
+    backward(mean_all(sigmoid(propagate(a, h, tape), tape), tape), tape)
+    return _sha(a.data), _sha(table.grad)
+
+
+# Computed while the graph was an 8-node chain of matmul, transpose, relu,
+# add and divide; the two fused ops must not move a bit.
+ADJACENCY_DIGESTS = {
+    (20, False): ("f599977878ccf132a16de07e159c0d10426dd42dbc288f9aa6f266dfe758e71b",
+                  "1d99373bfc7e3002228265ea4aed0d09d17fd2a1c456d6a86e1ae188f96138f7"),
+    (20, True): ("f713920c178fbba3ef473004c69021e8538adfbabce9fd2477df12e9811ffcbc",
+                 "d47cef00f9d4960dd94b13c1a115942320cd3880f309af3400a78444730597fa"),
+    (300, False): ("6f8cad57157b7765b5c75424a04c37f49cd97206b8713e477ccef5af7f23a27b",
+                   "e700d07177aae6083b9cb828e0e31fa07159c77db2c04f8b250e3b5df63c9799"),
+    (300, True): ("0f09ec1a5cc332d421a395bbe394816728d3d61e26ef6c69e0a5cadc4cf7fd2b",
+                  "c6376ab80fef1332c257df8c97b59b5a3646d61a5486456d9d784533e84d83d5"),
+}
+
+
+@pytest.mark.parametrize("n, zero_row", sorted(ADJACENCY_DIGESTS))
+def test_adjacency_pinned(n, zero_row):
+    assert _adjacency_digests(n, zero_row) == ADJACENCY_DIGESTS[n, zero_row]
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=4),
@@ -134,7 +172,7 @@ class TestAdaptiveAdjacency:
 @settings(max_examples=50, deadline=None)
 def test_adaptive_rows_always_stochastic(n, width, seed):
     rng = np.random.default_rng(seed)
-    emb = NodeEmbeddings(Tensor(rng.standard_normal((n, width))))
+    emb = Tensor(rng.standard_normal((n, width)))
     a = adaptive_adjacency(emb).data
     assert np.allclose(a.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(a >= 0.0)

@@ -121,7 +121,7 @@ class TestParams:
 def _views(params) -> dict:
     """Every per-stream view tensor of `params`, keyed by its checkpoint name."""
     views = {"input_projection": params.w_input,
-             "node_embeddings": params.e_node.table,
+             "node_embeddings": params.e_node,
              "readout_weight": params.w_out, "readout_bias": params.b_out}
     for stream in ("static", "adaptive"):
         vf = getattr(params, f"vf_{stream}")
@@ -168,7 +168,7 @@ class TestInitializeState:
         assert np.array_equal(h0.data[..., :TINY.proj_dim], proj)
         for bi in range(b):
             assert np.array_equal(h0.data[bi, :, TINY.proj_dim:],
-                                  params.e_node.table.data)
+                                  params.e_node.data)
 
     def test_shape_validation(self):
         params = init_params(TINY)
@@ -211,6 +211,9 @@ class TestForward:
         assert ops["propagate"] == evals
         assert ops["affine"] == evals + 2 * TINY.steps + 2
         assert "abs_diff" not in ops
+        # the adaptive graph is one node per op
+        assert {op: ops[op] for op in ("gram", "relu", "row_normalize")} == \
+            {"gram": 1, "relu": 1, "row_normalize": 1}
         # one lte step of one stream: 2 field evaluations, 3 stage updates and
         # the gated jump, plus the error when it is collected
         h = Tensor(np.random.default_rng(4).standard_normal((2, TINY.n_nodes,

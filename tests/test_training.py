@@ -208,7 +208,7 @@ class TestTrainLoop:
 
     def test_default_batch_tapes_no_error(self, monkeypatch):
         # a default training batch (4 steps, lam 0): 9 nodes per step and
-        # stream, 3 encoder, 8 graph build, 2 readout and the loss
+        # stream, 3 encoder, 3 graph build, 2 readout and the loss
         tapes = []
         real_backward = odegate.training.backward
 
@@ -222,7 +222,7 @@ class TestTrainLoop:
         assert tapes
         for ops in tapes:
             assert "abs_diff" not in ops
-            assert sum(ops.values()) == 86
+            assert sum(ops.values()) == 81
 
     def test_zero_lam_collecting_errors_matches_bitwise(self, monkeypatch):
         ds = tiny_dataset()
@@ -249,6 +249,15 @@ class TestTrainLoop:
         assert len(result.history) < 40
         last = result.history[-1]["epoch"]
         assert last - result.best_epoch >= 2
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_split_rejected(self, split, monkeypatch):
+        ds = tiny_dataset()
+        w = ds.splits[split]
+        ds.splits[split] = WindowSet(x=w.x[:0], y=w.y[:0], origins=w.origins[:0])
+        monkeypatch.setattr(odegate.training, "forward", None)   # no epoch runs
+        with pytest.raises(ValidationError, match=f"train: split '{split}' has no windows"):
+            train(ds, TINY_MODEL, TrainConfig(epochs=1, batch_size=16))
 
     def test_numeric_failure_names_epoch_and_batch(self):
         ds = tiny_dataset()
@@ -398,6 +407,17 @@ class TestMaskStatistics:
         params = init_params(cfg, seed=0)
         with pytest.raises(ContractError, match="no gate"):
             mask_report(params, cfg, ds)
+
+    def test_empty_split_rejected(self):
+        # 100 ticks leave 20 per evaluation split, fewer than one 24-tick window
+        scenario = ShockScenario(n_nodes=4, total_t=100, seed=0)
+        graph = default_graph(4, seed=0)
+        ds = build_dataset(*generate_shock_series(scenario, graph), graph)
+        assert ds.splits["train"].count > 0 and ds.splits["test"].count == 0
+        params = init_params(ModelConfig(n_nodes=4), seed=0)
+        for split in ("val", "test"):
+            with pytest.raises(ValidationError, match=f"split '{split}' has no windows"):
+                mask_report(params, ModelConfig(n_nodes=4), ds, split=split)
 
     def test_report_consistency(self):
         # the val split of this seed has a handful of shocked cells, so both
