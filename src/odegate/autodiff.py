@@ -24,6 +24,15 @@ drops its slot's gradient once its VJPs have routed it.  Only leaves (tensors
 built directly, such as parameters and inputs) keep `.grad`, and a tape is
 spent after `backward`.
 
+Gradients are handed on, not copied.  A slot owns every array it is given:
+it keeps the first gradient it receives as its buffer and adds later ones
+into it in place.  So each array a VJP returns must belong to no one else:
+a fresh result, or the rule's own gradient handed on whole by `_same`.  A
+rule hands its gradient on once; `_out` makes any further `_same` route of
+the same rule, and one into a slot that the rule also reaches by another
+route, return a copy.  A VJP that returns a view of its gradient, such as
+`concat_channels`' slices, copies it.
+
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
 node axis of a batched state, `affine` applies a shared channel map (plus
@@ -48,7 +57,11 @@ Scalar = int | float
 
 
 class _Slot:
-    """Gradient buffer of one value; an op output's lives apart from its array."""
+    """Gradient buffer of one value; an op output's lives apart from its array.
+
+    The slot takes ownership of each gradient it is given: the first becomes
+    its buffer as is, and later ones are added into that buffer in place.
+    """
 
     __slots__ = ("grad",)
 
@@ -57,9 +70,7 @@ class _Slot:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # a fresh buffer: `_same` hands one array to several slots, and a
-            # later += into one of them must not reach the others
-            self.grad = g + 0.0
+            self.grad = g
         else:
             self.grad += g
 
@@ -180,14 +191,23 @@ def _out(arr: np.ndarray, op: str, tape: Tape | None, inputs: Sequence[Tensor],
 
     `vjps[i]` maps the output's gradient to the gradient of `inputs[i]`; it is
     kept, and called once the output has received a gradient, only for an
-    input that requires one.
+    input that requires one.  Each VJP returns an array that no one else
+    holds (see the module docstring); here every `_same` route but the one
+    allowed to hand the gradient on becomes `np.copy`.
     """
     _finite(arr, op)
     if tape is None:
         return Tensor._wrap(arr)
-    routes = [(_slot_of(t), vjp) for t, vjp in zip(inputs, vjps) if t.requires_grad]
-    if not routes:
+    live = [(_slot_of(t), vjp) for t, vjp in zip(inputs, vjps) if t.requires_grad]
+    if not live:
         return Tensor._wrap(arr)
+    routes, handed = [], False
+    for target, vjp in live:
+        if vjp is _same:
+            if handed or sum(other is target for other, _ in live) > 1:
+                vjp = np.copy
+            handed = True
+        routes.append((target, vjp))
     slot = _Slot()
 
     def rule():
@@ -299,7 +319,9 @@ def axpy(h: Tensor, k: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
     """h + k * s, the solver's stage update, in one node."""
     _check_same_shape(h, k, "axpy")
     s = float(s)
-    return _out(h.data + k.data * s, "axpy", tape, (h, k), (_same, lambda g: g * s))
+    out = k.data * s
+    out += h.data
+    return _out(out, "axpy", tape, (h, k), (_same, lambda g: g * s))
 
 
 def abs_diff(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -318,8 +340,17 @@ def gated_tanh(base: Tensor, m: Tensor, z: Tensor, tape: Tape | None = None) -> 
     _check_same_shape(base, m, "gated_tanh")
     _check_same_shape(m, z, "gated_tanh")
     x, j = m.data, np.tanh(z.data)
-    return _out(base.data + x * j, "gated_tanh", tape, (base, m, z),
-                (_same, lambda g: g * j, lambda g: (g * x) * (1.0 - j * j)))
+    out = x * j
+    out += base.data
+
+    def d_z(g):
+        # (g * x) * (1 - j * j), in two arrays
+        gx, jj = g * x, j * j
+        np.subtract(1.0, jj, out=jj)
+        gx *= jj
+        return gx
+
+    return _out(out, "gated_tanh", tape, (base, m, z), (_same, lambda g: g * j, d_z))
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
@@ -330,8 +361,12 @@ def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     pos = x >= 0
     if pos.all():
-        # exp(-x) <= 1 cannot overflow, so one exp serves every entry
-        return 1.0 / (1.0 + np.exp(-x))
+        # exp(-x) <= 1 cannot overflow, so one exp serves every entry:
+        # 1 / (1 + exp(-x)) built in one array (`out=` keeps a 0-d input an array)
+        y = np.negative(x, out=np.empty_like(x))
+        np.exp(y, out=y)
+        y += 1.0
+        return np.divide(1.0, y, out=y)
     # Split by sign so exp never overflows.
     out = np.empty_like(x)
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -357,7 +392,7 @@ def concat_channels(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
             f"concat_channels: leading shapes differ, {a.shape} vs {b.shape}")
     split = a.shape[-1]
     return _out(np.concatenate([a.data, b.data], axis=-1), "concat_channels", tape,
-                (a, b), (lambda g: g[..., :split], lambda g: g[..., split:]))
+                (a, b), (lambda g: g[..., :split].copy(), lambda g: g[..., split:].copy()))
 
 
 def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:

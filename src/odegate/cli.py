@@ -260,9 +260,10 @@ def cmd_train(args) -> int:
                                     cfg["stride"])
     model_config = _model_config(cfg, meta, variant)
     train_config = _train_config(cfg, variant, cfg["lam"])
-    os.makedirs(args.out, exist_ok=True)
     log = None if args.quiet else print
     result = train(dataset, model_config, train_config, log=log)
+    # only now: a run that train rejects leaves no empty --out behind
+    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.json"),
                     result.params, model_config)
     write_history_csv(os.path.join(args.out, "history.csv"), result.history)

@@ -258,6 +258,7 @@ class TestTrain:
                      "--epochs", "1", "--quiet"])
         assert code == EXIT_DATA
         assert "split 'val' has no windows" in _one_error_line(capsys, "validation")
+        assert not (tmp_path / "o").exists()
 
     def test_usage_errors(self, capsys):
         assert main(["train"]) == EXIT_USAGE                  # --data required

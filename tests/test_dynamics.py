@@ -8,6 +8,8 @@ than against the implementation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import odegate.dynamics
 from odegate.autodiff import Tape, Tensor, backward, mean_all
@@ -427,11 +429,27 @@ class TestGateGradientFlow:
 
 class TestGateStats:
     @pytest.mark.parametrize("size", [1, 2, 3, 20, 21, 40, 101, 1000, 25600])
-    def test_percentile95_equals_numpy(self, size):
-        rng = np.random.default_rng(size)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_percentile95_equals_numpy(self, size, seed):
+        # ties at the cut, a constant array, descending order, sigmoid-shaped
+        # gate values, a tied top block, and a strided input that misleads the
+        # strided sample so the tail misses and the full partition runs
+        rng = np.random.default_rng(seed)
+        normal = rng.standard_normal(size)
+        top_block = normal.copy()
+        top_block[rng.random(size) < 0.2] = normal.max()
+        strided = normal.copy()
+        strided[::odegate.dynamics._TAIL_STRIDE] += 10.0
         for values in (rng.uniform(0.5, 1.0, size),
                        rng.standard_normal((size, 1)),
-                       np.round(rng.uniform(0, 1, size), 1)):
+                       np.round(rng.uniform(0, 1, size), 1),
+                       np.round(normal, 1),
+                       np.full(size, 0.75),
+                       np.sort(normal)[::-1],
+                       1.0 / (1.0 + np.exp(-np.abs(normal) * 20.0)),
+                       top_block,
+                       strided):
             assert percentile95(values) == float(np.percentile(values, 95))
 
     def test_percentile95_leaves_input_untouched(self):

@@ -224,6 +224,25 @@ class TestTrainLoop:
             assert "abs_diff" not in ops
             assert sum(ops.values()) == 81
 
+    def test_parameter_gradients_share_no_memory(self, monkeypatch):
+        # backward hands gradients on; clipping scales each in place, so no
+        # two parameters may hold one buffer
+        grads = []
+        real_check = odegate.training.check_finite_grads
+
+        def keeping(named):
+            grads.append({name: p.grad for name, p in named.items()})
+            real_check(named)
+
+        monkeypatch.setattr(odegate.training, "check_finite_grads", keeping)
+        train(tiny_dataset(), TINY_MODEL, TrainConfig(epochs=1, batch_size=16))
+        assert grads
+        for batch in grads:
+            arrays = [g for g in batch.values() if g is not None]
+            assert len(arrays) == len(batch)
+            for i, g in enumerate(arrays):
+                assert not any(np.shares_memory(g, h) for h in arrays[i + 1:])
+
     def test_zero_lam_collecting_errors_matches_bitwise(self, monkeypatch):
         ds = tiny_dataset()
         cfg = TrainConfig(epochs=2, batch_size=16)
