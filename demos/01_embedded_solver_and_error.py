@@ -46,12 +46,12 @@ rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(100):
     a = rng.standard_normal((4, 4))
-    h0 = rng.standard_normal((1, 4, 3))
+    h0 = rng.standard_normal((4, 1, 3))   # node-major [N,B,d]
     res = evolve(Tensor(h0), 1, 1.0, Tensor(a),
                  VectorFieldParams(w_f=Tensor(np.eye(3)), b_f=Tensor(np.zeros(3))),
                  comp=None, mask_mode="off")
-    closed_form = 0.5 * np.abs(a @ (a @ h0[0]))
-    worst = max(worst, float(np.abs(res.lte[0].data[0] - closed_form).max()))
+    closed_form = 0.5 * np.abs(a @ (a @ h0[:, 0]))
+    worst = max(worst, float(np.abs(res.lte[0].data[:, 0] - closed_form).max()))
 print(f"estimate vs dt^2/2 |A^2 h| over 100 random 4x4 systems: "
       f"max deviation {worst:.2e}")
 
@@ -60,7 +60,7 @@ print(f"estimate vs dt^2/2 |A^2 h| over 100 random 4x4 systems: "
 # violent one saturates toward (but never reaches) 1
 
 nfe = NFECounter()
-res = evolve(Tensor(rng.standard_normal((1, 4, 3))), 4, 0.25,
+res = evolve(Tensor(rng.standard_normal((4, 1, 3))), 4, 0.25,
              Tensor(rng.standard_normal((4, 4)) * 2.0),
              VectorFieldParams(w_f=Tensor(np.eye(3) * 3.0), b_f=Tensor(np.zeros(3))),
              comp=None, mask_mode="off", nfe=nfe)

@@ -41,6 +41,11 @@ bias), `gram` and `row_normalize` build the adaptive graph, and
 every VJP auditable against the finite-difference oracle at the bottom of
 this module.
 
+Batched states are node-major, `[N,B,d]`: the node axis leads, so a graph
+product and both its VJPs each read the state as one `[N, B*d]` matrix and
+run as a single 2-D matrix product.  `swap_leading` turns such a tensor
+into its batch-major view, `[B,N,d]`, without a tape node.
+
 Every op validates that its output is finite; NaN/Inf raise `NumericError`
 immediately instead of propagating.
 """
@@ -73,6 +78,23 @@ class _Slot:
             self.grad = g
         else:
             self.grad += g
+
+
+class _Swapped(_Slot):
+    """Gradient slot of a view with its two leading axes swapped.
+
+    It keeps nothing: each gradient is swapped back into a fresh C-ordered
+    array, which the slot of the viewed tensor then owns.
+    """
+
+    __slots__ = ("target",)
+
+    def __init__(self, target: _Slot):
+        super().__init__()
+        self.target = target
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        self.target.accumulate_grad(np.array(g.swapaxes(0, 1), order="C"))
 
 
 class Tensor(_Slot):
@@ -133,6 +155,19 @@ def _slot_of(t: Tensor) -> _Slot:
 def detach(t: Tensor) -> Tensor:
     """A view of `t` cut off from gradient tracking."""
     return Tensor._wrap(t.data)
+
+
+def swap_leading(t: Tensor) -> Tensor:
+    """The view of `t` with its two leading axes swapped, [N,B,...] <-> [B,N,...].
+
+    It records no tape node.  The view's gradient slot hands each gradient,
+    swapped back, to the slot of `t`, so a VJP of `t` always reads its
+    gradient in `t`'s own layout.
+    """
+    if t.data.ndim < 2:
+        raise DimensionError(f"swap_leading: needs two leading axes, got {t.shape}")
+    slot = _Swapped(_slot_of(t)) if t.requires_grad else None
+    return Tensor._wrap(t.data.swapaxes(0, 1), slot)
 
 
 class Tape:
@@ -235,17 +270,26 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
-    """Graph operator over the node axis of a batch, a[N,N] @ h[B,N,d]."""
-    if a.data.ndim != 2 or h.data.ndim != 3:
+    """Graph operator over the node axis of a node-major batch, a[N,N] @ h[N,B,d].
+
+    The state is read as one [N, B*d] matrix, so the product and its two
+    VJPs, a^T g and g h^T, are one 2-D matrix product each.  The forward
+    product is `np.dot`, which dispatches a 2-D product in less time than
+    `@`: a single-window forecast makes 16 of them on a 20-node graph.
+    """
+    mat, shape = a.data, h.data.shape
+    if mat.ndim != 2 or len(shape) != 3:
         raise DimensionError(
-            f"propagate: expects a[N,N] and h[B,N,d], got {a.shape} and {h.shape}")
-    if a.shape != (h.shape[1], h.shape[1]):
+            f"propagate: expects a[N,N] and h[N,B,d], got {a.shape} and {shape}")
+    n = shape[0]
+    if mat.shape != (n, n):
         raise DimensionError(
-            f"propagate: operator {a.shape} does not match {h.shape[1]} nodes")
-    mat, x = a.data, h.data
-    return _out(mat @ x, "propagate", tape, (a, h),
-                (lambda g: np.tensordot(g, x, axes=([0, 2], [0, 2])),
-                 lambda g: mat.T @ g))
+            f"propagate: operator {a.shape} does not match h[N,B,d] with "
+            f"{n} nodes, got {shape}")
+    x = h.data.reshape(n, -1)
+    return _out(np.dot(mat, x).reshape(shape), "propagate", tape, (a, h),
+                (lambda g: g.reshape(n, -1) @ x.T,
+                 lambda g: (mat.T @ g.reshape(n, -1)).reshape(shape)))
 
 
 def gram(e: Tensor, tape: Tape | None = None) -> Tensor:
@@ -396,11 +440,13 @@ def concat_channels(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
-    """Replicate `a` along a new leading batch axis; backward sums it out."""
+    """Replicate a[N,...] along a new batch axis 1, [N,B,...]; backward sums it out."""
     if batch < 1:
         raise ContractError(f"expand_batch: batch must be >= 1, got {batch}")
-    arr = np.broadcast_to(a.data, (batch,) + a.shape).copy()
-    return _out(arr, "expand_batch", tape, (a,), (lambda g: g.sum(axis=0),))
+    if a.data.ndim < 1:
+        raise DimensionError(f"expand_batch: needs a leading node axis, got {a.shape}")
+    arr = np.broadcast_to(a.data[:, None], (a.shape[0], batch) + a.shape[1:]).copy()
+    return _out(arr, "expand_batch", tape, (a,), (lambda g: g.sum(axis=1),))
 
 
 # ---------------------------------------------------------------------------

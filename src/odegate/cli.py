@@ -435,7 +435,7 @@ def _write_trajectory_csv(path, states) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,node_0,node_1\n")
         for t, state in enumerate(states):
-            fh.write(f"{t},{float(state[0, 0, 0])!r},{float(state[0, 1, 0])!r}\n")
+            fh.write(f"{t},{float(state[0, 0, 0])!r},{float(state[1, 0, 0])!r}\n")
 
 
 def cmd_intersect_demo(args) -> int:
@@ -453,14 +453,14 @@ def cmd_intersect_demo(args) -> int:
     comp = CompensatorParams([(Tensor([[-6.0]]), Tensor([0.0]))
                               for _ in range(steps)])
 
-    leg_off = evolve(Tensor([[[0.2], [0.2]]]), steps, 1.0 / steps, a_op, vf,
+    leg_off = evolve(Tensor([[[0.2]], [[0.2]]]), steps, 1.0 / steps, a_op, vf,
                      comp=None, mask_mode="off", collect_states=True)
-    leg_on = evolve(Tensor([[[0.05], [-0.05]]]), steps, 1.0 / steps, a_op, vf,
+    leg_on = evolve(Tensor([[[0.05]], [[-0.05]]]), steps, 1.0 / steps, a_op, vf,
                     comp=comp, mask_mode="lte", collect_states=True)
 
-    off_ok = all(float(s[0, 0, 0]) == float(s[0, 1, 0])
+    off_ok = all(float(s[0, 0, 0]) == float(s[1, 0, 0])
                  for s in leg_off.states)
-    d_on = [float(s[0, 0, 0] - s[0, 1, 0]) for s in leg_on.states]
+    d_on = [float(s[0, 0, 0] - s[1, 0, 0]) for s in leg_on.states]
     flip_step = next((t for t, d in enumerate(d_on) if d * d_on[0] < 0), None)
     on_ok = flip_step is not None
 

@@ -22,6 +22,10 @@ with its step.  Only a reader of its gradient puts it on the tape, as a tenth
 node, `abs_diff`: a caller that collects the errors (the smoothness penalty
 differentiates them), or mask_grad, which adds the gate's `sigmoid` too.
 
+States are node-major, [N,B,d] (node, batch, channel), the layout
+`autodiff.propagate` reads as one [N, B*d] matrix; every array a step makes,
+masks and errors included, has that shape.
+
 `evolve` composes S such steps over unit time (dt = 1/S). The gate values
 are opt-in: pass collect_masks=True to get each step's mask, which a caller
 can fold into a `GateStats`.
@@ -92,7 +96,7 @@ class NFECounter:
         self.count += 1
 
 
-_TAIL_STRIDE = 17   # prime, so the sample walks every channel of [B,N,d]
+_TAIL_STRIDE = 17   # prime, so the sample walks every channel of [N,B,d]
 
 
 def _order_stats(flat: np.ndarray, lo: int) -> tuple[float, float]:
@@ -148,8 +152,13 @@ class GateStats:
         self.steps = 0
 
     def add(self, values: np.ndarray) -> None:
-        """Fold in one step's gate values."""
-        flat = values.ravel()
+        """Fold in one step's gate values, in memory order.
+
+        A transposed view, such as a batch-major mask, is read where it
+        lies instead of copied; every statistic but the sums' last bits is
+        independent of the order.
+        """
+        flat = values.ravel(order="K")
         self.count += flat.size
         self.total += float(flat.sum())
         self.total_sq += float(np.dot(flat, flat))
@@ -243,7 +252,7 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
            mask_grad: bool = False, tape: Tape | None = None,
            nfe: NFECounter | None = None, collect_lte: bool = True,
            collect_masks: bool = False, collect_states: bool = False) -> EvolveResult:
-    """Run S hybrid steps over unit time.
+    """Run S hybrid steps over unit time from a node-major state h0[N,B,d].
 
     mask_mode selects the ablation behavior:
       lte          full mechanism, mask = sigmoid(error)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Tape, Tensor, affine, backward, concat_channels,
-                       expand_batch, mean_abs_error)
+                       expand_batch, mean_abs_error, swap_leading)
 from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult,
                        LearnedMaskParams, NFECounter, VectorFieldParams, evolve)
 from .errors import DimensionError, ParseError, ValidationError, read_text
@@ -158,18 +158,29 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 
 @dataclass
 class ForwardResult:
+    """What `forward` returns: batch-major [B,N,*] views of its states.
+
+    Inside `forward` every state is node-major, [N,B,d], so each graph
+    product is one matrix product over [N, B*d].  `y_hat` and the error
+    tensors stay on the tape; their gradients reach the node-major tensors
+    they view (see `autodiff.swap_leading`).
+    """
+
     y_hat: Tensor                 # [batch, n_nodes, horizon]
     lte_static: list | None       # per-step error tensors, on the tape, when collected
     lte_adaptive: list | None
     nfe_static: int
     nfe_adaptive: int
-    masks_static: list | None = None
+    masks_static: list | None = None    # per-step gate arrays [batch, n_nodes, d_h]
     masks_adaptive: list | None = None
 
 
 def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
                      tape: Tape | None = None) -> Tensor:
-    """Shared initial state: per-node window projection || node embedding."""
+    """Shared node-major initial state [N,B,d_h] of an input x[B,N,T,D].
+
+    Per node and window: the window's projection, then the node embedding.
+    """
     if x.data.ndim != 4:
         raise DimensionError(f"initialize_state: input must be [B,N,T,D], got {x.shape}")
     b, n, t, d = x.shape
@@ -177,7 +188,8 @@ def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
         raise DimensionError(
             f"initialize_state: input {x.shape} does not match config "
             f"(n_nodes={config.n_nodes}, window={config.window}, in_dim={config.in_dim})")
-    proj = affine(Tensor(x.data.reshape(b, n, t * d)), params.w_input, tape=tape)
+    windows = Tensor(x.data.swapaxes(0, 1).reshape(n, b, t * d))
+    proj = affine(windows, params.w_input, tape=tape)
     emb = expand_batch(params.e_node, b, tape)
     return concat_channels(proj, emb, tape)
 
@@ -187,11 +199,13 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
             collect_lte: bool = False) -> ForwardResult:
     """Run both streams from the shared initial state and decode the horizon.
 
-    With collect_masks, each stream returns its per-step gate arrays.  With
-    collect_lte, each stream returns its per-step error tensors, on the tape,
-    for a loss that differentiates them (the smoothness penalty); without
-    it, `lte_static` and `lte_adaptive` are None and no error outlives its
-    step or enters the tape unless mask_grad differentiates the gate.
+    The streams run node-major and the results are batch-major views (see
+    `ForwardResult`).  With collect_masks, each stream returns its per-step
+    gate arrays.  With collect_lte, each stream returns its per-step error
+    tensors, on the tape, for a loss that differentiates them (the
+    smoothness penalty); without it, `lte_static` and `lte_adaptive` are
+    None and no error outlives its step or enters the tape unless mask_grad
+    differentiates the gate.
     """
     n = config.n_nodes
     if ahat.shape != (n, n):
@@ -214,10 +228,20 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
                                  nfe=nfe_k, **common)
 
     merged = concat_channels(res_s.h_final, res_k.h_final, tape)
-    y_hat = affine(merged, params.w_out, params.b_out, tape)
-    return ForwardResult(y_hat=y_hat, lte_static=res_s.lte, lte_adaptive=res_k.lte,
+    readout = affine(merged, params.w_out, params.b_out, tape)
+
+    def batch_major(values, swap):
+        return None if values is None else [swap(v) for v in values]
+
+    def swap_mask(m):
+        return m.swapaxes(0, 1)
+
+    return ForwardResult(y_hat=swap_leading(readout),
+                         lte_static=batch_major(res_s.lte, swap_leading),
+                         lte_adaptive=batch_major(res_k.lte, swap_leading),
                          nfe_static=nfe_s.count, nfe_adaptive=nfe_k.count,
-                         masks_static=res_s.masks, masks_adaptive=res_k.masks)
+                         masks_static=batch_major(res_s.masks, swap_mask),
+                         masks_adaptive=batch_major(res_k.masks, swap_mask))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, add, backward, mean_abs_error, mean_all, scale
 from .data import ForecastDataset, WindowSet
-from .dynamics import GateStats
+from .dynamics import GateStats, percentile95
 from .errors import ContractError, NumericError, ValidationError
 from .graph import normalize_adjacency
 from .model import ModelConfig, ModelParams, forward, init_params
@@ -396,8 +396,9 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
                                     batch_size, collect_masks=True):
         batch_cells = cells[sl]
         for m in res.masks_static + res.masks_adaptive:
-            hist += np.histogram(m, bins=HIST_BINS, range=(0.0, 1.0))[0]
-            gate.add(m)
+            flat = m.ravel(order="K")   # a batch-major view, read where it lies
+            hist += np.histogram(flat, bins=HIST_BINS, range=(0.0, 1.0))[0]
+            gate.add(flat)
             shock_vals = m[batch_cells]
             non_vals = m[~batch_cells]
             shock_sum += float(shock_vals.sum())
@@ -406,16 +407,16 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
             nonshock_n += non_vals.size
             if shock_vals.size:
                 shock_samples.append(shock_vals.ravel())
-            p95_samples.append(m.ravel())
+            p95_samples.append(flat)
 
     all_vals = np.concatenate(p95_samples)
     shock_vals = (np.concatenate(shock_samples) if shock_samples
                   else np.array([np.nan]))
     return MaskReport(
         mean=gate.mean, std=gate.std,
-        p95=float(np.percentile(all_vals, 95)),
+        p95=percentile95(all_vals),
         histogram=[int(c) for c in hist],
         shock_mean=float(shock_sum / shock_n) if shock_n else float("nan"),
         nonshock_mean=float(nonshock_sum / nonshock_n) if nonshock_n else float("nan"),
-        shock_p95=float(np.percentile(shock_vals, 95)),
+        shock_p95=percentile95(shock_vals),
         shock_cells=int(shock_n), nonshock_cells=int(nonshock_n))

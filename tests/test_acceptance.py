@@ -148,11 +148,11 @@ def test_accept_03_truncation_error_closed_form(capsys):
                                            b_f=Tensor(np.zeros(3)))
         for _ in range(100):
             a = rng.standard_normal((4, 4))
-            h = rng.standard_normal((1, 4, 3))
+            h = rng.standard_normal((4, 1, 3))   # node-major [N,B,d]
             res = evolve(Tensor(h), 1, 1.0, Tensor(a), identity_field,
                          comp=None, mask_mode="off")
-            expected = 0.5 * np.abs(a @ (a @ h[0]))
-            assert np.abs(res.lte[0].data[0] - expected).max() <= 1e-10
+            expected = 0.5 * np.abs(a @ (a @ h[:, 0]))
+            assert np.abs(res.lte[0].data[:, 0] - expected).max() <= 1e-10
         assert perf_counter() - start < 5.0
 
 

@@ -3,6 +3,7 @@ central-difference gradient oracle, plus the tape-lifecycle contracts."""
 
 import inspect
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import odegate.autodiff
 from odegate.autodiff import (Tape, Tensor, _finite, abs_diff, add, affine, axpy,
                               backward, concat_channels, detach, expand_batch,
                               finite_diff_gradient, gated_tanh, gram, mean_abs_error,
-                              mean_all, propagate, relu, row_normalize, scale, sigmoid)
+                              mean_all, propagate, relu, row_normalize, scale, sigmoid,
+                              swap_leading)
 from odegate.errors import ContractError, DimensionError, NumericError
 
 RNG = np.random.default_rng(12345)
@@ -92,7 +94,7 @@ class TestTapeLifecycle:
     def test_no_grad_inputs_record_nothing(self):
         t = Tape()
         a = Tensor(rand(2, 2))
-        h = Tensor(rand(1, 2, 3))
+        h = Tensor(rand(2, 1, 3))
         propagate(a, h, t)
         gram(a, t)
         assert len(t) == 0
@@ -292,18 +294,30 @@ class TestForwardOracles:
                               np.concatenate([a, b], axis=-1))
         e = rand(3, 4)
         assert np.array_equal(expand_batch(Tensor(e), 5).data,
-                              np.broadcast_to(e, (5, 3, 4)))
+                              np.broadcast_to(e[:, None], (3, 5, 4)))
 
     def test_structural_errors(self):
         with pytest.raises(DimensionError):
             concat_channels(Tensor(rand(2, 3)), Tensor(rand(3, 3)))
         with pytest.raises(ContractError):
             expand_batch(Tensor(rand(2)), 0)
+        with pytest.raises(DimensionError):
+            expand_batch(Tensor(1.0), 2)
+
+    def test_swap_leading_is_a_view(self):
+        x = Tensor(rand(4, 3, 2))
+        y = swap_leading(x)
+        assert y.shape == (3, 4, 2) and np.shares_memory(y.data, x.data)
+        assert np.array_equal(y.data, x.data.transpose(1, 0, 2))
+        assert not y.requires_grad
+        with pytest.raises(DimensionError):
+            swap_leading(Tensor(rand(3)))
 
     def test_propagate_matches_per_batch_loop(self):
-        a, h = rand(5, 5), rand(3, 5, 4)
-        expected = np.stack([a @ h[b] for b in range(3)])
+        a, h = rand(5, 5), rand(5, 3, 4)   # node-major [N,B,d], B != N
+        expected = np.stack([a @ h[:, b] for b in range(3)], axis=1)
         out = propagate(Tensor(a), Tensor(h)).data
+        assert out.shape == h.shape
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_affine_matches_per_batch_loop(self):
@@ -315,12 +329,14 @@ class TestForwardOracles:
             assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_graph_op_shape_errors(self):
-        with pytest.raises(DimensionError):
-            propagate(Tensor(rand(4, 4)), Tensor(rand(4, 3)))      # h not [B,N,d]
-        with pytest.raises(DimensionError):
-            propagate(Tensor(rand(4, 5)), Tensor(rand(2, 4, 3)))   # a not square
-        with pytest.raises(DimensionError):
-            propagate(Tensor(rand(5, 5)), Tensor(rand(2, 4, 3)))   # node count
+        with pytest.raises(DimensionError, match=r"h\[N,B,d\]"):
+            propagate(Tensor(rand(4, 4)), Tensor(rand(4, 3)))      # h not [N,B,d]
+        with pytest.raises(DimensionError, match=r"h\[N,B,d\]"):
+            propagate(Tensor(rand(4, 5)), Tensor(rand(4, 2, 3)))   # a not square
+        with pytest.raises(DimensionError, match=r"h\[N,B,d\]"):
+            propagate(Tensor(rand(5, 5)), Tensor(rand(4, 2, 3)))   # node count
+        with pytest.raises(DimensionError, match=r"h\[N,B,d\]"):
+            propagate(Tensor(rand(4, 4)), Tensor(rand(2, 4, 3)))   # batch-major h
         with pytest.raises(DimensionError):
             affine(Tensor(rand(2, 4, 3)), Tensor(rand(4, 2)))      # inner dims
         with pytest.raises(DimensionError):
@@ -412,13 +428,13 @@ class TestGradientOracles:
 
     def test_propagate(self):
         a = Tensor(rand(4, 4), requires_grad=True)
-        h = Tensor(rand(3, 4, 2), requires_grad=True)
+        h = Tensor(rand(4, 3, 2), requires_grad=True)
         grad_matches(lambda t: mean_all(sigmoid(propagate(a, h, t), t), t), [a, h])
 
     def test_propagate_learnable_operator(self):
         # the adaptive operator is itself built on the tape from embeddings
         e = Tensor(rand(4, 2), requires_grad=True)
-        h = Tensor(rand(3, 4, 2), requires_grad=True)
+        h = Tensor(rand(4, 3, 2), requires_grad=True)
 
         def build(t):
             a = row_normalize(relu(gram(e, t), t), t)
@@ -450,6 +466,35 @@ class TestGradientOracles:
             return mean_abs_error(sigmoid(h, t), y, t)
 
         grad_matches(build, [a, w, bias])
+
+    def test_swap_leading(self):
+        # a batch-major view of a node-major affine output, as `forward`'s
+        # forecast: its gradient reaches the affine rule in node-major rows
+        h = Tensor(rand(4, 3, 2), requires_grad=True)
+        w = Tensor(rand(2, 5), requires_grad=True)
+        bias = Tensor(rand(5), requires_grad=True)
+        y = Tensor(rand(3, 4, 5))
+
+        def build(t):
+            out = swap_leading(affine(h, w, bias, t))
+            return mean_abs_error(sigmoid(out, t), y, t)
+
+        t = Tape()
+        build(t)
+        assert Counter(name for name, _ in t.nodes) == {"affine": 1, "sigmoid": 1,
+                                                        "mean_abs_error": 1}
+        grad_matches(build, [h, w, bias])
+
+    def test_swap_leading_fans_out(self):
+        # one node-major tensor read directly and through its swapped view
+        h = Tensor(rand(3, 2, 2), requires_grad=True)
+
+        def build(t):
+            x = sigmoid(h, t)
+            both = add(scale(swap_leading(x), 2.0, t), swap_leading(sigmoid(x, t)), t)
+            return add(mean_all(sigmoid(both, t), t), mean_all(relu(x, t), t), t)
+
+        grad_matches(build, [h])
 
     def test_detached_input_gets_no_grad(self):
         t = Tape()
@@ -487,7 +532,7 @@ ORACLE_TABLE = {
     "row_normalize": (lambda t, s: row_normalize(s, t), _relu_zeroed),
     "propagate": (lambda t, a, h: propagate(a, h, t),
                   lambda rng: (rng.standard_normal((4, 4)),
-                               rng.standard_normal((3, 4, 2)))),
+                               rng.standard_normal((4, 3, 2)))),
     "affine": (lambda t, h, w, b: affine(h, w, b, t),
                lambda rng: (rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)),
                             rng.standard_normal(5))),

@@ -7,6 +7,7 @@ entry point.
 
 import contextlib
 import filecmp
+import hashlib
 import io
 import json
 import shutil
@@ -542,6 +543,20 @@ class TestIntersectDemo:
         assert np.array_equal(off[:, 1], off[:, 2])
         d = on[:, 1] - on[:, 2]
         assert d[0] > 0 and (d < 0).any()
+
+    # The two legs' files, byte for byte: a change to how `evolve` lays out
+    # or indexes its states must not move a single digit of either.
+    TRAJECTORY_DIGESTS = {
+        "trajectory_off.csv": "edaac2cebd23a4944b5609e03234e9ae64a2bda0423f9a4b6ea703bf1d8182f6",
+        "trajectory_on.csv": "7a06c40992a6a858ca2cc203148b4ee106c6e567bd8734e74eec5d9faf1a5f08",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+    def test_trajectory_files_pinned(self, tmp_path, capsys, name):
+        out = tmp_path / "demo"
+        assert main(["intersect-demo", "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == self.TRAJECTORY_DIGESTS[name]
 
 
 FUZZ_FILES = ("meta.json", "series.csv", "events.csv", "edges.csv", "checkpoint.json")

@@ -6,6 +6,8 @@ exponential flows, so the solver orders are measured against the truth rather
 than against the implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,14 +37,15 @@ def comp_for(rng, d_h, steps):
 
 
 def numpy_field(a, h, w, b):
-    return np.einsum("ij,bjk->bik", a, h) @ w + b
+    # node-major h[N,B,d], as every state in these tests
+    return np.einsum("ij,jbk->ibk", a, h) @ w + b
 
 
 class TestVectorField:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 4))
-        h = rng.standard_normal((2, 4, 3))
+        h = rng.standard_normal((4, 2, 3))
         vf = affine_field(rng, 3)
         out = vector_field(Tensor(h), Tensor(a), vf)
         assert np.allclose(out.data,
@@ -53,14 +56,14 @@ class TestVectorField:
         rng = np.random.default_rng(1)
         nfe = NFECounter()
         vf = affine_field(rng, 2)
-        vector_field(Tensor(rng.standard_normal((1, 3, 2))),
+        vector_field(Tensor(rng.standard_normal((3, 1, 2))),
                      Tensor(np.eye(3)), vf, nfe=nfe)
         assert nfe.count == 1
 
     def test_records_two_tape_nodes(self):
         rng = np.random.default_rng(1)
         tape = Tape()
-        h = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
+        h = Tensor(rng.standard_normal((3, 2, 2)), requires_grad=True)
         vector_field(h, Tensor(np.eye(3)), affine_field(rng, 2), tape)
         assert [name for name, _ in tape.nodes] == ["propagate", "affine"]
 
@@ -70,14 +73,14 @@ class TestEmbeddedDualStep:
         rng = np.random.default_rng(2)
         nfe = NFECounter()
         vf = affine_field(rng, 3)
-        embedded_dual_step(Tensor(rng.standard_normal((2, 4, 3))), 0.25,
+        embedded_dual_step(Tensor(rng.standard_normal((4, 2, 3))), 0.25,
                            Tensor(rng.standard_normal((4, 4))), vf, nfe=nfe)
         assert nfe.count == 2
 
     def test_euler_and_rk2_values(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
-        h = rng.standard_normal((2, 4, 3))
+        h = rng.standard_normal((4, 2, 3))
         vf = affine_field(rng, 3)
         dt = 0.2
         h_euler, h_rk2 = embedded_dual_step(Tensor(h), dt, Tensor(a), vf)
@@ -95,7 +98,7 @@ class TestEmbeddedDualStep:
         vf = VectorFieldParams(w_f=Tensor(np.zeros((3, 3))),
                                b_f=Tensor(rng.standard_normal(3)))
         h_euler, h_rk2 = embedded_dual_step(
-            Tensor(rng.standard_normal((1, 2, 3))), 0.5,
+            Tensor(rng.standard_normal((2, 1, 3))), 0.5,
             Tensor(rng.standard_normal((2, 2))), vf)
         assert np.array_equal(h_euler.data, h_rk2.data)
         err = local_truncation_error(h_euler, h_rk2)
@@ -106,7 +109,7 @@ class TestEmbeddedDualStep:
         rng = np.random.default_rng(5)
         vf = affine_field(rng, 2)
         with pytest.raises(ContractError):
-            embedded_dual_step(Tensor(rng.standard_normal((1, 2, 2))), 0.0,
+            embedded_dual_step(Tensor(rng.standard_normal((2, 1, 2))), 0.0,
                                Tensor(np.eye(2)), vf)
 
 
@@ -119,14 +122,14 @@ class TestAnalyticTruncationError:
     def check_case(self, seed, dt=0.25):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 4))
-        h = rng.standard_normal((2, 4, 3))
+        h = rng.standard_normal((4, 2, 3))
         vf = affine_field(rng, 3)
         h_euler, h_rk2 = embedded_dual_step(Tensor(h), dt, Tensor(a), vf)
         err = local_truncation_error(h_euler, h_rk2).data
         f_h = numpy_field(a, h, vf.w_f.data, vf.b_f.data)
         analytic = np.abs(
             (dt * dt / 2.0)
-            * (np.einsum("ij,bjk->bik", a, f_h) @ vf.w_f.data))
+            * (np.einsum("ij,jbk->ibk", a, f_h) @ vf.w_f.data))
         assert np.abs(err - analytic).max() < 1e-10
 
     def test_many_random_cases(self):
@@ -136,7 +139,7 @@ class TestAnalyticTruncationError:
     def test_scales_with_dt_squared(self):
         rng = np.random.default_rng(99)
         a = rng.standard_normal((4, 4))
-        h = Tensor(rng.standard_normal((1, 4, 3)))
+        h = Tensor(rng.standard_normal((4, 1, 3)))
         vf = affine_field(rng, 3)
         errs = []
         for dt in (0.2, 0.1):
@@ -175,12 +178,12 @@ class TestSolverOrders:
         a = (m + m.T) / 2.0
         c = 0.4
         vf = VectorFieldParams(w_f=Tensor([[c]]), b_f=Tensor([0.0]))
-        h0 = rng.standard_normal((1, n, 1))
+        h0 = rng.standard_normal((n, 1, 1))
         lam, vec = np.linalg.eigh(c * a)
 
         def exact(dt):
             flow = vec @ np.diag(np.exp(lam * dt)) @ vec.T
-            return np.einsum("ij,bjk->bik", flow, h0)
+            return np.einsum("ij,jbk->ibk", flow, h0)
 
         ratios = []
         for order_idx in (0, 1):
@@ -250,7 +253,7 @@ class TestEvolveContracts:
         self.vf = affine_field(self.rng, 2)
         self.comp = comp_for(self.rng, 2, 4)
         self.a = Tensor(np.eye(3))
-        self.h0 = Tensor(self.rng.standard_normal((2, 3, 2)))
+        self.h0 = Tensor(self.rng.standard_normal((3, 2, 2)))
 
     def test_step_count_validated(self):
         with pytest.raises(ContractError):
@@ -298,7 +301,7 @@ class TestEvolveBehavior:
         self.vf = affine_field(self.rng, 3)
         self.comp = comp_for(self.rng, 3, 4)
         self.a = Tensor(np.abs(self.rng.standard_normal((4, 4))) / 4.0)
-        self.h0 = Tensor(self.rng.standard_normal((2, 4, 3)))
+        self.h0 = Tensor(self.rng.standard_normal((4, 2, 3)))
 
     @pytest.mark.parametrize("mode", ["lte", "uniform_one", "learned", "off"])
     def test_nfe_budget_all_modes(self, mode):
@@ -400,7 +403,7 @@ class TestGateGradientFlow:
         rng = np.random.default_rng(21)
         vf = affine_field(rng, 2)
         comp = comp_for(rng, 2, 2)
-        h0 = Tensor(rng.standard_normal((1, 3, 2)))
+        h0 = Tensor(rng.standard_normal((3, 1, 2)))
         a = Tensor(np.eye(3) * 0.8)
         tape = Tape()
         res = evolve(h0, 2, 0.5, a, vf, comp, mask_grad=mask_grad, tape=tape)
@@ -419,7 +422,7 @@ class TestGateGradientFlow:
         rng = np.random.default_rng(22)
         vf = affine_field(rng, 2)
         comp = comp_for(rng, 2, 2)
-        h0 = Tensor(rng.standard_normal((1, 3, 2)))
+        h0 = Tensor(rng.standard_normal((3, 1, 2)))
         tape = Tape()
         res = evolve(h0, 2, 0.5, Tensor(np.eye(3)), vf, comp, tape=tape)
         backward(mean_all(res.lte[0], tape), tape)
@@ -469,6 +472,24 @@ class TestGateStats:
         assert stats.std == pytest.approx(values.std(), rel=0, abs=1e-12)
         assert stats.p95 == pytest.approx(
             np.mean([np.percentile(m, 95) for m in steps]), rel=0, abs=1e-12)
+
+    def test_folds_a_transposed_view_in_place(self):
+        # a train-n300 mask as `forward` returns it: a batch-major view of a
+        # node-major array, folded without a state-sized copy
+        rng = np.random.default_rng(3)
+        view = (0.5 + 0.5 * rng.random((300, 32, 40))).swapaxes(0, 1)
+        ref = GateStats()
+        ref.add(np.ascontiguousarray(view))
+        got = GateStats()
+        tracemalloc.start()
+        try:
+            got.add(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < view.nbytes / 2, peak
+        assert (got.count, got.steps, got.p95) == (ref.count, ref.steps, ref.p95)
+        assert got.mean == pytest.approx(ref.mean, rel=1e-15, abs=0)
 
     def test_empty_reads_zero(self):
         stats = GateStats()

@@ -19,7 +19,8 @@ from odegate.data import (ForecastDataset, Scaler, ShockEvent, ShockScenario,
                           WindowSet, build_dataset, default_graph,
                           generate_shock_series)
 from odegate.errors import ContractError, NumericError, ValidationError
-from odegate.model import ModelConfig, init_params
+from odegate.graph import normalize_adjacency
+from odegate.model import ModelConfig, forward, init_params
 from odegate.training import (VARIANTS, AdamState, EvalReport, TrainConfig,
                               adam_step, batch_loss, check_finite_grads,
                               clip_gradients, config_for_variant, evaluate,
@@ -458,3 +459,28 @@ class TestMaskStatistics:
         blend = (report.shock_mean * report.shock_cells
                  + report.nonshock_mean * report.nonshock_cells) / n_cells
         assert blend == pytest.approx(report.mean, rel=1e-9)
+
+    def test_p95s_equal_numpy(self, monkeypatch):
+        # both are np.percentile of the same values, bitwise, by partitioning
+        # rather than by sorting every gate value of the split
+        ds = tiny_dataset()
+        params = init_params(TINY_MODEL, seed=0)
+        windows = ds.splits["val"]
+        cells = shock_cell_matrix(windows, ds.events, ds.window)
+        ahat = normalize_adjacency(ds.graph)
+        values, shocked = [], []
+        for lo in range(0, windows.count, 64):
+            res = forward(Tensor(windows.x[lo:lo + 64]), ahat, params, TINY_MODEL,
+                          collect_masks=True)
+            for m in res.masks_static + res.masks_adaptive:
+                values.append(m.ravel())
+                shocked.append(m[cells[lo:lo + 64]].ravel())
+        p95 = float(np.percentile(np.concatenate(values), 95))
+        shock_p95 = float(np.percentile(np.concatenate(shocked), 95))
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("np.percentile sorts the whole split")
+
+        monkeypatch.setattr(np, "percentile", boom)
+        report = mask_report(params, TINY_MODEL, ds, split="val")
+        assert (report.p95, report.shock_p95) == (p95, shock_p95)
