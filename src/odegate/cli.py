@@ -12,7 +12,11 @@ Subcommands:
                    flow cannot; prints PASS or FAIL as its last line
 
 Settings resolve in three layers: built-in defaults, then a --config file of
-`key=value` lines, then explicit flags.  The resolved values are written to
+`key=value` lines, then explicit flags.  A key's built-in default is the field
+default of the dataclass that consumes it (ShockScenario, ModelConfig,
+TrainConfig), and values are read as that default's type.  Only `stride` and
+`tick_seconds`, which no dataclass holds, are declared here, and `ablate`
+runs its penalty variant at lam=0.1.  The resolved values are written to
 resolved_config.txt next to the outputs.  All outputs are deterministic for a
 given input and seed; running a command twice produces identical bytes.
 
@@ -33,8 +37,8 @@ import sys
 import numpy as np
 
 from .autodiff import Tensor
-from .data import (ShockScenario, build_dataset, default_graph,
-                   generate_shock_series, load_dataset_files,
+from .data import (DEFAULT_TICK_SECONDS, ShockScenario, build_dataset,
+                   default_graph, generate_shock_series, load_dataset_files,
                    write_dataset_files)
 from .dynamics import MASK_MODES, CompensatorParams, VectorFieldParams, evolve
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
@@ -66,26 +70,6 @@ ERROR_MAP = (
 # layered configuration
 # ---------------------------------------------------------------------------
 
-KEY_TYPES = {
-    "amplitude": float, "batch_size": int, "clip_norm": float,
-    "diffusion": float, "embed_dim": int, "epochs": int, "horizon": int,
-    "in_dim": int, "lam": float, "lr": float, "mask_grad": bool,
-    "n_nodes": int, "patience": int, "period": float, "proj_dim": int,
-    "seed": int, "shock_decay": float, "shock_mag_hi": float,
-    "shock_mag_lo": float, "shock_rate": float, "steps": int, "stride": int,
-    "tick_seconds": int, "total_t": int, "variant": str, "window": int,
-}
-
-DEFAULTS = {
-    "amplitude": 1.0, "batch_size": 32, "clip_norm": 5.0, "diffusion": 0.05,
-    "embed_dim": 10, "epochs": 50, "horizon": 12, "in_dim": 1, "lam": 0.0,
-    "lr": 0.003, "mask_grad": False, "n_nodes": 20, "patience": 10,
-    "period": 100.0, "proj_dim": 30, "seed": 0, "shock_decay": 12.0,
-    "shock_mag_hi": 8.0, "shock_mag_lo": 3.0, "shock_rate": 1.0, "steps": 4,
-    "stride": 1, "tick_seconds": 300, "total_t": 2000, "variant": "full",
-    "window": 12,
-}
-
 GENERATE_KEYS = ("amplitude", "diffusion", "n_nodes", "period", "seed",
                  "shock_decay", "shock_mag_hi", "shock_mag_lo", "shock_rate",
                  "tick_seconds", "total_t")
@@ -97,9 +81,18 @@ EVAL_KEYS = ("batch_size", "stride")
 NFE_KEYS = ("embed_dim", "horizon", "n_nodes", "proj_dim", "seed", "steps",
             "window")
 
+# a value is read as its default's type; tests hold that to the annotation
+DEFAULTS = {f.name: f.default
+            for cls in (ShockScenario, ModelConfig, TrainConfig)
+            for f in dataclasses.fields(cls)
+            if f.name in GENERATE_KEYS + TRAIN_KEYS + EVAL_KEYS + NFE_KEYS
+            and f.default is not dataclasses.MISSING}
+DEFAULTS.update(stride=1, tick_seconds=DEFAULT_TICK_SECONDS)
+ABLATE_DEFAULTS = {**DEFAULTS, "lam": 0.1}
+
 
 def _coerce(key: str, raw: str):
-    kind = KEY_TYPES[key]
+    kind = type(DEFAULTS[key])
     try:
         if kind is bool:
             low = raw.strip().lower()
@@ -135,7 +128,7 @@ def parse_config_file(path, allowed) -> dict:
             raise ParseError(f"{path}: line {lineno}: expected key=value")
         key, _, raw = text.partition("=")
         key = key.strip()
-        if key not in KEY_TYPES:
+        if key not in DEFAULTS:
             raise ParseError(f"{path}: line {lineno}: unknown key '{key}'")
         if key not in allowed:
             raise ParseError(
@@ -144,10 +137,9 @@ def parse_config_file(path, allowed) -> dict:
     return values
 
 
-def resolve_settings(args, keys, defaults=None) -> dict:
+def resolve_settings(args, keys, defaults=DEFAULTS) -> dict:
     """defaults, then --config file values, then explicit flags."""
-    base = dict(DEFAULTS if defaults is None else defaults)
-    resolved = {k: base[k] for k in keys}
+    resolved = {k: defaults[k] for k in keys}
     if getattr(args, "config", None):
         resolved.update(parse_config_file(args.config, set(keys)))
     for key in keys:
@@ -164,12 +156,18 @@ def write_resolved(out_dir, settings: dict) -> None:
             fh.write(f"{key}={_format_value(settings[key])}\n")
 
 
-def add_setting_flags(parser, keys) -> None:
+def add_setting_flags(parser, keys, defaults=DEFAULTS) -> None:
     for key in sorted(keys):
         parser.add_argument("--" + key.replace("_", "-"), dest=key,
                             default=None, metavar="V",
                             help=f"override '{key}' "
-                                 f"(default {_format_value(DEFAULTS[key])})")
+                                 f"(default {_format_value(defaults[key])})")
+
+
+def pick(cls, settings: dict, **fixed):
+    """`cls` built from the settings named like its fields; `fixed` wins."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{**{k: v for k, v in settings.items() if k in names}, **fixed})
 
 
 def write_json(path, payload) -> None:
@@ -206,12 +204,7 @@ def run_manifest(model_config: ModelConfig, train_config: TrainConfig) -> dict:
 
 def cmd_generate_data(args) -> int:
     cfg = resolve_settings(args, GENERATE_KEYS)
-    scenario = ShockScenario(
-        n_nodes=cfg["n_nodes"], total_t=cfg["total_t"],
-        amplitude=cfg["amplitude"], period=cfg["period"],
-        diffusion=cfg["diffusion"], shock_rate=cfg["shock_rate"],
-        shock_mag_lo=cfg["shock_mag_lo"], shock_mag_hi=cfg["shock_mag_hi"],
-        shock_decay=cfg["shock_decay"], seed=cfg["seed"])
+    scenario = pick(ShockScenario, cfg)
     graph = default_graph(cfg["n_nodes"], seed=cfg["seed"])
     series, events = generate_shock_series(scenario, graph)
     os.makedirs(args.out, exist_ok=True)
@@ -236,30 +229,29 @@ def _load_for_model(data_dir, window, horizon, stride):
 
 
 def _model_config(cfg, meta, variant) -> ModelConfig:
-    return ModelConfig(
-        n_nodes=meta["n_nodes"], in_dim=meta["in_dim"],
-        window=cfg["window"], horizon=cfg["horizon"],
-        proj_dim=cfg["proj_dim"], embed_dim=cfg["embed_dim"],
-        steps=cfg["steps"], mask_mode=VARIANTS[variant],
-        mask_grad=cfg["mask_grad"])
+    return pick(ModelConfig, cfg, n_nodes=meta["n_nodes"],
+                in_dim=meta["in_dim"], mask_mode=VARIANTS[variant])
 
 
-def _train_config(cfg, variant, lam) -> TrainConfig:
-    return TrainConfig(
-        variant=variant, lam=lam, lr=cfg["lr"], epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"], seed=cfg["seed"],
-        patience=cfg["patience"], clip_norm=cfg["clip_norm"])
+def _load_checkpoint_and_data(args, cfg):
+    """The checkpoint, and the dataset windowed the way it was trained."""
+    params, model_config = load_checkpoint(args.checkpoint)
+    dataset, meta = _load_for_model(args.data, model_config.window,
+                                    model_config.horizon, cfg["stride"])
+    if meta["n_nodes"] != model_config.n_nodes:
+        raise ValidationError(
+            f"checkpoint expects {model_config.n_nodes} nodes, "
+            f"data has {meta['n_nodes']}")
+    return params, model_config, dataset
 
 
 def cmd_train(args) -> int:
     cfg = resolve_settings(args, TRAIN_KEYS)
-    variant = cfg["variant"]
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant '{variant}'")
+    train_config = pick(TrainConfig, cfg)   # rejects an unknown variant
+    variant = train_config.variant
     dataset, meta = _load_for_model(args.data, cfg["window"], cfg["horizon"],
                                     cfg["stride"])
     model_config = _model_config(cfg, meta, variant)
-    train_config = _train_config(cfg, variant, cfg["lam"])
     log = None if args.quiet else print
     result = train(dataset, model_config, train_config, log=log)
     # only now: a run that train rejects leaves no empty --out behind
@@ -280,19 +272,12 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = resolve_settings(args, EVAL_KEYS)
-    params, model_config = load_checkpoint(args.checkpoint)
-    dataset, meta = _load_for_model(args.data, model_config.window,
-                                    model_config.horizon, cfg["stride"])
-    if meta["n_nodes"] != model_config.n_nodes:
-        raise ValidationError(
-            f"checkpoint expects {model_config.n_nodes} nodes, "
-            f"data has {meta['n_nodes']}")
+    params, model_config, dataset = _load_checkpoint_and_data(args, cfg)
     report = evaluate(params, model_config, dataset, split=args.split,
                       batch_size=cfg["batch_size"])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "metrics.json"),
-               {"split": args.split, "count": report.count, "mae": report.mae,
-                "rmse": report.rmse, "mape": report.mape})
+               {"split": args.split, **dataclasses.asdict(report)})
     write_resolved(args.out, cfg)
     print(f"split={args.split} windows={report.count}")
     print(f"mae={report.mae!r}")
@@ -306,8 +291,7 @@ ABLATION_ORDER = ("full", "no_lte", "no_compensation", "no_mask",
 
 
 def cmd_ablate(args) -> int:
-    cfg = resolve_settings(args, ABLATE_KEYS,
-                           defaults={**DEFAULTS, "lam": 0.1})
+    cfg = resolve_settings(args, ABLATE_KEYS, ABLATE_DEFAULTS)
     dataset, meta = _load_for_model(args.data, cfg["window"], cfg["horizon"],
                                     cfg["stride"])
     os.makedirs(args.out, exist_ok=True)
@@ -315,7 +299,7 @@ def cmd_ablate(args) -> int:
     for variant in ABLATION_ORDER:
         model_config = _model_config(cfg, meta, variant)
         lam = cfg["lam"] if variant == "manifold_penalty" else 0.0
-        train_config = _train_config(cfg, variant, lam)
+        train_config = pick(TrainConfig, cfg, variant=variant, lam=lam)
         result = train(dataset, model_config, train_config, log=None)
         report = evaluate(result.params, model_config, dataset, split="test",
                           batch_size=cfg["batch_size"])
@@ -343,24 +327,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_mask_stats(args) -> int:
     cfg = resolve_settings(args, EVAL_KEYS)
-    params, model_config = load_checkpoint(args.checkpoint)
-    dataset, meta = _load_for_model(args.data, model_config.window,
-                                    model_config.horizon, cfg["stride"])
-    if meta["n_nodes"] != model_config.n_nodes:
-        raise ValidationError(
-            f"checkpoint expects {model_config.n_nodes} nodes, "
-            f"data has {meta['n_nodes']}")
+    params, model_config, dataset = _load_checkpoint_and_data(args, cfg)
     report = mask_report(params, model_config, dataset, split=args.split,
                          batch_size=cfg["batch_size"])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "mask_stats.json"),
-               {"split": args.split, "mean": report.mean, "std": report.std,
-                "p95": report.p95, "histogram": report.histogram,
-                "shock_mean": report.shock_mean,
-                "nonshock_mean": report.nonshock_mean,
-                "shock_p95": report.shock_p95,
-                "shock_cells": report.shock_cells,
-                "nonshock_cells": report.nonshock_cells})
+               {"split": args.split, **dataclasses.asdict(report)})
     write_resolved(args.out, cfg)
     print(f"split={args.split}")
     print(f"mean={report.mean!r}")
@@ -382,9 +354,7 @@ def cmd_nfe_report(args) -> int:
     rng = np.random.default_rng(cfg["seed"])
     x = Tensor(rng.standard_normal((2, cfg["n_nodes"], cfg["window"], 1)))
     expected = 2 * cfg["steps"]
-    base = ModelConfig(n_nodes=cfg["n_nodes"], window=cfg["window"],
-                       horizon=cfg["horizon"], proj_dim=cfg["proj_dim"],
-                       embed_dim=cfg["embed_dim"], steps=cfg["steps"])
+    base = pick(ModelConfig, cfg)
 
     modes = {}
     for mode in MASK_MODES:
@@ -494,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and discrete shock compensation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, keys, data=False, checkpoint=False, split=False):
+    def common(p, keys, data=False, checkpoint=False, split=False,
+               defaults=DEFAULTS):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--config", default=None, help="key=value settings file")
         if data:
@@ -504,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         if split:
             p.add_argument("--split", default="test",
                            choices=("train", "val", "test"))
-        add_setting_flags(p, keys)
+        add_setting_flags(p, keys, defaults)
 
     p = sub.add_parser("generate-data", help="write a synthetic shock dataset")
     common(p, GENERATE_KEYS)
@@ -520,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train and score all five variants")
-    common(p, ABLATE_KEYS, data=True)
+    common(p, ABLATE_KEYS, data=True, defaults=ABLATE_DEFAULTS)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("mask-stats", help="gate statistics of a checkpoint")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -170,10 +170,11 @@ def make_windows(series: np.ndarray, window: int, horizon: int,
 
 @dataclass
 class Scaler:
-    """Per-channel standardization fitted on the training segment only."""
+    """Standardization of the one input channel, fitted on the training
+    segment only."""
 
-    mean: np.ndarray   # [channels]
-    std: np.ndarray    # [channels]
+    mean: np.ndarray   # [1]
+    std: np.ndarray    # [1]
 
     @classmethod
     def fit(cls, segment: np.ndarray) -> "Scaler":
@@ -187,16 +188,15 @@ class Scaler:
             raise ValidationError(
                 f"Scaler.fit: the training mean or std overflows float64; the "
                 f"largest value {float(segment[t, node])!r} is at tick {t}, node {node}")
-        for c, s in enumerate(std):
-            if s == 0.0:
-                raise ValidationError(f"Scaler.fit: channel {c} has zero variance")
+        if std[0] == 0.0:
+            raise ValidationError("Scaler.fit: channel 0 has zero variance")
         return cls(mean=mean, std=std)
 
-    def transform(self, values: np.ndarray, channel: int = 0) -> np.ndarray:
-        return (values - self.mean[channel]) / self.std[channel]
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        return (values - self.mean[0]) / self.std[0]
 
-    def inverse(self, values: np.ndarray, channel: int = 0) -> np.ndarray:
-        return values * self.std[channel] + self.mean[channel]
+    def inverse(self, values: np.ndarray) -> np.ndarray:
+        return values * self.std[0] + self.mean[0]
 
 
 SPLIT_FRACTIONS = {"train": 0.6, "val": 0.2}   # test takes the remainder
@@ -329,14 +329,7 @@ def write_meta(path, scenario: ShockScenario, edge_list_path: str,
         "in_dim": 1,
         "tick_seconds": tick_seconds,
         "edge_list_path": edge_list_path,
-        "scenario": {
-            "total_t": scenario.total_t, "amplitude": scenario.amplitude,
-            "period": scenario.period, "diffusion": scenario.diffusion,
-            "shock_rate": scenario.shock_rate,
-            "shock_mag_lo": scenario.shock_mag_lo,
-            "shock_mag_hi": scenario.shock_mag_hi,
-            "shock_decay": scenario.shock_decay, "seed": scenario.seed,
-        },
+        "scenario": {k: v for k, v in asdict(scenario).items() if k != "n_nodes"},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)

@@ -6,6 +6,7 @@ entry point.
 """
 
 import contextlib
+import dataclasses
 import filecmp
 import hashlib
 import io
@@ -23,13 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odegate.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK,
-                         EXIT_USAGE, GENERATE_KEYS, TRAIN_KEYS, _coerce,
-                         main, parse_config_file, resolve_settings,
-                         write_resolved)
-from odegate.data import read_series_csv
+from odegate.cli import (ABLATE_KEYS, ABLATION_ORDER, DEFAULTS, EVAL_KEYS,
+                         EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                         GENERATE_KEYS, NFE_KEYS, TRAIN_KEYS, _coerce, main,
+                         parse_config_file, resolve_settings, write_resolved)
+from odegate.data import ShockScenario, read_series_csv
 from odegate.errors import ParseError, ValidationError
 from odegate.model import ModelConfig, init_params, save_checkpoint
+from odegate.training import TrainConfig
 
 SMALL_TRAIN = ["--window", "4", "--horizon", "3", "--proj-dim", "4",
                "--embed-dim", "2", "--steps", "2", "--batch-size", "16",
@@ -93,6 +95,45 @@ class TestCoercion:
             _coerce("n_nodes", "four")
         with pytest.raises(ValidationError, match="true/false"):
             _coerce("mask_grad", "maybe")
+
+
+# Every setting's default as the commands resolve it with no file and no flag.
+GENERATE_DEFAULTS = {
+    "amplitude": 1.0, "diffusion": 0.05, "n_nodes": 20, "period": 100.0,
+    "seed": 0, "shock_decay": 12.0, "shock_mag_hi": 8.0, "shock_mag_lo": 3.0,
+    "shock_rate": 1.0, "tick_seconds": 300, "total_t": 2000,
+}
+TRAIN_DEFAULTS = {
+    "batch_size": 32, "clip_norm": 5.0, "embed_dim": 10, "epochs": 50,
+    "horizon": 12, "lam": 0.0, "lr": 0.003, "mask_grad": False, "patience": 10,
+    "proj_dim": 30, "seed": 0, "steps": 4, "stride": 1, "variant": "full",
+    "window": 12,
+}
+EVAL_DEFAULTS = {"batch_size": 32, "stride": 1}
+NFE_DEFAULTS = {"embed_dim": 10, "horizon": 12, "n_nodes": 20, "proj_dim": 30,
+                "seed": 0, "steps": 4, "window": 12}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("keys, expected", [
+        (GENERATE_KEYS, GENERATE_DEFAULTS), (TRAIN_KEYS, TRAIN_DEFAULTS),
+        (EVAL_KEYS, EVAL_DEFAULTS), (NFE_KEYS, NFE_DEFAULTS),
+    ], ids=["generate", "train", "evaluate", "nfe"])
+    def test_resolved_defaults(self, keys, expected):
+        resolved = resolve_settings(Namespace(), keys)
+        assert resolved == expected
+        assert [type(v) for v in resolved.values()] == \
+            [type(expected[k]) for k in resolved]
+
+    def test_fields_agree_with_cli(self):
+        # a CLI key that names a field of several dataclasses (seed) must
+        # mean one type and one default in all of them
+        cli_keys = set(GENERATE_KEYS + TRAIN_KEYS + EVAL_KEYS + NFE_KEYS)
+        for cls in (ShockScenario, ModelConfig, TrainConfig):
+            for f in dataclasses.fields(cls):
+                if f.name in cli_keys and f.default is not dataclasses.MISSING:
+                    assert f.type == type(DEFAULTS[f.name]).__name__, (cls, f.name)
+                    assert f.default == DEFAULTS[f.name], (cls, f.name)
 
 
 class TestConfigFile:
@@ -475,6 +516,38 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]:") and "non-finite weight" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestAblate:
+    FLAGS = [f for f in SMALL_TRAIN if f != "--quiet"] + ["--epochs", "1"]
+
+    def test_outputs(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        code = main(["ablate", "--data", str(data_dir), "--out", str(out)]
+                    + self.FLAGS)
+        assert code == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert sorted(p.name for p in out.glob("checkpoint_*.json")) == sorted(
+            f"checkpoint_{v}.json" for v in ABLATION_ORDER)
+        lines = (out / "ablation.csv").read_text().splitlines()
+        assert lines[0] == "variant,param_count,mae,rmse,mape,mask_mean,mask_std"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == list(ABLATION_ORDER)
+        for row in rows:
+            masks = row[5:]
+            if row[0] == "no_compensation":
+                assert masks == ["nan", "nan"]
+            else:
+                assert 0.0 < float(masks[0]) <= 1.0
+        assert "lam=0.1\n" in (out / "resolved_config.txt").read_text()
+
+    def test_help_shows_ablate_lam(self, capsys):
+        assert main(["ablate", "--help"]) == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        assert "override 'lam' (default 0.1)" in text
+        assert main(["train", "--help"]) == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        assert "override 'lam' (default 0.0)" in text
 
 
 class TestMaskStats:
