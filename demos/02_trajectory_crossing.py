@@ -7,20 +7,9 @@ constructed compensator on and they swap order within a step, which no
 amount of smooth dynamics could do.
 """
 
-from odegate.autodiff import Tensor
-from odegate.dynamics import CompensatorParams, VectorFieldParams, evolve
-from odegate.graph import SpatialGraph, normalize_adjacency
+from odegate.cli import crossing_legs
 
-STEPS = 8
-a_op = normalize_adjacency(SpatialGraph(n_nodes=2, edges=[]))
-vf = VectorFieldParams(w_f=Tensor([[0.5]]), b_f=Tensor([0.0]))
-comp = CompensatorParams([(Tensor([[-6.0]]), Tensor([0.0]))
-                          for _ in range(STEPS)])
-
-off = evolve(Tensor([[[0.2]], [[0.2]]]), STEPS, 1.0 / STEPS, a_op, vf,
-             comp=None, mask_mode="off", collect_states=True)
-on = evolve(Tensor([[[0.05]], [[-0.05]]]), STEPS, 1.0 / STEPS, a_op, vf,
-            comp=comp, mask_mode="lte", collect_states=True)
+off, on = crossing_legs()
 
 print("leg A: identical starts, compensation off")
 print(f"{'step':>4} {'node_0':>12} {'node_1':>12} {'identical':>10}")

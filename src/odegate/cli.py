@@ -328,6 +328,9 @@ def cmd_ablate(args) -> int:
 def cmd_mask_stats(args) -> int:
     cfg = resolve_settings(args, EVAL_KEYS)
     params, model_config, dataset = _load_checkpoint_and_data(args, cfg)
+    if model_config.mask_mode == "off":
+        raise ValidationError(f"{args.checkpoint}: mask_mode 'off' has no gate "
+                              "to report")
     report = mask_report(params, model_config, dataset, split=args.split,
                          batch_size=cfg["batch_size"])
     os.makedirs(args.out, exist_ok=True)
@@ -408,7 +411,7 @@ def _write_trajectory_csv(path, states) -> None:
             fh.write(f"{t},{float(state[0, 0, 0])!r},{float(state[1, 0, 0])!r}\n")
 
 
-def cmd_intersect_demo(args) -> int:
+def crossing_legs() -> tuple:
     """Two nodes under one shared scalar field, integrated over unit time.
 
     Leg one starts both nodes at the same value with the compensator off: a
@@ -416,18 +419,23 @@ def cmd_intersect_demo(args) -> int:
     must remain identical, bit for bit.  Leg two starts the nodes mirrored
     and switches a constructed jump on; the state-dependent compensation
     reorders the nodes within one step, which the flow alone can never do.
+    Returns the two legs' `EvolveResult`s, every step's state collected.
     """
     steps = 8
     a_op = normalize_adjacency(SpatialGraph(n_nodes=2, edges=[]))
     vf = VectorFieldParams(w_f=Tensor([[0.5]]), b_f=Tensor([0.0]))
     comp = CompensatorParams([(Tensor([[-6.0]]), Tensor([0.0]))
                               for _ in range(steps)])
-
     leg_off = evolve(Tensor([[[0.2]], [[0.2]]]), steps, 1.0 / steps, a_op, vf,
                      comp=None, mask_mode="off", collect_states=True)
     leg_on = evolve(Tensor([[[0.05]], [[-0.05]]]), steps, 1.0 / steps, a_op, vf,
                     comp=comp, mask_mode="lte", collect_states=True)
+    return leg_off, leg_on
 
+
+def cmd_intersect_demo(args) -> int:
+    """Check and write both legs of `crossing_legs`."""
+    leg_off, leg_on = crossing_legs()
     off_ok = all(float(s[0, 0, 0]) == float(s[1, 0, 0])
                  for s in leg_off.states)
     d_on = [float(s[0, 0, 0] - s[1, 0, 0]) for s in leg_on.states]

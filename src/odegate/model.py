@@ -19,14 +19,15 @@ import numpy as np
 
 from .autodiff import (Tape, Tensor, affine, backward, concat_channels,
                        expand_batch, mean_abs_error, swap_leading)
-from .dynamics import (MASK_MODES, CompensatorParams, EvolveResult,
-                       LearnedMaskParams, NFECounter, VectorFieldParams, evolve)
+from .dynamics import (MASK_MODES, CompensatorParams, LearnedMaskParams,
+                       NFECounter, VectorFieldParams, evolve)
 from .errors import DimensionError, ParseError, ValidationError, read_text
 from .graph import adaptive_adjacency
 
 CHECKPOINT_MAGIC = "odegate-checkpoint"
 CHECKPOINT_VERSION = 1
 MAX_STEPS = 1000   # integration steps per unit time; each costs 2 NFEs per stream
+STREAMS = ("static", "adaptive")   # graph streams, in parameter and readout order
 
 
 @dataclass(frozen=True)
@@ -70,19 +71,21 @@ def param_shapes(config: ModelConfig) -> dict:
     d_h = config.hidden_dim
     square, vector = (d_h, d_h), (d_h,)
     shapes = {"input_projection": (config.window * config.in_dim, config.proj_dim),
-              "node_embeddings": (config.n_nodes, config.embed_dim),
-              "static_field_weight": square, "static_field_bias": vector,
-              "adaptive_field_weight": square, "adaptive_field_bias": vector}
+              "node_embeddings": (config.n_nodes, config.embed_dim)}
+
+    def per_stream(block: str, suffixes=("",)) -> None:
+        # stream-major within a block: the draw order checkpoints were made in
+        for name in STREAMS:
+            for suffix in suffixes:
+                shapes[f"{name}_{block}_weight{suffix}"] = square
+                shapes[f"{name}_{block}_bias{suffix}"] = vector
+
+    per_stream("field")
     if config.mask_mode != "off":
-        for prefix in ("static", "adaptive"):
-            for s in range(config.steps):
-                shapes[f"{prefix}_comp_weight_{s}"] = square
-                shapes[f"{prefix}_comp_bias_{s}"] = vector
+        per_stream("comp", [f"_{s}" for s in range(config.steps)])
     if config.mask_mode == "learned":
-        for prefix in ("static", "adaptive"):
-            shapes[f"{prefix}_mask_weight"] = square
-            shapes[f"{prefix}_mask_bias"] = vector
-    shapes["readout_weight"] = (2 * d_h, config.horizon)
+        per_stream("mask")
+    shapes["readout_weight"] = (len(STREAMS) * d_h, config.horizon)
     shapes["readout_bias"] = (config.horizon,)
     return shapes
 
@@ -90,7 +93,8 @@ def param_shapes(config: ModelConfig) -> dict:
 class ModelParams:
     """Every parameter, as one name -> Tensor map in `param_shapes` order.
 
-    The per-stream views that `forward` reads hold the same Tensor objects,
+    `streams` maps each of `STREAMS` to its parameters as `evolve` keywords
+    (vf, comp, mask_params); these views hold the same Tensor objects,
     so an in-place update through `named()` is what the next forward sees.
     """
 
@@ -101,19 +105,18 @@ class ModelParams:
         def pair(prefix: str, suffix: str = "") -> tuple:
             return t[f"{prefix}_weight{suffix}"], t[f"{prefix}_bias{suffix}"]
 
-        def stream(name: str) -> tuple:
+        def stream(name: str) -> dict:
             per_step = []
             while f"{name}_comp_weight_{len(per_step)}" in t:
                 per_step.append(pair(f"{name}_comp", f"_{len(per_step)}"))
-            return (VectorFieldParams(*pair(f"{name}_field")),
-                    CompensatorParams(per_step) if per_step else None,
-                    LearnedMaskParams(*pair(f"{name}_mask"))
-                    if f"{name}_mask_weight" in t else None)
+            return {"vf": VectorFieldParams(*pair(f"{name}_field")),
+                    "comp": CompensatorParams(per_step) if per_step else None,
+                    "mask_params": LearnedMaskParams(*pair(f"{name}_mask"))
+                    if f"{name}_mask_weight" in t else None}
 
         self.w_input = t["input_projection"]
         self.e_node = t["node_embeddings"]
-        self.vf_static, self.comp_static, self.mask_static = stream("static")
-        self.vf_adaptive, self.comp_adaptive, self.mask_adaptive = stream("adaptive")
+        self.streams = {name: stream(name) for name in STREAMS}
         self.w_out, self.b_out = pair("readout")
 
     def named(self) -> dict:
@@ -163,16 +166,15 @@ class ForwardResult:
     Inside `forward` every state is node-major, [N,B,d], so each graph
     product is one matrix product over [N, B*d].  `y_hat` and the error
     tensors stay on the tape; their gradients reach the node-major tensors
-    they view (see `autodiff.swap_leading`).
+    they view (see `autodiff.swap_leading`).  `lte` and `masks` list every
+    step of the first of `STREAMS`, then every step of the second.
     """
 
     y_hat: Tensor                 # [batch, n_nodes, horizon]
-    lte_static: list | None       # per-step error tensors, on the tape, when collected
-    lte_adaptive: list | None
     nfe_static: int
     nfe_adaptive: int
-    masks_static: list | None = None    # per-step gate arrays [batch, n_nodes, d_h]
-    masks_adaptive: list | None = None
+    lte: list | None = None       # per-step error tensors, on the tape, when collected
+    masks: list | None = None     # per-step gate arrays [batch, n_nodes, d_h]
 
 
 def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
@@ -199,12 +201,12 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
             collect_lte: bool = False) -> ForwardResult:
     """Run both streams from the shared initial state and decode the horizon.
 
-    The streams run node-major and the results are batch-major views (see
-    `ForwardResult`).  With collect_masks, each stream returns its per-step
-    gate arrays.  With collect_lte, each stream returns its per-step error
-    tensors, on the tape, for a loss that differentiates them (the
-    smoothness penalty); without it, `lte_static` and `lte_adaptive` are
-    None and no error outlives its step or enters the tape unless mask_grad
+    The streams run node-major, one `evolve` each, and the results are
+    batch-major views (see `ForwardResult`).  With collect_masks, `masks`
+    holds every stream's per-step gate arrays.  With collect_lte, `lte` holds
+    every stream's per-step error tensors, on the tape, for a loss that
+    differentiates them (the smoothness penalty); without it, `lte` is None
+    and no error outlives its step or enters the tape unless mask_grad
     differentiates the gate.
     """
     n = config.n_nodes
@@ -217,31 +219,22 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     common = dict(steps=config.steps, dt=config.dt, mask_mode=config.mask_mode,
                   mask_grad=config.mask_grad, tape=tape, collect_lte=collect_lte,
                   collect_masks=collect_masks)
-    nfe_s, nfe_k = NFECounter(), NFECounter()
-    res_s: EvolveResult = evolve(h0, a_op=ahat, vf=params.vf_static,
-                                 comp=params.comp_static,
-                                 mask_params=params.mask_static,
-                                 nfe=nfe_s, **common)
-    res_k: EvolveResult = evolve(h0, a_op=a_adaptive, vf=params.vf_adaptive,
-                                 comp=params.comp_adaptive,
-                                 mask_params=params.mask_adaptive,
-                                 nfe=nfe_k, **common)
+    finals, nfe = [], {}
+    lte = [] if collect_lte else None
+    masks = [] if collect_masks else None
+    for name, a_op in zip(STREAMS, (ahat, a_adaptive)):
+        counter = NFECounter()
+        res = evolve(h0, a_op=a_op, nfe=counter, **params.streams[name], **common)
+        finals.append(res.h_final)
+        nfe[f"nfe_{name}"] = counter.count
+        if collect_lte:
+            lte += [swap_leading(e) for e in res.lte]
+        if collect_masks:
+            masks += [m.swapaxes(0, 1) for m in res.masks]
 
-    merged = concat_channels(res_s.h_final, res_k.h_final, tape)
+    merged = concat_channels(*finals, tape)
     readout = affine(merged, params.w_out, params.b_out, tape)
-
-    def batch_major(values, swap):
-        return None if values is None else [swap(v) for v in values]
-
-    def swap_mask(m):
-        return m.swapaxes(0, 1)
-
-    return ForwardResult(y_hat=swap_leading(readout),
-                         lte_static=batch_major(res_s.lte, swap_leading),
-                         lte_adaptive=batch_major(res_k.lte, swap_leading),
-                         nfe_static=nfe_s.count, nfe_adaptive=nfe_k.count,
-                         masks_static=batch_major(res_s.masks, swap_mask),
-                         masks_adaptive=batch_major(res_k.masks, swap_mask))
+    return ForwardResult(y_hat=swap_leading(readout), lte=lte, masks=masks, **nfe)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +265,16 @@ class FlopReport:
 
 def flop_report(config: ModelConfig, batch_size: int = 1) -> FlopReport:
     n, d_h = config.n_nodes, config.hidden_dim
-    b, s = batch_size, config.steps
+    b, s, k = batch_size, config.steps, len(STREAMS)
     per_eval = n * n * d_h + n * d_h * d_h          # propagate + shared affine
     comp_active = config.mask_mode != "off"
     return FlopReport(
         encoder=2 * b * n * config.window * config.in_dim * config.proj_dim,
         graph_build=2 * n * n * config.embed_dim,
-        solver=2 * b * 2 * 2 * s * per_eval,
-        compensation=(2 * b * 2 * s * n * d_h * d_h) if comp_active else 0,
-        mask=(2 * b * 2 * s * n * d_h * d_h) if config.mask_mode == "learned" else 0,
-        decoder=2 * b * n * 2 * d_h * config.horizon)
+        solver=2 * b * k * 2 * s * per_eval,
+        compensation=(2 * b * k * s * n * d_h * d_h) if comp_active else 0,
+        mask=(2 * b * k * s * n * d_h * d_h) if config.mask_mode == "learned" else 0,
+        decoder=2 * b * n * k * d_h * config.horizon)
 
 
 def tape_peak_bytes(x: Tensor, ahat: Tensor, params: ModelParams,
@@ -291,14 +284,24 @@ def tape_peak_bytes(x: Tensor, ahat: Tensor, params: ModelParams,
     The forward is the one a default training batch runs, which collects no
     truncation errors, and the loss is the training MAE against a zero target.
     The count covers the tape, the gradients and the transient arrays of both
-    passes: the memory a training batch needs at this step count.
+    passes: the memory a training batch needs at this step count.  It still
+    counts every Python-level allocation, so one untraced pass runs first:
+    the caches and free lists that pass fills no longer depend on what the
+    process ran before.  The gradients are cleared after each pass, so the
+    traced pass allocates them afresh, as a training batch does.
     """
     y = Tensor(np.zeros((x.shape[0], config.n_nodes, config.horizon)))
-    tracemalloc.start()
-    try:
+
+    def one_pass():
         tape = Tape()
         res = forward(x, ahat, params, config, tape)
         backward(mean_abs_error(res.y_hat, y, tape), tape)
+        params.zero_grad()
+
+    one_pass()
+    tracemalloc.start()
+    try:
+        one_pass()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

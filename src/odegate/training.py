@@ -145,11 +145,11 @@ def batch_loss(result, y: Tensor, lam: float, steps: int, tape: Tape):
     mae = mean_abs_error(result.y_hat, y, tape)
     if lam == 0.0:
         return mae
-    if result.lte_static is None or result.lte_adaptive is None:
+    if result.lte is None:
         raise ContractError(f"batch_loss: lam={lam} needs the truncation errors; "
                             "run forward with collect_lte=True")
     acc = None
-    for e in result.lte_static + result.lte_adaptive:
+    for e in result.lte:
         m = mean_all(e, tape)
         acc = m if acc is None else add(acc, m, tape)
     penalty = scale(acc, lam / (2.0 * steps), tape)
@@ -253,7 +253,7 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                     raise ContractError(
                         f"NFE {res.nfe_static}/{res.nfe_adaptive} per stream, "
                         f"expected {expected_nfe}")
-                for m in res.masks_static + res.masks_adaptive:
+                for m in res.masks:
                     gate.add(m)
                 loss = batch_loss(res, y, train_config.lam, model_config.steps, tape)
                 t1 = clock()
@@ -395,7 +395,7 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
     for sl, res in _forward_batches(params, model_config, ahat, windows,
                                     batch_size, collect_masks=True):
         batch_cells = cells[sl]
-        for m in res.masks_static + res.masks_adaptive:
+        for m in res.masks:
             flat = m.ravel(order="K")   # a batch-major view, read where it lies
             hist += np.histogram(flat, bins=HIST_BINS, range=(0.0, 1.0))[0]
             gate.add(flat)

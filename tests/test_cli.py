@@ -573,11 +573,15 @@ class TestMaskStats:
 
     def test_gateless_checkpoint_rejected(self, data_dir, no_comp_run,
                                           tmp_path, capsys):
+        # a valid checkpoint that does not fit the command is bad input
+        checkpoint = no_comp_run / "checkpoint.json"
+        out = tmp_path / "o"
         code = main(["mask-stats", "--data", str(data_dir),
-                     "--checkpoint", str(no_comp_run / "checkpoint.json"),
-                     "--out", str(tmp_path / "o")])
-        assert code == EXIT_NUMERIC
-        assert capsys.readouterr().err.startswith("error[contract]:")
+                     "--checkpoint", str(checkpoint), "--out", str(out)])
+        assert code == EXIT_DATA
+        line = _one_error_line(capsys, "validation")
+        assert str(checkpoint) in line and "mask_mode 'off'" in line
+        assert not out.exists()
 
 
 class TestNfeReport:

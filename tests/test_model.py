@@ -2,8 +2,12 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from odegate.autodiff import Tape, Tensor, backward, finite_diff_gradient, mean_
 from odegate.data import WindowSet
 from odegate.dynamics import GateStats
 from odegate.errors import DimensionError, ValidationError
-from odegate.graph import SpatialGraph, normalize_adjacency
+from odegate.graph import SpatialGraph, adaptive_adjacency, normalize_adjacency
 from odegate.model import (MAX_STEPS, ModelConfig, flop_report, forward,
                            init_params, initialize_state, load_checkpoint,
                            param_shapes, save_checkpoint)
@@ -90,7 +94,7 @@ class TestParams:
         q = p.copy()
         q.w_input.data[0, 0] += 1.0
         assert p.w_input.data[0, 0] != q.w_input.data[0, 0]
-        assert np.array_equal(p.vf_static.w_f.data, q.vf_static.w_f.data)
+        assert np.array_equal(p.streams["static"]["vf"].w_f.data, q.streams["static"]["vf"].w_f.data)
 
     # sha256 over (name, shape, little-endian float64 bytes) of every
     # parameter, computed with the hand-written initializer that preceded
@@ -124,13 +128,13 @@ def _views(params) -> dict:
              "node_embeddings": params.e_node,
              "readout_weight": params.w_out, "readout_bias": params.b_out}
     for stream in ("static", "adaptive"):
-        vf = getattr(params, f"vf_{stream}")
+        vf = params.streams[stream]["vf"]
         views[f"{stream}_field_weight"], views[f"{stream}_field_bias"] = vf.w_f, vf.b_f
-        comp = getattr(params, f"comp_{stream}")
+        comp = params.streams[stream]["comp"]
         for s, (w_g, b_g) in enumerate(comp.per_step if comp else []):
             views[f"{stream}_comp_weight_{s}"] = w_g
             views[f"{stream}_comp_bias_{s}"] = b_g
-        mask = getattr(params, f"mask_{stream}")
+        mask = params.streams[stream]["mask_params"]
         if mask is not None:
             views[f"{stream}_mask_weight"], views[f"{stream}_mask_bias"] = mask.w_m, mask.b_m
     return views
@@ -185,10 +189,10 @@ class TestForward:
         res = forward(x, ahat, params, TINY)
         assert res.y_hat.shape == (2, 4, TINY.horizon)
         assert res.nfe_static == res.nfe_adaptive == 2 * TINY.steps
-        assert res.lte_static is None and res.lte_adaptive is None
-        assert res.masks_static is None and res.masks_adaptive is None
+        assert res.lte is None
+        assert res.masks is None
         collected = forward(x, ahat, params, TINY, collect_lte=True)
-        assert len(collected.lte_static) == len(collected.lte_adaptive) == TINY.steps
+        assert len(collected.lte) == 2 * TINY.steps
         assert np.array_equal(collected.y_hat.data, res.y_hat.data)
 
     def test_deterministic(self):
@@ -222,8 +226,8 @@ class TestForward:
         step = {"propagate": 2, "affine": 3, "axpy": 3, "gated_tanh": 1}
         for collect_lte, extra in ((False, {}), (True, {"abs_diff": 1})):
             tape = Tape()
-            odegate.dynamics.evolve(h, 1, 1.0, ahat, params.vf_static,
-                                    params.comp_static, "lte", tape=tape,
+            odegate.dynamics.evolve(h, 1, 1.0, ahat, params.streams["static"]["vf"],
+                                    params.streams["static"]["comp"], "lte", tape=tape,
                                     collect_lte=collect_lte)
             assert Counter(name for name, _ in tape.nodes) == {**step, **extra}
 
@@ -233,18 +237,39 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward(x, Tensor(np.eye(5)), params, TINY)
 
+    def test_streams_listed_in_order(self):
+        # lte and masks hold every step of the static stream, then every step
+        # of the adaptive one, each bitwise what that stream's evolve returns
+        params = init_params(TINY, seed=3)
+        x, ahat = tiny_inputs(TINY)
+        res = forward(x, ahat, params, TINY, collect_lte=True, collect_masks=True)
+        assert len(res.lte) == len(res.masks) == 2 * TINY.steps
+        h0 = initialize_state(x, params, TINY)
+        operators = (("static", ahat),
+                     ("adaptive", adaptive_adjacency(params.e_node)))
+        for i, (name, a_op) in enumerate(operators):
+            ref = odegate.dynamics.evolve(h0, TINY.steps, TINY.dt, a_op,
+                                          mask_mode=TINY.mask_mode,
+                                          collect_masks=True,
+                                          **params.streams[name])
+            got = slice(i * TINY.steps, (i + 1) * TINY.steps)
+            for e, e_ref in zip(res.lte[got], ref.lte, strict=True):
+                assert np.array_equal(e.data, e_ref.data.swapaxes(0, 1))
+            for m, m_ref in zip(res.masks[got], ref.masks, strict=True):
+                assert np.array_equal(m, m_ref.swapaxes(0, 1))
+
     def test_collect_masks(self):
         params = init_params(TINY, seed=3)
         x, ahat = tiny_inputs(TINY)
         res = forward(x, ahat, params, TINY, collect_masks=True)
-        assert len(res.masks_static) == TINY.steps
-        assert res.masks_static[0].shape == (2, 4, TINY.hidden_dim)
+        assert len(res.masks) == 2 * TINY.steps
+        assert res.masks[0].shape == (2, 4, TINY.hidden_dim)
 
     def test_gate_stats_fold_both_streams(self):
         params = init_params(TINY, seed=3)
         x, ahat = tiny_inputs(TINY)
         res = forward(x, ahat, params, TINY, collect_masks=True)
-        masks = res.masks_static + res.masks_adaptive
+        masks = res.masks
         stats = GateStats()
         for m in masks:
             stats.add(m)
@@ -404,6 +429,31 @@ class TestGradientBits:
         state = batch * DEFAULT.n_nodes * DEFAULT.hidden_dim * 8
         per_step = (live_bytes(4) - live_bytes(2)) / (2 * 2 * state)
         assert per_step <= 6.0, per_step
+
+
+def test_tape_peak_bytes_repeatable():
+    # tracemalloc counts every Python-level allocation, so the first reading
+    # in a fresh process must not include the caches its first pass fills
+    script = """
+import numpy as np
+from odegate.autodiff import Tensor
+from odegate.graph import SpatialGraph, normalize_adjacency
+from odegate.model import ModelConfig, init_params, tape_peak_bytes
+config = ModelConfig(n_nodes=4, window=3, horizon=2, proj_dim=5, embed_dim=3, steps=2)
+ahat = normalize_adjacency(SpatialGraph(n_nodes=4, edges=[(0, 1, 1.0), (1, 2, 1.0)]))
+x = Tensor(np.random.default_rng(0).standard_normal((2, 4, 3, 1)))
+for _ in range(2):
+    print(tape_peak_bytes(x, ahat, init_params(config, seed=0), config))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.split())
+    assert abs(first - second) <= 0.01 * max(first, second), (first, second)
 
 
 class TestFlopReport:

@@ -131,7 +131,7 @@ class TestBatchLoss:
         y_hat = Tensor(np.array([[[1.0, 2.0]]]), requires_grad=True)
         e1 = Tensor(np.array([[[0.2, 0.4]]]), requires_grad=True)
         e2 = Tensor(np.array([[[0.6, 0.8]]]), requires_grad=True)
-        return SimpleNamespace(y_hat=y_hat, lte_static=[e1], lte_adaptive=[e2])
+        return SimpleNamespace(y_hat=y_hat, lte=[e1, e2])
 
     def test_zero_lam_is_plain_mae(self):
         tape = Tape()
@@ -154,7 +154,7 @@ class TestBatchLoss:
     def test_penalty_needs_collected_errors(self):
         tape = Tape()
         res = self.make_result(tape)
-        res.lte_static = res.lte_adaptive = None
+        res.lte = None
         y = Tensor(np.array([[[0.0, 0.0]]]))
         assert batch_loss(res, y, lam=0.0, steps=1, tape=tape).item() == 1.5
         with pytest.raises(ContractError, match="collect_lte"):
@@ -298,7 +298,7 @@ class TestTrainLoop:
             kwargs["collect_masks"] = True
             res = real_forward(x, ahat, params, config, tape, **kwargs)
             if tape is not None:
-                taped_masks.append(res.masks_static + res.masks_adaptive)
+                taped_masks.append(res.masks)
             return res
 
         def clip_recording(named, max_norm):
@@ -472,7 +472,7 @@ class TestMaskStatistics:
         for lo in range(0, windows.count, 64):
             res = forward(Tensor(windows.x[lo:lo + 64]), ahat, params, TINY_MODEL,
                           collect_masks=True)
-            for m in res.masks_static + res.masks_adaptive:
+            for m in res.masks:
                 values.append(m.ravel())
                 shocked.append(m[cells[lo:lo + 64]].ravel())
         p95 = float(np.percentile(np.concatenate(values), 95))
