@@ -47,11 +47,18 @@ run as a single 2-D matrix product.  `swap_leading` turns such a tensor
 into its batch-major view, `[B,N,d]`, without a tape node.
 
 Every op validates that its output is finite; NaN/Inf raise `NumericError`
-immediately instead of propagating.
+immediately instead of propagating.  `all_finite` is the package's one test
+of finiteness: one `np.vdot` of the array with itself, whose sum of squares
+is finite only if every entry is.  A sum that overflows from finite entries
+(|x| above about 1.34e154) falls back to the exact `np.isfinite` test, so
+the answer is always exact.  `vdot`, unlike `np.dot` and `@`, reports no
+floating-point status, so finite values never warn or raise, whatever
+`np.errstate` is in force.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,7 +117,7 @@ class Tensor(_Slot):
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise NumericError("tensor constructed from non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -214,8 +221,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # op plumbing
 # ---------------------------------------------------------------------------
 
+def all_finite(arr: np.ndarray) -> bool:
+    """True when no entry of a float array is NaN or infinite (see the module
+    docstring for why one `vdot` decides it)."""
+    flat = arr.ravel(order="K")
+    return math.isfinite(np.vdot(flat, flat)) or bool(np.isfinite(arr).all())
+
+
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NumericError(f"{op} produced non-finite values")
     return arr
 
@@ -403,8 +417,7 @@ def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    if pos.all():
+    if np.minimum.reduce(x, axis=None, initial=np.inf) >= 0:
         # exp(-x) <= 1 cannot overflow, so one exp serves every entry:
         # 1 / (1 + exp(-x)) built in one array (`out=` keeps a 0-d input an array)
         y = np.negative(x, out=np.empty_like(x))
@@ -412,6 +425,7 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
         y += 1.0
         return np.divide(1.0, y, out=y)
     # Split by sign so exp never overflows.
+    pos = x >= 0
     out = np.empty_like(x)
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])

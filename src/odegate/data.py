@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .autodiff import all_finite
 from .errors import ParseError, ValidationError, read_text
 from .graph import SpatialGraph, load_graph, normalize_adjacency, write_edge_list
 
@@ -290,7 +291,7 @@ def read_series_csv(path) -> np.ndarray:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     arr = np.array(rows)
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise ParseError(f"{path}: non-finite value in series")
     return arr
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, abs_diff, axpy, detach, gated_tanh, sigmoid
+from .autodiff import (Tape, Tensor, abs_diff, all_finite, axpy, detach, gated_tanh,
+                       sigmoid)
 from .autodiff import affine as node_linear, propagate as graph_propagate
 from .errors import ContractError, NumericError, OdegateError
 
@@ -224,7 +225,7 @@ def attention_mask(e: Tensor, tape: Tape | None = None) -> Tensor:
     Zero error anchors the gate at exactly 0.5; larger errors saturate it
     toward 1.
     """
-    if (e.data < 0).any():
+    if np.minimum.reduce(e.data, axis=None, initial=np.inf) < 0:
         raise ContractError("attention_mask: error signal must be nonnegative")
     return sigmoid(e, tape)
 
@@ -319,7 +320,7 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
             states.append(h_next.data.copy())
         h = h_next
 
-    if not np.isfinite(h.data).all():
+    if not all_finite(h.data):
         raise NumericError("evolve: final state is non-finite")
     return EvolveResult(h_final=h, lte=lte_tensors,
                         masks=masks, states=states)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tape, Tensor, affine, backward, concat_channels,
+from .autodiff import (Tape, Tensor, affine, all_finite, backward, concat_channels,
                        expand_batch, mean_abs_error, swap_leading)
 from .dynamics import (MASK_MODES, CompensatorParams, LearnedMaskParams,
                        NFECounter, VectorFieldParams, evolve)
@@ -380,7 +380,7 @@ def load_checkpoint(path):
         if values.shape != shapes[name]:
             raise ValidationError(f"{path}: parameter '{name}' has shape {values.shape}, "
                                   f"the config implies {shapes[name]}")
-        if not np.all(np.isfinite(values)):
+        if not all_finite(values):
             raise ValidationError(f"{path}: parameter '{name}' has non-finite values")
         return Tensor(values, requires_grad=True)
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, backward, mean_abs_error, mean_all, scale
+from .autodiff import (Tape, Tensor, add, all_finite, backward, mean_abs_error, mean_all,
+                       scale)
 from .data import ForecastDataset, WindowSet
 from .dynamics import GateStats, percentile95
 from .errors import ContractError, NumericError, ValidationError
@@ -97,7 +98,7 @@ class AdamState:
 
 def check_finite_grads(named: dict) -> None:
     for name, p in named.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
+        if p.grad is not None and not all_finite(p.grad):
             raise NumericError(f"gradient for '{name}' is non-finite")
 
 
@@ -135,8 +136,11 @@ def adam_step(named: dict, state: AdamState, lr: float) -> None:
 # loss
 # ---------------------------------------------------------------------------
 
-def batch_loss(result, y: Tensor, lam: float, steps: int, tape: Tape):
+def batch_loss(result, y: Tensor, lam: float, tape: Tape):
     """MAE plus, when lam != 0, lam times the mean per-entry truncation error.
+
+    The penalty is the mean over every collected error tensor, one per step
+    per stream, of that tensor's mean entry.
 
     With lam == 0 no penalty nodes are built at all, so a zero-lam penalty run
     is bit-identical to the full variant.  A penalty needs the errors that
@@ -152,7 +156,7 @@ def batch_loss(result, y: Tensor, lam: float, steps: int, tape: Tape):
     for e in result.lte:
         m = mean_all(e, tape)
         acc = m if acc is None else add(acc, m, tape)
-    penalty = scale(acc, lam / (2.0 * steps), tape)
+    penalty = scale(acc, lam / len(result.lte), tape)
     return add(mae, penalty, tape)
 
 
@@ -182,6 +186,8 @@ def _split_windows(dataset: ForecastDataset, split: str, caller: str) -> WindowS
 def _forward_batches(params, config, ahat, windows: WindowSet, batch_size: int,
                      collect_masks: bool = False):
     """Tape-free forward over a window set; yields (slice, ForwardResult)."""
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     for lo in range(0, windows.count, batch_size):
         hi = min(lo + batch_size, windows.count)
         x = Tensor(windows.x[lo:hi])
@@ -255,7 +261,7 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                         f"expected {expected_nfe}")
                 for m in res.masks:
                     gate.add(m)
-                loss = batch_loss(res, y, train_config.lam, model_config.steps, tape)
+                loss = batch_loss(res, y, train_config.lam, tape)
                 t1 = clock()
                 params.zero_grad()
                 backward(loss, tape)

@@ -3,19 +3,21 @@ central-difference gradient oracle, plus the tape-lifecycle contracts."""
 
 import inspect
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import odegate.autodiff
-from odegate.autodiff import (Tape, Tensor, _finite, abs_diff, add, affine, axpy,
-                              backward, concat_channels, detach, expand_batch,
-                              finite_diff_gradient, gated_tanh, gram, mean_abs_error,
-                              mean_all, propagate, relu, row_normalize, scale, sigmoid,
-                              swap_leading)
+from odegate.autodiff import (Tape, Tensor, _finite, _sigmoid_values, abs_diff, add,
+                              affine, all_finite, axpy, backward, concat_channels,
+                              detach, expand_batch, finite_diff_gradient, gated_tanh,
+                              gram, mean_abs_error, mean_all, propagate, relu,
+                              row_normalize, scale, sigmoid, swap_leading)
 from odegate.errors import ContractError, DimensionError, NumericError
 
 RNG = np.random.default_rng(12345)
@@ -632,3 +634,62 @@ def test_gram_grad_property(m, k, seed):
     # d mean(E E^T) / dE = (J + J^T) E / m^2 = 2 J E / m^2, J all ones
     expected = 2.0 * np.ones((m, m)) @ e.data / (m * m)
     assert np.allclose(e.grad, expected, atol=1e-12)
+
+
+def _filled(rng, shape, fill):
+    if fill == "normal":
+        arr = rng.standard_normal(shape)
+    elif fill == "subnormal":
+        arr = rng.integers(-2 ** 52 + 1, 2 ** 52, size=shape) * 5e-324
+    else:   # huge: |x| from 1e154, where the sum of squares overflows, to 1e308
+        arr = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(154, 308, size=shape)
+    return np.asarray(arr, dtype=np.float64)
+
+
+class TestAllFinite:
+    """`all_finite` must agree with `np.isfinite(a).all()` and never warn."""
+
+    @given(shape=st.sampled_from([(), (0,), (3, 0, 2), (20, 1, 40), (300, 32, 40)]),
+           fill=st.sampled_from(["normal", "subnormal", "huge"]),
+           bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+           where=st.sampled_from(["first", "last", "random"]),
+           view=st.sampled_from(["plain", "transposed", "strided"]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_isfinite(self, shape, fill, bad, where, view, seed):
+        rng = np.random.default_rng(seed)
+        arr = _filled(rng, shape, fill)
+        if bad is not None and arr.size:
+            index = {"first": 0, "last": arr.size - 1,
+                     "random": int(rng.integers(arr.size))}[where]
+            arr.flat[index] = bad
+        if view == "transposed":
+            arr = arr.T
+        elif view == "strided" and arr.ndim:
+            arr = arr[..., ::2]
+        assert all_finite(arr) is bool(np.isfinite(arr).all())
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                   max_side=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_isfinite_on_any_floats(self, arr):
+        # hypothesis' float64 elements include NaN, +-inf, subnormals and 1e308
+        expected = bool(np.isfinite(arr).all())
+        assert all_finite(arr) is expected
+        assert all_finite(arr.T) is expected
+
+    @pytest.mark.parametrize("mode", ["ignore", "warn", "raise"])
+    def test_huge_finite_values_are_silent(self, mode):
+        # a sum of squares that overflows must not report it: under the CLI's
+        # errstate(over="raise") it would turn valid input into an error
+        big = np.full((4, 5), 1e200)
+        with warnings.catch_warnings(), np.errstate(all=mode):
+            warnings.simplefilter("error")
+            t = Tensor(np.full(3, 1e308))
+            assert _finite(big, "probe") is big
+        assert t.data.tolist() == [1e308] * 3
+
+    def test_sigmoid_of_zero_size_array(self):
+        for shape in ((0,), (2, 0, 3)):
+            assert _sigmoid_values(np.empty(shape)).shape == shape
+            assert sigmoid(Tensor(np.empty(shape))).shape == shape

@@ -584,6 +584,19 @@ class TestMaskStats:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "mask-stats"])
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+def test_batch_size_below_one_rejected(data_dir, full_run, tmp_path, capsys, command,
+                                       batch_size):
+    out = tmp_path / "o"
+    code = main([command, "--data", str(data_dir),
+                 "--checkpoint", str(full_run / "checkpoint.json"),
+                 "--out", str(out), "--batch-size", batch_size])
+    assert code == EXIT_DATA
+    assert "batch_size must be >= 1" in _one_error_line(capsys, "validation")
+    assert not out.exists()
+
+
 class TestNfeReport:
     def test_report(self, tmp_path, capsys):
         out = tmp_path / "nfe"

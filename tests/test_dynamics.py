@@ -209,6 +209,15 @@ class TestAttentionMask:
         with pytest.raises(ContractError):
             attention_mask(Tensor([0.1, -0.1]))
 
+    def test_sign_check_is_exact(self):
+        e = np.zeros((20, 1, 40))
+        e.flat[-1] = -1e-300
+        with pytest.raises(ContractError):
+            attention_mask(Tensor(e))
+        e.flat[-1] = -0.0   # compares equal to zero: a valid error
+        assert np.all(attention_mask(Tensor(e)).data == 0.5)
+        assert attention_mask(Tensor(np.empty((0, 3)))).shape == (0, 3)
+
 
 class TestCompensate:
     def test_hand_oracle(self):

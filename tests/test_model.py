@@ -21,7 +21,7 @@ from odegate.graph import SpatialGraph, adaptive_adjacency, normalize_adjacency
 from odegate.model import (MAX_STEPS, ModelConfig, flop_report, forward,
                            init_params, initialize_state, load_checkpoint,
                            param_shapes, save_checkpoint)
-from odegate.training import batch_loss, predict
+from odegate.training import batch_loss, check_finite_grads, predict
 
 DEFAULT = ModelConfig(n_nodes=20)
 TINY = ModelConfig(n_nodes=4, window=3, horizon=2, proj_dim=5, embed_dim=3, steps=2)
@@ -338,8 +338,32 @@ class TestForward:
         y = Tensor(np.zeros((2, TINY.n_nodes, TINY.horizon)))
         tape = Tape()
         res = forward(x, ahat, params, TINY, tape)
-        backward(batch_loss(res, y, 0.0, TINY.steps, tape), tape)
+        backward(batch_loss(res, y, 0.0, tape), tape)
         assert all(p.grad is not None for p in params.named().values())
+
+    def test_no_isfinite_on_finite_data(self, monkeypatch):
+        # every finiteness check goes through autodiff.all_finite, whose one
+        # vdot settles finite data without building a boolean array
+        calls = []
+        real = np.isfinite
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        window, graph = tiny_inputs(DEFAULT, batch=1)
+        default_params = init_params(DEFAULT, seed=1)
+        x, ahat = tiny_inputs(TINY)
+        params = init_params(TINY, seed=3)
+        monkeypatch.setattr(np, "isfinite", counting)
+        forward(window, graph, default_params, DEFAULT)
+        assert calls == [], "a single-window forward"
+        y = Tensor(np.zeros((2, TINY.n_nodes, TINY.horizon)))
+        tape = Tape()
+        backward(batch_loss(forward(x, ahat, params, TINY, tape), y, 0.0, tape), tape)
+        assert calls == [], "a taped batch with backward"
+        check_finite_grads(params.named())
+        assert calls == [], "check_finite_grads"
 
 
 def _grad_digest(mode, mask_grad, lam):
@@ -351,7 +375,7 @@ def _grad_digest(mode, mask_grad, lam):
                                                          config.horizon)))
     tape = Tape()
     res = forward(x, ahat, params, config, tape, collect_lte=lam != 0.0)
-    backward(batch_loss(res, y, lam, config.steps, tape), tape)
+    backward(batch_loss(res, y, lam, tape), tape)
     h = hashlib.sha256()
     for name, p in params.named().items():
         h.update(name.encode())

@@ -137,7 +137,7 @@ class TestBatchLoss:
         tape = Tape()
         res = self.make_result(tape)
         y = Tensor(np.array([[[0.0, 0.0]]]))
-        loss = batch_loss(res, y, lam=0.0, steps=1, tape=tape)
+        loss = batch_loss(res, y, lam=0.0, tape=tape)
         assert loss.item() == pytest.approx(1.5)
         ref = Tape()
         mean_abs_error(res.y_hat, y, ref)
@@ -147,7 +147,7 @@ class TestBatchLoss:
         tape = Tape()
         res = self.make_result(tape)
         y = Tensor(np.array([[[0.0, 0.0]]]))
-        loss = batch_loss(res, y, lam=0.5, steps=1, tape=tape)
+        loss = batch_loss(res, y, lam=0.5, tape=tape)
         # mae 1.5 plus 0.5/2 * (mean(e1) + mean(e2)) = 1.5 + 0.25 * (0.3 + 0.7)
         assert loss.item() == pytest.approx(1.75, rel=1e-12)
 
@@ -156,16 +156,24 @@ class TestBatchLoss:
         res = self.make_result(tape)
         res.lte = None
         y = Tensor(np.array([[[0.0, 0.0]]]))
-        assert batch_loss(res, y, lam=0.0, steps=1, tape=tape).item() == 1.5
+        assert batch_loss(res, y, lam=0.0, tape=tape).item() == 1.5
         with pytest.raises(ContractError, match="collect_lte"):
-            batch_loss(res, y, lam=0.5, steps=1, tape=tape)
+            batch_loss(res, y, lam=0.5, tape=tape)
 
-    def test_penalty_scales_inversely_with_steps(self):
+    def test_penalty_is_the_mean_over_errors(self):
+        # one error tensor per step per stream: the penalty is their mean, so
+        # neither the step count nor a third stream rescales lam
         y = Tensor(np.array([[[0.0, 0.0]]]))
-        t1, t4 = Tape(), Tape()
-        l1 = batch_loss(self.make_result(t1), y, lam=1.0, steps=1, tape=t1)
-        l4 = batch_loss(self.make_result(t4), y, lam=1.0, steps=4, tape=t4)
-        assert l1.item() - 1.5 == pytest.approx(4.0 * (l4.item() - 1.5), rel=1e-12)
+        static, adaptive, third = (Tensor(np.full((1, 1, 2), m)) for m in (0.3, 0.7, 0.2))
+
+        def penalty(lte):
+            res = SimpleNamespace(y_hat=Tensor(np.array([[[1.0, 2.0]]])), lte=lte)
+            return batch_loss(res, y, lam=1.0, tape=Tape()).item() - 1.5
+
+        assert penalty([static, adaptive]) == pytest.approx(0.5, rel=1e-12)
+        assert penalty([static] * 4 + [adaptive] * 4) == pytest.approx(0.5, rel=1e-12)
+        assert penalty([static] * 4 + [adaptive] * 4 + [third] * 4) == pytest.approx(
+            0.4, rel=1e-12)
 
 
 class TestTrainLoop:
@@ -342,6 +350,14 @@ class TestTrainLoop:
         small = predict(params, TINY_MODEL, ahat, ds.splits["val"], batch_size=7)
         assert full.shape == (ds.splits["val"].count, 4, 3)
         assert np.array_equal(full, small)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_rejects_batch_size_below_one(self, batch_size):
+        ds = tiny_dataset()
+        params = init_params(TINY_MODEL, seed=0)
+        with pytest.raises(ValidationError, match=f"batch_size must be >= 1, got {batch_size}"):
+            predict(params, TINY_MODEL, normalize_adjacency(ds.graph), ds.splits["val"],
+                    batch_size=batch_size)
 
 
 class TestHistoryCsv:
