@@ -33,6 +33,11 @@ the same rule, and one into a slot that the rule also reaches by another
 route, return a copy.  A VJP that returns a view of its gradient, such as
 `concat_channels`' slices, copies it.
 
+A rule may compute one value from its gradient and share it across its
+routes: `_out`'s `share` runs once, before the first route, and each VJP
+then reads it as a second argument.  `abs_diff` computes `g * sign(d)` once
+for both operands; `gated_jump` recomputes its tanh once for all five.
+
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
 node axis of a batched state, `affine` applies a shared channel map (plus
@@ -235,14 +240,19 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 def _out(arr: np.ndarray, op: str, tape: Tape | None, inputs: Sequence[Tensor],
-         vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+         vjps: Sequence[Callable[..., np.ndarray]],
+         share: Callable[[np.ndarray], object] | None = None) -> Tensor:
     """Wrap an op result; when gradients are live, record its one backward rule.
 
     `vjps[i]` maps the output's gradient to the gradient of `inputs[i]`; it is
     kept, and called once the output has received a gradient, only for an
     input that requires one.  Each VJP returns an array that no one else
     holds (see the module docstring); here every `_same` route but the one
-    allowed to hand the gradient on becomes `np.copy`.
+    allowed to hand the gradient on becomes `_copy`.  With `share`, the rule
+    computes `share(g)` once, before its first route, and calls each VJP as
+    `vjp(g, shared)`.  Routes run in input order, and each adds its result
+    before the next one runs, so a VJP may hand the shared value on whole
+    only when at most one route follows it.
     """
     _finite(arr, op)
     if tape is None:
@@ -254,7 +264,7 @@ def _out(arr: np.ndarray, op: str, tape: Tape | None, inputs: Sequence[Tensor],
     for target, vjp in live:
         if vjp is _same:
             if handed or sum(other is target for other, _ in live) > 1:
-                vjp = np.copy
+                vjp = _copy
             handed = True
         routes.append((target, vjp))
     slot = _Slot()
@@ -263,15 +273,20 @@ def _out(arr: np.ndarray, op: str, tape: Tape | None, inputs: Sequence[Tensor],
         g, slot.grad = slot.grad, None
         if g is None:
             return
+        shared = () if share is None else (share(g),)
         for target, vjp in routes:
-            target.accumulate_grad(vjp(g))
+            target.accumulate_grad(vjp(g, *shared))
 
     tape.record(op, rule)
     return Tensor._wrap(arr, slot)
 
 
-def _same(g: np.ndarray) -> np.ndarray:
+def _same(g: np.ndarray, *_shared) -> np.ndarray:
     return g
+
+
+def _copy(g: np.ndarray, *_shared) -> np.ndarray:
+    return np.copy(g)
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -383,32 +398,64 @@ def axpy(h: Tensor, k: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
 
 
 def abs_diff(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """|a - b| element-wise; the backward rule uses sign with subgradient 0 at 0."""
+    """|a - b| element-wise; the backward rule uses sign with subgradient 0 at 0.
+
+    The rule computes g * sign(d) once: a's route hands it on, and b's, the
+    last, negates it, which is exact.
+    """
     _check_same_shape(a, b, "abs_diff")
     d = a.data - b.data
-
-    def d_a(g):
-        return g * np.sign(d)
-
-    return _out(np.abs(d), "abs_diff", tape, (a, b), (d_a, lambda g: -d_a(g)))
+    return _out(np.abs(d), "abs_diff", tape, (a, b),
+                (lambda g, gs: gs, lambda g, gs: -gs),
+                share=lambda g: g * np.sign(d))
 
 
-def gated_tanh(base: Tensor, m: Tensor, z: Tensor, tape: Tape | None = None) -> Tensor:
-    """base + m * tanh(z), the gated jump, in one node."""
-    _check_same_shape(base, m, "gated_tanh")
-    _check_same_shape(m, z, "gated_tanh")
-    x, j = m.data, np.tanh(z.data)
-    out = x * j
+def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
+               tape: Tape | None = None) -> Tensor:
+    """base + m * tanh(h[...,k] @ w[k,n] + b[n]), the gated jump, in one node.
+
+    The arithmetic is that of `affine` followed by the gate, in the same
+    order.  The rule keeps h and m but not the tanh: backward recomputes the
+    pre-activation and its tanh from h once, for all five routes, so values
+    and gradients are bitwise those of the two-op chain.  A non-finite
+    pre-activation raises, although tanh would round it to +-1.
+    """
+    _check_same_shape(base, m, "gated_jump")
+    if w.data.ndim != 2 or h.data.ndim < 1 or h.shape[-1] != w.shape[0]:
+        raise DimensionError(f"gated_jump: cannot map {h.shape} by {w.shape}")
+    k, n = w.shape
+    if b.shape != (n,):
+        raise DimensionError(f"gated_jump: bias {b.shape} does not match {w.shape}")
+    if h.shape[:-1] + (n,) != m.shape:
+        raise DimensionError(
+            f"gated_jump: {h.shape} mapped by {w.shape} does not match the gate {m.shape}")
+    shape, wt, bias, x = h.shape, w.data, b.data, m.data
+    flat = h.data.reshape(-1, k)
+
+    def pre_activation():
+        z = np.dot(flat, wt)
+        z += bias
+        return z.reshape(x.shape)
+
+    z = _finite(pre_activation(), "gated_jump pre-activation")
+    out = x * np.tanh(z, out=z)
     out += base.data
 
-    def d_z(g):
-        # (g * x) * (1 - j * j), in two arrays
-        gx, jj = g * x, j * j
+    def share(g):
+        # the tanh j once more, and dz = (g * m) * (1 - j * j) as the chain had it
+        j = pre_activation()
+        np.tanh(j, out=j)
+        dz, jj = g * x, j * j
         np.subtract(1.0, jj, out=jj)
-        gx *= jj
-        return gx
+        dz *= jj
+        return j, dz.reshape(-1, n)
 
-    return _out(out, "gated_tanh", tape, (base, m, z), (_same, lambda g: g * j, d_z))
+    return _out(out, "gated_jump", tape, (base, m, h, w, b),
+                (_same, lambda g, s: g * s[0],
+                 lambda g, s: (s[1] @ wt.T).reshape(shape),
+                 lambda g, s: flat.T @ s[1],
+                 lambda g, s: s[1].sum(axis=0)),
+                share=share)
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:

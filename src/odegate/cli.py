@@ -294,12 +294,14 @@ def cmd_ablate(args) -> int:
     cfg = resolve_settings(args, ABLATE_KEYS, ABLATE_DEFAULTS)
     dataset, meta = _load_for_model(args.data, cfg["window"], cfg["horizon"],
                                     cfg["stride"])
+    configs = []   # all five built, and so checked, before --out is created
+    for variant in ABLATION_ORDER:
+        lam = cfg["lam"] if variant == "manifold_penalty" else 0.0
+        configs.append((variant, _model_config(cfg, meta, variant),
+                        pick(TrainConfig, cfg, variant=variant, lam=lam)))
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for variant in ABLATION_ORDER:
-        model_config = _model_config(cfg, meta, variant)
-        lam = cfg["lam"] if variant == "manifold_penalty" else 0.0
-        train_config = pick(TrainConfig, cfg, variant=variant, lam=lam)
+    for variant, model_config, train_config in configs:
         result = train(dataset, model_config, train_config, log=None)
         report = evaluate(result.params, model_config, dataset, split="test",
                           batch_size=cfg["batch_size"])

@@ -14,13 +14,21 @@ The two solver estimates share k1, so the error signal costs exactly zero
 additional vector-field evaluations: every step performs 2 NFEs regardless of
 how the mask and compensation are configured.
 
-On a tape, a step in `lte` mode records 9 nodes per stream: `propagate` and
+On a tape, a step in `lte` mode records 8 nodes per stream: `propagate` and
 `affine` per field evaluation, one `axpy` per stage update (h_euler, the
-midpoint, h_rk2), and the jump's `affine` and `gated_tanh`.  The gate reads
-the error's values only, so the error is computed off the tape and freed
-with its step.  Only a reader of its gradient puts it on the tape, as a tenth
-node, `abs_diff`: a caller that collects the errors (the smoothness penalty
-differentiates them), or mask_grad, which adds the gate's `sigmoid` too.
+midpoint, h_rk2), and the jump, `gated_jump`.  The jump keeps the pre-step
+state, which the gradient of W_g[step] reads anyway, and the gate, but not
+its tanh: backward recomputes h W_g[step] + b_g[step] and its tanh from h,
+once per step.  So a taped step keeps 4 state-sized arrays in a stream with
+a constant operator (h, both `propagate` outputs, the gate) and 5 in the
+adaptive one, whose second `propagate` keeps the midpoint for the
+operator's gradient.
+
+The gate reads the error's values only, so the error is computed off the
+tape and freed with its step.  Only a reader of its gradient puts it on the
+tape, as a ninth node, `abs_diff`: a caller that collects the errors (the
+smoothness penalty differentiates them), or mask_grad, which adds the gate's
+`sigmoid` too.
 
 States are node-major, [N,B,d] (node, batch, channel), the layout
 `autodiff.propagate` reads as one [N, B*d] matrix; every array a step makes,
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tape, Tensor, abs_diff, all_finite, axpy, detach, gated_tanh,
+from .autodiff import (Tape, Tensor, abs_diff, all_finite, axpy, detach, gated_jump,
                        sigmoid)
 from .autodiff import affine as node_linear, propagate as graph_propagate
 from .errors import ContractError, NumericError, OdegateError
@@ -240,7 +248,7 @@ def compensate(h_t: Tensor, h_rk2: Tensor, m: Tensor, step: int,
         raise ContractError(
             f"compensate: step {step} outside [0, {params.n_steps})")
     w_g, b_g = params.per_step[step]
-    return gated_tanh(h_rk2, m, node_linear(h_t, w_g, b_g, tape), tape)
+    return gated_jump(h_rk2, m, h_t, w_g, b_g, tape)
 
 
 # ---------------------------------------------------------------------------

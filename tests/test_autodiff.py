@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 import odegate.autodiff
 from odegate.autodiff import (Tape, Tensor, _finite, _sigmoid_values, abs_diff, add,
                               affine, all_finite, axpy, backward, concat_channels,
-                              detach, expand_batch, finite_diff_gradient, gated_tanh,
+                              detach, expand_batch, finite_diff_gradient, gated_jump,
                               gram, mean_abs_error, mean_all, propagate, relu,
                               row_normalize, scale, sigmoid, swap_leading)
 from odegate.errors import ContractError, DimensionError, NumericError
@@ -187,14 +187,23 @@ class TestTapeLifecycle:
 
     def test_one_input_on_two_routes_of_a_rule(self):
         # base and m are one tensor: the rule's gradient must not become x's
-        # buffer, which m's route adds into before z's VJP reads the gradient
+        # buffer, which m's route adds into before h's route reads dz
         t = Tape()
-        x = Tensor(rand(4), requires_grad=True)
-        z = Tensor(rand(4), requires_grad=True)
-        backward(mean_all(gated_tanh(x, x, z, t), t), t)
-        g, j = np.full(4, 0.25), np.tanh(z.data)
+        x = Tensor(rand(4, 3), requires_grad=True)
+        h = Tensor(rand(4, 2), requires_grad=True)
+        w, b = Tensor(rand(2, 3)), Tensor(rand(3))
+        backward(mean_all(gated_jump(x, x, h, w, b, t), t), t)
+        g, j = np.full((4, 3), 1.0 / 12.0), np.tanh(h.data @ w.data + b.data)
         assert np.array_equal(x.grad, g + g * j)
-        assert np.array_equal(z.grad, (g * x.data) * (1.0 - j * j))
+        assert np.array_equal(h.grad, ((g * x.data) * (1.0 - j * j)) @ w.data.T)
+
+    def test_abs_diff_of_one_input_is_zero(self):
+        # a's route hands g * sign(d) on whole; b's route must read it before
+        # it becomes x's buffer and is added into
+        t = Tape()
+        x = Tensor(rand(2, 3), requires_grad=True)
+        backward(mean_all(abs_diff(x, x, t), t), t)
+        assert np.array_equal(x.grad, np.zeros((2, 3)))
 
 
 class TestForwardOracles:
@@ -215,8 +224,10 @@ class TestForwardOracles:
         assert np.array_equal(scale(Tensor(a), 2.5).data, a * 2.5)
         assert np.array_equal(axpy(Tensor(a), Tensor(b), 2.5).data, a + b * 2.5)
         assert np.array_equal(abs_diff(Tensor(a), Tensor(b)).data, np.abs(a - b))
-        assert np.array_equal(gated_tanh(Tensor(a), Tensor(b), Tensor(c)).data,
-                              a + b * np.tanh(c))
+        w, bias = rand(3, 3), rand(3)
+        assert np.array_equal(
+            gated_jump(Tensor(a), Tensor(b), Tensor(c), Tensor(w), Tensor(bias)).data,
+            a + b * np.tanh(c @ w + bias))
 
     def test_row_normalize(self):
         # each row divided by its sum; the all-zero row is uniform over its
@@ -232,8 +243,13 @@ class TestForwardOracles:
             axpy(Tensor(rand(2, 3)), Tensor(rand(3, 2)), 0.5)
         with pytest.raises(DimensionError):
             abs_diff(Tensor(rand(2, 3)), Tensor(rand(3, 2)))
-        with pytest.raises(DimensionError):
-            gated_tanh(Tensor(rand(2, 3)), Tensor(rand(2, 3)), Tensor(rand(3, 2)))
+        for shapes in (((2, 3), (3, 2), (2, 4), (4, 3), (3,)),   # base vs gate
+                       ((2, 3), (2, 3), (2, 4), (3, 3), (3,)),   # h vs w
+                       ((2, 3), (2, 3), (2, 4), (4, 3), (4,)),   # bias vs w
+                       ((2, 3), (2, 3), (3, 4), (4, 3), (3,)),   # h W vs gate
+                       ((2, 3), (2, 3), (2, 4), (4,), (3,))):    # w not 2-D
+            with pytest.raises(DimensionError, match="^gated_jump"):
+                gated_jump(*(Tensor(rand(*shape)) for shape in shapes))
 
     def test_activations(self):
         x = rand(5)
@@ -244,7 +260,8 @@ class TestForwardOracles:
     def test_closed_form_anchors(self):
         assert sigmoid(Tensor(0.0)).item() == 0.5
         assert sigmoid(Tensor(0.5)).item() == 0.6224593312018546
-        assert gated_tanh(Tensor(0.0), Tensor(1.0), Tensor(20.0)).item() == 1.0
+        assert gated_jump(Tensor([0.0]), Tensor([1.0]), Tensor([10.0]), Tensor([[2.0]]),
+                          Tensor([0.0])).item() == 1.0
 
     def test_sigmoid_extreme_inputs_stable(self):
         out = sigmoid(Tensor([-1000.0, -50.0, 0.0, 50.0, 1000.0])).data
@@ -360,16 +377,28 @@ class TestForwardOracles:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="^gram"):
             gram(big)
 
-    @pytest.mark.parametrize("op", ["axpy", "abs_diff", "gated_tanh"])
+    @pytest.mark.parametrize("op", ["axpy", "abs_diff", "gated_jump"])
     def test_fused_overflow_names_the_op(self, op):
         # each operand is finite; only the fused result overflows
-        big, low = Tensor(np.full(3, 1e308)), Tensor(np.full(3, -1e308))
+        big, low = Tensor(np.full((1, 3), 1e308)), Tensor(np.full((1, 3), -1e308))
         call = {"axpy": lambda: axpy(big, big, 2.0),
                 "abs_diff": lambda: abs_diff(big, low),
-                "gated_tanh": lambda: gated_tanh(big, big, Tensor(np.full(3, 5.0)))}[op]
+                "gated_jump": lambda: gated_jump(big, big, Tensor(np.full((1, 3), 5.0)),
+                                                 Tensor(np.eye(3)), Tensor(np.zeros(3)))}[op]
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericError, match=f"^{op} produced non-finite"):
             call()
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("w, b", [(2.0, 0.0), (1.0, 1e308)])
+    def test_gated_jump_rejects_nonfinite_preactivation(self, w, b, taped):
+        # h W + b overflows, though its tanh would round to 1 and the result
+        # stay finite; the two-op chain raised at its affine map
+        h = Tensor([[1e308]], requires_grad=taped)
+        args = (Tensor([[0.0]]), Tensor([[1.0]]), h, Tensor([[w]]), Tensor([b]))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="^gated_jump pre-activation produced"):
+            gated_jump(*args, Tape() if taped else None)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_finite_check_rejects(self, bad):
@@ -506,6 +535,67 @@ class TestGradientOracles:
         assert a.grad is None
 
 
+def _jump_chain(base, m, h, w, b, g):
+    """The two-op chain the jump replaced, `affine` then the gated tanh, in
+    numpy: the forward value and the gradient of each of the five inputs
+    for an output gradient g, each in the chain's order of operations."""
+    k, n = w.shape
+    flat = h.reshape(-1, k)
+    z = flat @ w
+    z += b
+    j = np.tanh(z.reshape(m.shape))
+    out = m * j
+    out += base
+    gx, jj = g * m, j * j
+    np.subtract(1.0, jj, out=jj)
+    gx *= jj
+    dz = gx.reshape(-1, n)
+    return out, {"base": g, "m": g * j, "h": (dz @ w.T).reshape(h.shape),
+                 "w": flat.T @ dz, "b": dz.sum(axis=0)}
+
+
+class TestSharedRules:
+    """Rules that compute one value from their gradient for several routes."""
+
+    def test_gated_jump_bitwise_the_chain(self):
+        # a propagate above the jump gives it an output gradient that is not
+        # constant; every gradient is compared with the chain's, bit for bit
+        rng = np.random.default_rng(21)
+        arrays = {"base": rng.standard_normal((5, 4, 6)),
+                  "m": rng.uniform(0.5, 1.0, (5, 4, 6)),
+                  "h": rng.standard_normal((5, 4, 6)),
+                  "w": rng.standard_normal((6, 6)) * 0.4,
+                  "b": rng.standard_normal(6) * 0.1}
+        mix = rng.standard_normal((5, 5))
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        t = Tape()
+        out = gated_jump(*tensors.values(), t)
+        backward(mean_all(propagate(Tensor(mix), out, t), t), t)
+        g = (mix.T @ np.full((5, 24), 1.0 / 120.0)).reshape(5, 4, 6)
+        ref_out, ref_grads = _jump_chain(*arrays.values(), g)
+        assert np.array_equal(out.data, ref_out)
+        for name, tensor in tensors.items():
+            assert np.array_equal(tensor.grad, ref_grads[name]), name
+
+    @pytest.mark.parametrize("op, counted, n_live", [
+        ("gated_jump", "tanh", 5), ("gated_jump", "tanh", 3),
+        ("abs_diff", "sign", 2)])
+    def test_one_shared_value_per_rule(self, op, counted, n_live, monkeypatch):
+        # backward computes the tanh, or g * sign(d), once per rule, however
+        # many routes read it
+        tensors, _ = _oracle_case(op)
+        for tensor in tensors[:len(tensors) - n_live]:
+            tensor.requires_grad = False
+        t = Tape()
+        loss = mean_all(ORACLE_TABLE[op][0](t, *tensors), t)
+        calls = []
+        real = getattr(np, counted)
+        monkeypatch.setattr(np, counted, lambda *a, **k: calls.append(1) or real(*a, **k))
+        backward(loss, t)
+        assert len(calls) == 1
+        assert all(tensor.grad is not None for tensor in tensors[-n_live:])
+
+
 def _away_from_zero(rng, *shape):
     # entries at least 0.5 from the relu/abs kinks, with both signs
     r = rng.standard_normal(shape)
@@ -542,8 +632,8 @@ ORACLE_TABLE = {
             lambda rng: (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))),
     "axpy": (lambda t, h, k: axpy(h, k, 0.25, t), _normal((3, 3), (3, 3))),
     "abs_diff": (lambda t, a, b: abs_diff(a, b, t), _mae_pair),
-    "gated_tanh": (lambda t, base, m, z: gated_tanh(base, m, z, t),
-                   _normal((3, 3), (3, 3), (3, 3))),
+    "gated_jump": (lambda t, base, m, h, w, b: gated_jump(base, m, h, w, b, t),
+                   _normal((2, 3, 4), (2, 3, 4), (2, 3, 5), (5, 4), (4,))),
     "scale": (lambda t, a: scale(a, -1.5, t), lambda rng: (rng.standard_normal(4),)),
     "relu": (lambda t, a: relu(a, t), lambda rng: (_away_from_zero(rng, 3, 3),)),
     "sigmoid": (lambda t, a: sigmoid(a, t), lambda rng: (rng.standard_normal((3, 3)),)),

@@ -541,6 +541,14 @@ class TestAblate:
                 assert 0.0 < float(masks[0]) <= 1.0
         assert "lam=0.1\n" in (out / "resolved_config.txt").read_text()
 
+    def test_rejected_setting_leaves_no_out(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        code = main(["ablate", "--data", str(data_dir), "--out", str(out),
+                     "--batch-size", "0"])
+        assert code == EXIT_DATA == 2
+        assert "batch_size" in _one_error_line(capsys, "validation")
+        assert not out.exists()
+
     def test_help_shows_ablate_lam(self, capsys):
         assert main(["ablate", "--help"]) == EXIT_OK
         text = " ".join(capsys.readouterr().out.split())
