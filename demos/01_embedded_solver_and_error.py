@@ -13,21 +13,20 @@ import math
 import numpy as np
 
 from odegate.autodiff import Tensor
-from odegate.dynamics import (NFECounter, VectorFieldParams, embedded_dual_step,
-                              evolve)
+from odegate.dynamics import NFECounter, embedded_dual_step, evolve
 
 # --- 1. convergence order against the exact exponential --------------------
 # scalar system dh/dt = c*h, exact one-step solution h0 * exp(c*dt)
 
 c = 0.8
 a_op = Tensor([[1.0]])
-vf = VectorFieldParams(w_f=Tensor([[c]]), b_f=Tensor([0.0]))
+field = (Tensor([[c]]), Tensor([0.0]))   # (w_f, b_f)
 
 print("one-step error against exp(c*dt), c = 0.8")
 print(f"{'dt':>8} {'euler_err':>12} {'midpoint_err':>13} {'ratio_e':>8} {'ratio_m':>8}")
 prev = None
 for dt in (0.2, 0.1, 0.05, 0.025, 0.0125):
-    h_euler, h_rk2 = embedded_dual_step(Tensor([[[1.0]]]), dt, a_op, vf)
+    h_euler, h_rk2 = embedded_dual_step(Tensor([[[1.0]]]), dt, a_op, field)
     exact = math.exp(c * dt)
     err_e = abs(float(h_euler.data[0, 0, 0]) - exact)
     err_m = abs(float(h_rk2.data[0, 0, 0]) - exact)
@@ -47,9 +46,8 @@ worst = 0.0
 for _ in range(100):
     a = rng.standard_normal((4, 4))
     h0 = rng.standard_normal((4, 1, 3))   # node-major [N,B,d]
-    res = evolve(Tensor(h0), 1, 1.0, Tensor(a),
-                 VectorFieldParams(w_f=Tensor(np.eye(3)), b_f=Tensor(np.zeros(3))),
-                 comp=None, mask_mode="off")
+    res = evolve(Tensor(h0), 1, Tensor(a), (Tensor(np.eye(3)), Tensor(np.zeros(3))),
+                 mask_mode="off")
     closed_form = 0.5 * np.abs(a @ (a @ h0[:, 0]))
     worst = max(worst, float(np.abs(res.lte[0].data[:, 0] - closed_form).max()))
 print(f"estimate vs dt^2/2 |A^2 h| over 100 random 4x4 systems: "
@@ -60,10 +58,10 @@ print(f"estimate vs dt^2/2 |A^2 h| over 100 random 4x4 systems: "
 # violent one saturates toward (but never reaches) 1
 
 nfe = NFECounter()
-res = evolve(Tensor(rng.standard_normal((4, 1, 3))), 4, 0.25,
+res = evolve(Tensor(rng.standard_normal((4, 1, 3))), 4,
              Tensor(rng.standard_normal((4, 4)) * 2.0),
-             VectorFieldParams(w_f=Tensor(np.eye(3) * 3.0), b_f=Tensor(np.zeros(3))),
-             comp=None, mask_mode="off", nfe=nfe)
+             (Tensor(np.eye(3) * 3.0), Tensor(np.zeros(3))),
+             mask_mode="off", nfe=nfe)
 print("\nper-step error summary on a stiff random system")
 for step, err in enumerate(res.lte):
     print(f"  step {step}: mean |error| {err.data.mean():.4f}  "

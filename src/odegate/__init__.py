@@ -12,10 +12,9 @@ from .data import (ForecastDataset, Scaler, ShockEvent, ShockScenario,
                    WindowSet, build_dataset, default_graph,
                    generate_shock_series, load_dataset_files, make_windows,
                    write_dataset_files)
-from .dynamics import (CompensatorParams, EvolveResult, GateStats,
-                       LearnedMaskParams, NFECounter, VectorFieldParams,
-                       attention_mask, embedded_dual_step, evolve,
-                       local_truncation_error, vector_field)
+from .dynamics import (EvolveResult, GateStats, NFECounter, attention_mask,
+                       embedded_dual_step, evolve, local_truncation_error,
+                       vector_field)
 from .errors import (ContractError, DimensionError, NumericError, OdegateError,
                      ParseError, ValidationError)
 from .graph import (SpatialGraph, adaptive_adjacency, load_graph,
@@ -30,13 +29,13 @@ from .training import (VARIANTS, AdamState, EvalReport, MaskReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "CompensatorParams", "ContractError", "DimensionError",
+    "AdamState", "ContractError", "DimensionError",
     "EvalReport", "EvolveResult", "FlopReport", "ForecastDataset",
-    "ForwardResult", "GateStats", "LearnedMaskParams", "MaskReport", "ModelConfig",
+    "ForwardResult", "GateStats", "MaskReport", "ModelConfig",
     "ModelParams", "NFECounter", "NumericError",
     "OdegateError", "ParseError", "Scaler", "ShockEvent", "ShockScenario",
     "SpatialGraph", "Tape", "Tensor", "TrainConfig",
-    "TrainResult", "ValidationError", "VectorFieldParams", "WindowSet",
+    "TrainResult", "ValidationError", "WindowSet",
     "adam_step", "adaptive_adjacency", "attention_mask", "backward",
     "build_dataset", "default_graph", "embedded_dual_step", "evaluate",
     "evolve", "finite_diff_gradient", "flop_report", "forward",

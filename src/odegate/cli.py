@@ -40,7 +40,7 @@ from .autodiff import Tensor
 from .data import (DEFAULT_TICK_SECONDS, ShockScenario, build_dataset,
                    default_graph, generate_shock_series, load_dataset_files,
                    write_dataset_files)
-from .dynamics import MASK_MODES, CompensatorParams, VectorFieldParams, evolve
+from .dynamics import MASK_MODES, evolve
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      ValidationError, read_text)
 from .graph import SpatialGraph, normalize_adjacency
@@ -425,13 +425,12 @@ def crossing_legs() -> tuple:
     """
     steps = 8
     a_op = normalize_adjacency(SpatialGraph(n_nodes=2, edges=[]))
-    vf = VectorFieldParams(w_f=Tensor([[0.5]]), b_f=Tensor([0.0]))
-    comp = CompensatorParams([(Tensor([[-6.0]]), Tensor([0.0]))
-                              for _ in range(steps)])
-    leg_off = evolve(Tensor([[[0.2]], [[0.2]]]), steps, 1.0 / steps, a_op, vf,
-                     comp=None, mask_mode="off", collect_states=True)
-    leg_on = evolve(Tensor([[[0.05]], [[-0.05]]]), steps, 1.0 / steps, a_op, vf,
-                    comp=comp, mask_mode="lte", collect_states=True)
+    field = (Tensor([[0.5]]), Tensor([0.0]))
+    jumps = [(Tensor([[-6.0]]), Tensor([0.0])) for _ in range(steps)]
+    leg_off = evolve(Tensor([[[0.2]], [[0.2]]]), steps, a_op, field,
+                     mask_mode="off", collect_states=True)
+    leg_on = evolve(Tensor([[[0.05]], [[-0.05]]]), steps, a_op, field, jumps,
+                    mask_mode="lte", collect_states=True)
     return leg_off, leg_on
 
 

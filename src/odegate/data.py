@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import all_finite
-from .errors import ParseError, ValidationError, read_text
+from .errors import ParseError, ValidationError, read_text, require_finite
 from .graph import SpatialGraph, load_graph, normalize_adjacency, write_edge_list
 
 DEFAULT_TICK_SECONDS = 300
@@ -43,6 +43,7 @@ class ShockScenario:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_nodes < 1:
             raise ValidationError("ShockScenario.n_nodes must be >= 1")
         if self.total_t < 2:
@@ -55,6 +56,9 @@ class ShockScenario:
             raise ValidationError("ShockScenario.shock_rate must be in [0, 100]")
         if self.shock_mag_lo > self.shock_mag_hi:
             raise ValidationError("ShockScenario: shock_mag_lo > shock_mag_hi")
+        if not math.isfinite(self.shock_mag_hi - self.shock_mag_lo):
+            raise ValidationError("ShockScenario: shock_mag_hi - shock_mag_lo "
+                                  "is not finite")
 
 
 @dataclass(frozen=True)

@@ -54,38 +54,6 @@ MASK_MODES = ("lte", "uniform_one", "learned", "off")
 
 
 @dataclass
-class VectorFieldParams:
-    """One shared weight set for the continuous field of a stream.
-
-    The same (w_f, b_f) pair is used by both solver evaluations of every
-    integration step; per-step copies would break the weight-sharing contract
-    of the continuous field.
-    """
-
-    w_f: Tensor   # [d_h, d_h]
-    b_f: Tensor   # [d_h]
-
-
-@dataclass
-class CompensatorParams:
-    """Per-step jump parameters: S independent (w_g, b_g) pairs."""
-
-    per_step: list  # list of (Tensor[d_h, d_h], Tensor[d_h])
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.per_step)
-
-
-@dataclass
-class LearnedMaskParams:
-    """Affine map + sigmoid used by the learned-mask ablation (shared across steps)."""
-
-    w_m: Tensor   # [d_h, d_h]
-    b_m: Tensor   # [d_h]
-
-
-@dataclass
 class EvolveResult:
     h_final: Tensor
     lte: list | None             # per-step error tensors, on the tape, when collected
@@ -195,16 +163,17 @@ class GateStats:
 # field and step
 # ---------------------------------------------------------------------------
 
-def vector_field(h: Tensor, a_op: Tensor, params: VectorFieldParams,
-                 tape: Tape | None = None, nfe: NFECounter | None = None) -> Tensor:
-    """Continuous field: one graph propagation followed by one shared affine map."""
-    out = node_linear(graph_propagate(a_op, h, tape), params.w_f, params.b_f, tape)
+def vector_field(h: Tensor, a_op: Tensor, field: tuple, tape: Tape | None = None,
+                 nfe: NFECounter | None = None) -> Tensor:
+    """Continuous field (A h) W_f + b_f: one graph propagation, one shared affine map."""
+    w_f, b_f = field
+    out = node_linear(graph_propagate(a_op, h, tape), w_f, b_f, tape)
     if nfe is not None:
         nfe.bump()
     return out
 
 
-def embedded_dual_step(h: Tensor, dt: float, a_op: Tensor, params: VectorFieldParams,
+def embedded_dual_step(h: Tensor, dt: float, a_op: Tensor, field: tuple,
                        tape: Tape | None = None, nfe: NFECounter | None = None):
     """One embedded Euler/RK2 step; returns (h_euler, h_rk2) from 2 NFEs.
 
@@ -213,10 +182,10 @@ def embedded_dual_step(h: Tensor, dt: float, a_op: Tensor, params: VectorFieldPa
     """
     if dt <= 0:
         raise ContractError(f"embedded_dual_step: dt must be positive, got {dt}")
-    k1 = vector_field(h, a_op, params, tape, nfe)
+    k1 = vector_field(h, a_op, field, tape, nfe)
     h_euler = axpy(h, k1, dt, tape)
     midpoint = axpy(h, k1, dt / 2.0, tape)
-    k2 = vector_field(midpoint, a_op, params, tape, nfe)
+    k2 = vector_field(midpoint, a_op, field, tape, nfe)
     h_rk2 = axpy(h, k2, dt, tape)
     return h_euler, h_rk2
 
@@ -239,15 +208,15 @@ def attention_mask(e: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def compensate(h_t: Tensor, h_rk2: Tensor, m: Tensor, step: int,
-               params: CompensatorParams, tape: Tape | None = None) -> Tensor:
+               jumps, tape: Tape | None = None) -> Tensor:
     """Hybrid update h_rk2 + m * tanh(h_t W_g[step] + b_g[step]).
 
-    The jump operator reads the PRE-step state h_t, not the solver output.
+    `jumps` holds one (w_g, b_g) pair per step.  The jump operator reads the
+    PRE-step state h_t, not the solver output.
     """
-    if not (0 <= step < params.n_steps):
-        raise ContractError(
-            f"compensate: step {step} outside [0, {params.n_steps})")
-    w_g, b_g = params.per_step[step]
+    if not (0 <= step < len(jumps)):
+        raise ContractError(f"compensate: step {step} outside [0, {len(jumps)})")
+    w_g, b_g = jumps[step]
     return gated_jump(h_rk2, m, h_t, w_g, b_g, tape)
 
 
@@ -255,19 +224,23 @@ def compensate(h_t: Tensor, h_rk2: Tensor, m: Tensor, step: int,
 # trajectory evolution
 # ---------------------------------------------------------------------------
 
-def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
-           vf: VectorFieldParams, comp: CompensatorParams | None = None,
-           mask_mode: str = "lte", *, mask_params: LearnedMaskParams | None = None,
+def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
+           mask_mode: str = "lte", *, learned_mask: tuple | None = None,
            mask_grad: bool = False, tape: Tape | None = None,
            nfe: NFECounter | None = None, collect_lte: bool = True,
            collect_masks: bool = False, collect_states: bool = False) -> EvolveResult:
-    """Run S hybrid steps over unit time from a node-major state h0[N,B,d].
+    """Run `steps` hybrid steps, dt = 1/steps, over unit time from h0[N,B,d].
+
+    A stream's parameters are its tensors: `field` is the (w_f, b_f) pair both
+    evaluations of every step share, `jumps` holds one (w_g, b_g) pair per
+    step (at least `steps` of them unless mask_mode is 'off'), and
+    `learned_mask` is the (w_m, b_m) pair of the learned gate.
 
     mask_mode selects the ablation behavior:
       lte          full mechanism, mask = sigmoid(error)
       uniform_one  compensation applied everywhere with mask = 1
       learned      mask = sigmoid of an affine map of the pre-step state
-      off          pure embedded RK2, compensator skipped entirely
+      off          pure embedded RK2, jumps skipped entirely
 
     By default the error feeding the mask is detached from the tape; pass
     mask_grad=True to let gradients flow through the gate.  With collect_lte
@@ -280,17 +253,14 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
     """
     if steps < 1:
         raise ContractError(f"evolve: steps must be >= 1, got {steps}")
-    if abs(dt * steps - 1.0) > 1e-9:
-        raise ContractError(f"evolve: dt must equal 1/steps, got dt={dt}, steps={steps}")
     if mask_mode not in MASK_MODES:
         raise ContractError(f"evolve: unknown mask_mode '{mask_mode}'")
-    if mask_mode == "learned" and mask_params is None:
-        raise ContractError("evolve: mask_mode 'learned' needs mask_params")
-    if mask_mode in ("lte", "uniform_one", "learned") and comp is None:
-        raise ContractError(f"evolve: mask_mode '{mask_mode}' needs compensator params")
-    if comp is not None and comp.n_steps < steps:
-        raise ContractError(
-            f"evolve: compensator has {comp.n_steps} step entries, need {steps}")
+    if mask_mode == "learned" and learned_mask is None:
+        raise ContractError("evolve: mask_mode 'learned' needs learned_mask")
+    if mask_mode != "off" and len(jumps) < steps:
+        raise ContractError(f"evolve: mask_mode '{mask_mode}' needs {steps} jumps, "
+                            f"got {len(jumps)}")
+    dt = 1.0 / steps
 
     h = h0
     lte_tensors = [] if collect_lte else None
@@ -301,7 +271,7 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
 
     for step in range(steps):
         try:
-            h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, vf, tape, nfe)
+            h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, field, tape, nfe)
             if collect_lte or mask_mode == "lte":
                 err = local_truncation_error(h_euler, h_rk2, err_tape)
                 if lte_tensors is not None:
@@ -316,9 +286,9 @@ def evolve(h0: Tensor, steps: int, dt: float, a_op: Tensor,
                 elif mask_mode == "uniform_one":
                     m = Tensor(np.ones_like(h.data))
                 else:  # learned
-                    m = sigmoid(node_linear(h, mask_params.w_m, mask_params.b_m, tape), tape)
+                    m = sigmoid(node_linear(h, *learned_mask, tape), tape)
 
-                h_next = compensate(h, h_rk2, m, step, comp, tape)
+                h_next = compensate(h, h_rk2, m, step, jumps, tape)
                 if masks is not None:
                     masks.append(m.data)
         except OdegateError as exc:

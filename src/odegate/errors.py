@@ -3,8 +3,12 @@
 Each class maps onto one failure family so callers (and the CLI exit-code
 mapping) can distinguish bad shapes, bad data files, broken numerics, and
 violated call contracts without string matching.  `read_text` is how every
-input file is read, so a file that is not text is a ParseError too.
+input file is read, so a file that is not text is a ParseError too, and
+`require_finite` is how a settings dataclass rejects a NaN or infinite float.
 """
+
+import dataclasses
+import math
 
 
 class OdegateError(Exception):
@@ -38,3 +42,13 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file ({exc})") from exc
+
+
+def require_finite(settings) -> None:
+    """ValidationError unless every float field of a settings dataclass is finite."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        # postponed annotations: a field's type is the string "float"
+        if f.type == "float" and not math.isfinite(value):
+            raise ValidationError(f"{type(settings).__name__}.{f.name} must be "
+                                  f"finite, got {value!r}")

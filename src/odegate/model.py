@@ -19,8 +19,7 @@ import numpy as np
 
 from .autodiff import (Tape, Tensor, affine, all_finite, backward, concat_channels,
                        expand_batch, mean_abs_error, swap_leading)
-from .dynamics import (MASK_MODES, CompensatorParams, LearnedMaskParams,
-                       NFECounter, VectorFieldParams, evolve)
+from .dynamics import MASK_MODES, NFECounter, evolve
 from .errors import DimensionError, ParseError, ValidationError, read_text
 from .graph import adaptive_adjacency
 
@@ -58,10 +57,6 @@ class ModelConfig:
     def hidden_dim(self) -> int:
         return self.proj_dim + self.embed_dim
 
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.steps
-
 
 def param_shapes(config: ModelConfig) -> dict:
     """Name -> shape of every parameter the config implies, in draw order.
@@ -93,9 +88,11 @@ def param_shapes(config: ModelConfig) -> dict:
 class ModelParams:
     """Every parameter, as one name -> Tensor map in `param_shapes` order.
 
-    `streams` maps each of `STREAMS` to its parameters as `evolve` keywords
-    (vf, comp, mask_params); these views hold the same Tensor objects,
-    so an in-place update through `named()` is what the next forward sees.
+    `streams` maps each of `STREAMS` to its tensors as `evolve` keywords:
+    `field`, the (weight, bias) pair of its field; `jumps`, one pair per step
+    (empty with mask_mode 'off'); `learned_mask`, the learned gate's pair or
+    None.  They are the very Tensor objects of `named()`, so an in-place
+    update through `named()` is what the next forward sees.
     """
 
     def __init__(self, tensors: dict):
@@ -106,12 +103,11 @@ class ModelParams:
             return t[f"{prefix}_weight{suffix}"], t[f"{prefix}_bias{suffix}"]
 
         def stream(name: str) -> dict:
-            per_step = []
-            while f"{name}_comp_weight_{len(per_step)}" in t:
-                per_step.append(pair(f"{name}_comp", f"_{len(per_step)}"))
-            return {"vf": VectorFieldParams(*pair(f"{name}_field")),
-                    "comp": CompensatorParams(per_step) if per_step else None,
-                    "mask_params": LearnedMaskParams(*pair(f"{name}_mask"))
+            jumps = []
+            while f"{name}_comp_weight_{len(jumps)}" in t:
+                jumps.append(pair(f"{name}_comp", f"_{len(jumps)}"))
+            return {"field": pair(f"{name}_field"), "jumps": jumps,
+                    "learned_mask": pair(f"{name}_mask")
                     if f"{name}_mask_weight" in t else None}
 
         self.w_input = t["input_projection"]
@@ -216,7 +212,7 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     h0 = initialize_state(x, params, config, tape)
     a_adaptive = adaptive_adjacency(params.e_node, tape)
 
-    common = dict(steps=config.steps, dt=config.dt, mask_mode=config.mask_mode,
+    common = dict(steps=config.steps, mask_mode=config.mask_mode,
                   mask_grad=config.mask_grad, tape=tape, collect_lte=collect_lte,
                   collect_masks=collect_masks)
     finals, nfe = [], {}

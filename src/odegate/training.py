@@ -27,7 +27,7 @@ from .autodiff import (Tape, Tensor, add, all_finite, backward, mean_abs_error, 
                        scale)
 from .data import ForecastDataset, WindowSet
 from .dynamics import GateStats, percentile95
-from .errors import ContractError, NumericError, ValidationError
+from .errors import ContractError, NumericError, ValidationError, require_finite
 from .graph import normalize_adjacency
 from .model import ModelConfig, ModelParams, forward, init_params
 
@@ -61,8 +61,11 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant '{self.variant}'")
+        if self.lam < 0:
+            raise ValidationError("lam must be >= 0")
         if self.lam != 0.0 and self.variant != "manifold_penalty":
             raise ValidationError(
                 "lam is only meaningful for the manifold_penalty variant")
@@ -391,20 +394,15 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
     ahat = normalize_adjacency(dataset.graph)
     cells = shock_cell_matrix(windows, dataset.events, dataset.window)
 
-    hist = np.zeros(HIST_BINS, dtype=np.int64)
-    gate = GateStats()
     shock_sum = nonshock_sum = 0.0
     shock_n = nonshock_n = 0
     shock_samples = []
-    p95_samples = []
+    samples = []
 
     for sl, res in _forward_batches(params, model_config, ahat, windows,
                                     batch_size, collect_masks=True):
         batch_cells = cells[sl]
         for m in res.masks:
-            flat = m.ravel(order="K")   # a batch-major view, read where it lies
-            hist += np.histogram(flat, bins=HIST_BINS, range=(0.0, 1.0))[0]
-            gate.add(flat)
             shock_vals = m[batch_cells]
             non_vals = m[~batch_cells]
             shock_sum += float(shock_vals.sum())
@@ -413,13 +411,15 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
             nonshock_n += non_vals.size
             if shock_vals.size:
                 shock_samples.append(shock_vals.ravel())
-            p95_samples.append(flat)
+            # a batch-major view, flattened where it lies
+            samples.append(m.ravel(order="K"))
 
-    all_vals = np.concatenate(p95_samples)
+    all_vals = np.concatenate(samples)
+    hist = np.histogram(all_vals, bins=HIST_BINS, range=(0.0, 1.0))[0]
     shock_vals = (np.concatenate(shock_samples) if shock_samples
                   else np.array([np.nan]))
     return MaskReport(
-        mean=gate.mean, std=gate.std,
+        mean=float(np.mean(all_vals)), std=float(np.std(all_vals)),
         p95=percentile95(all_vals),
         histogram=[int(c) for c in hist],
         shock_mean=float(shock_sum / shock_n) if shock_n else float("nan"),

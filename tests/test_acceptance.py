@@ -23,8 +23,7 @@ from odegate.cli import main
 from odegate.data import (ShockScenario, build_dataset, default_graph,
                           generate_shock_series, read_series_csv,
                           write_series_csv)
-from odegate.dynamics import (MASK_MODES, VectorFieldParams,
-                              embedded_dual_step, evolve)
+from odegate.dynamics import MASK_MODES, embedded_dual_step, evolve
 from odegate.graph import normalize_adjacency
 from odegate.model import ModelConfig, flop_report, forward, init_params
 from odegate.training import (VARIANTS, TrainConfig, config_for_variant,
@@ -144,13 +143,11 @@ def test_accept_03_truncation_error_closed_form(capsys):
                   "linear systems (<= 1e-10)"):
         start = perf_counter()
         rng = np.random.default_rng(0)
-        identity_field = VectorFieldParams(w_f=Tensor(np.eye(3)),
-                                           b_f=Tensor(np.zeros(3)))
+        identity_field = (Tensor(np.eye(3)), Tensor(np.zeros(3)))
         for _ in range(100):
             a = rng.standard_normal((4, 4))
             h = rng.standard_normal((4, 1, 3))   # node-major [N,B,d]
-            res = evolve(Tensor(h), 1, 1.0, Tensor(a), identity_field,
-                         comp=None, mask_mode="off")
+            res = evolve(Tensor(h), 1, Tensor(a), identity_field, mask_mode="off")
             expected = 0.5 * np.abs(a @ (a @ h[:, 0]))
             assert np.abs(res.lte[0].data[:, 0] - expected).max() <= 1e-10
         assert perf_counter() - start < 5.0
@@ -162,11 +159,11 @@ def test_accept_04_solver_orders_against_exact_exponential(capsys):
                   "8x (midpoint) against exp"):
         a_op = Tensor([[1.0]])
         for c in (0.6, 1.0, -0.8):
-            vf = VectorFieldParams(w_f=Tensor([[c]]), b_f=Tensor([0.0]))
+            field = (Tensor([[c]]), Tensor([0.0]))
             euler_errs, rk2_errs = [], []
             for dt in (0.1, 0.05, 0.025):
                 h_euler, h_rk2 = embedded_dual_step(Tensor([[[1.0]]]), dt,
-                                                    a_op, vf)
+                                                    a_op, field)
                 exact = math.exp(c * dt)
                 euler_errs.append(abs(float(h_euler.data[0, 0, 0]) - exact))
                 rk2_errs.append(abs(float(h_rk2.data[0, 0, 0]) - exact))

@@ -605,6 +605,29 @@ def test_batch_size_below_one_rejected(data_dir, full_run, tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate-data", "--amplitude", "nan"],
+    ["generate-data", "--period", "nan"],
+    ["generate-data", "--diffusion", "nan"],
+    ["generate-data", "--shock-decay", "nan"],
+    ["generate-data", "--shock-mag-hi", "inf"],
+    ["generate-data", "--shock-mag-lo=-1e308", "--shock-mag-hi", "1e308"],
+    ["train", "--clip-norm", "nan"],
+    ["train", "--lr", "nan"],
+    ["train", "--variant", "manifold_penalty", "--lam", "nan"],
+    ["train", "--variant", "manifold_penalty", "--lam=-1"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_non_finite_setting_rejected(data_dir, tmp_path, capsys, argv):
+    # a NaN or infinite float setting, or a magnitude range whose width is
+    # not finite, is bad input: one error line, nothing written
+    out = tmp_path / "o"
+    extra = ["--data", str(data_dir)] + SMALL_TRAIN if argv[0] == "train" else []
+    code = main(argv + extra + ["--out", str(out)])
+    assert code == EXIT_DATA
+    _one_error_line(capsys, "validation")
+    assert not out.exists()
+
+
 class TestNfeReport:
     def test_report(self, tmp_path, capsys):
         out = tmp_path / "nfe"

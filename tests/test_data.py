@@ -37,6 +37,17 @@ class TestScenario:
         with pytest.raises(ValidationError):
             ShockScenario(shock_mag_lo=5.0, shock_mag_hi=2.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"amplitude": math.nan}, {"period": math.inf}, {"diffusion": math.nan},
+        {"shock_rate": math.nan}, {"shock_mag_lo": -math.inf},
+        {"shock_mag_hi": math.inf}, {"shock_decay": math.nan},
+        {"shock_mag_lo": -1e308, "shock_mag_hi": 1e308},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        # the last case is finite, but its magnitude range is not
+        with pytest.raises(ValidationError, match="finite"):
+            ShockScenario(**kwargs)
+
 
 class TestDefaultGraph:
     def test_ring_plus_chords(self):

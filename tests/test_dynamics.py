@@ -15,25 +15,23 @@ from hypothesis import strategies as st
 
 import odegate.dynamics
 from odegate.autodiff import Tape, Tensor, backward, mean_all
-from odegate.dynamics import (CompensatorParams, GateStats, LearnedMaskParams,
-                              NFECounter, VectorFieldParams, attention_mask,
-                              compensate, embedded_dual_step, evolve,
-                              local_truncation_error, percentile95, vector_field)
+from odegate.dynamics import (GateStats, NFECounter, attention_mask, compensate,
+                              embedded_dual_step, evolve, local_truncation_error,
+                              percentile95, vector_field)
 from odegate.errors import ContractError, NumericError
 
 
 def affine_field(rng, d_h):
-    return VectorFieldParams(w_f=Tensor(rng.standard_normal((d_h, d_h)) * 0.4,
-                                        requires_grad=True),
-                             b_f=Tensor(rng.standard_normal(d_h) * 0.1,
-                                        requires_grad=True))
+    """A stream's field: its (w_f, b_f) pair."""
+    return (Tensor(rng.standard_normal((d_h, d_h)) * 0.4, requires_grad=True),
+            Tensor(rng.standard_normal(d_h) * 0.1, requires_grad=True))
 
 
-def comp_for(rng, d_h, steps):
-    return CompensatorParams(
-        [(Tensor(rng.standard_normal((d_h, d_h)) * 0.3, requires_grad=True),
-          Tensor(rng.standard_normal(d_h) * 0.1, requires_grad=True))
-         for _ in range(steps)])
+def jumps_for(rng, d_h, steps):
+    """A stream's jumps: one (w_g, b_g) pair per step."""
+    return [(Tensor(rng.standard_normal((d_h, d_h)) * 0.3, requires_grad=True),
+             Tensor(rng.standard_normal(d_h) * 0.1, requires_grad=True))
+            for _ in range(steps)]
 
 
 def numpy_field(a, h, w, b):
@@ -46,18 +44,18 @@ class TestVectorField:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 4))
         h = rng.standard_normal((4, 2, 3))
-        vf = affine_field(rng, 3)
-        out = vector_field(Tensor(h), Tensor(a), vf)
+        field = affine_field(rng, 3)
+        out = vector_field(Tensor(h), Tensor(a), field)
         assert np.allclose(out.data,
-                           numpy_field(a, h, vf.w_f.data, vf.b_f.data),
+                           numpy_field(a, h, field[0].data, field[1].data),
                            atol=1e-14)
 
     def test_counter_bumps_once(self):
         rng = np.random.default_rng(1)
         nfe = NFECounter()
-        vf = affine_field(rng, 2)
+        field = affine_field(rng, 2)
         vector_field(Tensor(rng.standard_normal((3, 1, 2))),
-                     Tensor(np.eye(3)), vf, nfe=nfe)
+                     Tensor(np.eye(3)), field, nfe=nfe)
         assert nfe.count == 1
 
     def test_records_two_tape_nodes(self):
@@ -72,34 +70,33 @@ class TestEmbeddedDualStep:
     def test_two_evaluations_exactly(self):
         rng = np.random.default_rng(2)
         nfe = NFECounter()
-        vf = affine_field(rng, 3)
+        field = affine_field(rng, 3)
         embedded_dual_step(Tensor(rng.standard_normal((4, 2, 3))), 0.25,
-                           Tensor(rng.standard_normal((4, 4))), vf, nfe=nfe)
+                           Tensor(rng.standard_normal((4, 4))), field, nfe=nfe)
         assert nfe.count == 2
 
     def test_euler_and_rk2_values(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
         h = rng.standard_normal((4, 2, 3))
-        vf = affine_field(rng, 3)
+        field = affine_field(rng, 3)
         dt = 0.2
-        h_euler, h_rk2 = embedded_dual_step(Tensor(h), dt, Tensor(a), vf)
-        f_h = numpy_field(a, h, vf.w_f.data, vf.b_f.data)
+        h_euler, h_rk2 = embedded_dual_step(Tensor(h), dt, Tensor(a), field)
+        f_h = numpy_field(a, h, field[0].data, field[1].data)
         mid = h + (dt / 2.0) * f_h
         assert np.allclose(h_euler.data, h + dt * f_h, atol=1e-14)
         assert np.allclose(
             h_rk2.data,
-            h + dt * numpy_field(a, mid, vf.w_f.data, vf.b_f.data), atol=1e-14)
+            h + dt * numpy_field(a, mid, field[0].data, field[1].data), atol=1e-14)
 
     def test_constant_field_makes_pair_agree(self):
         # w = 0 turns the field into a constant, so both estimates coincide
         # and the error gate sits exactly at its 0.5 anchor
         rng = np.random.default_rng(4)
-        vf = VectorFieldParams(w_f=Tensor(np.zeros((3, 3))),
-                               b_f=Tensor(rng.standard_normal(3)))
+        field = (Tensor(np.zeros((3, 3))), Tensor(rng.standard_normal(3)))
         h_euler, h_rk2 = embedded_dual_step(
             Tensor(rng.standard_normal((2, 1, 3))), 0.5,
-            Tensor(rng.standard_normal((2, 2))), vf)
+            Tensor(rng.standard_normal((2, 2))), field)
         assert np.array_equal(h_euler.data, h_rk2.data)
         err = local_truncation_error(h_euler, h_rk2)
         assert np.all(err.data == 0.0)
@@ -107,10 +104,10 @@ class TestEmbeddedDualStep:
 
     def test_dt_must_be_positive(self):
         rng = np.random.default_rng(5)
-        vf = affine_field(rng, 2)
+        field = affine_field(rng, 2)
         with pytest.raises(ContractError):
             embedded_dual_step(Tensor(rng.standard_normal((2, 1, 2))), 0.0,
-                               Tensor(np.eye(2)), vf)
+                               Tensor(np.eye(2)), field)
 
 
 class TestAnalyticTruncationError:
@@ -123,13 +120,13 @@ class TestAnalyticTruncationError:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 4))
         h = rng.standard_normal((4, 2, 3))
-        vf = affine_field(rng, 3)
-        h_euler, h_rk2 = embedded_dual_step(Tensor(h), dt, Tensor(a), vf)
+        field = affine_field(rng, 3)
+        h_euler, h_rk2 = embedded_dual_step(Tensor(h), dt, Tensor(a), field)
         err = local_truncation_error(h_euler, h_rk2).data
-        f_h = numpy_field(a, h, vf.w_f.data, vf.b_f.data)
+        f_h = numpy_field(a, h, field[0].data, field[1].data)
         analytic = np.abs(
             (dt * dt / 2.0)
-            * (np.einsum("ij,jbk->ibk", a, f_h) @ vf.w_f.data))
+            * (np.einsum("ij,jbk->ibk", a, f_h) @ field[0].data))
         assert np.abs(err - analytic).max() < 1e-10
 
     def test_many_random_cases(self):
@@ -140,10 +137,10 @@ class TestAnalyticTruncationError:
         rng = np.random.default_rng(99)
         a = rng.standard_normal((4, 4))
         h = Tensor(rng.standard_normal((4, 1, 3)))
-        vf = affine_field(rng, 3)
+        field = affine_field(rng, 3)
         errs = []
         for dt in (0.2, 0.1):
-            pair = embedded_dual_step(h, dt, Tensor(a), vf)
+            pair = embedded_dual_step(h, dt, Tensor(a), field)
             errs.append(local_truncation_error(*pair).data.max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-12)
 
@@ -153,9 +150,9 @@ class TestSolverOrders:
 
     def scalar_step_errors(self, dt):
         c = 0.5
-        vf = VectorFieldParams(w_f=Tensor([[c]]), b_f=Tensor([0.0]))
+        field = (Tensor([[c]]), Tensor([0.0]))
         h0 = Tensor([[[1.0]]])
-        h_euler, h_rk2 = embedded_dual_step(h0, dt, Tensor(np.eye(1)), vf)
+        h_euler, h_rk2 = embedded_dual_step(h0, dt, Tensor(np.eye(1)), field)
         exact = np.exp(c * dt)
         return (abs(h_euler.data[0, 0, 0] - exact),
                 abs(h_rk2.data[0, 0, 0] - exact))
@@ -177,7 +174,7 @@ class TestSolverOrders:
         m = rng.standard_normal((n, n))
         a = (m + m.T) / 2.0
         c = 0.4
-        vf = VectorFieldParams(w_f=Tensor([[c]]), b_f=Tensor([0.0]))
+        field = (Tensor([[c]]), Tensor([0.0]))
         h0 = rng.standard_normal((n, 1, 1))
         lam, vec = np.linalg.eigh(c * a)
 
@@ -189,7 +186,7 @@ class TestSolverOrders:
         for order_idx in (0, 1):
             errs = []
             for dt in (0.1, 0.05):
-                pair = embedded_dual_step(Tensor(h0), dt, Tensor(a), vf)
+                pair = embedded_dual_step(Tensor(h0), dt, Tensor(a), field)
                 errs.append(np.abs(pair[order_idx].data - exact(dt)).max())
             ratios.append(errs[0] / errs[1])
         assert 3.5 <= ratios[0] <= 4.5
@@ -224,8 +221,8 @@ class TestCompensate:
         h_t = Tensor([[[0.3]]])
         h_rk2 = Tensor([[[0.504]]])
         m = Tensor([[[0.7]]])
-        comp = CompensatorParams([(Tensor([[0.5]]), Tensor([-0.1]))])
-        out = compensate(h_t, h_rk2, m, 0, comp)
+        jumps = [(Tensor([[0.5]]), Tensor([-0.1]))]
+        out = compensate(h_t, h_rk2, m, 0, jumps)
         assert out.data[0, 0, 0] == pytest.approx(
             0.504 + 0.7 * np.tanh(0.3 * 0.5 - 0.1), rel=1e-15)
 
@@ -233,10 +230,10 @@ class TestCompensate:
         rng = np.random.default_rng(6)
         h_t = Tensor(rng.standard_normal((1, 2, 2)))
         m = Tensor(np.full((1, 2, 2), 0.8))
-        comp = comp_for(rng, 2, 1)
-        a = compensate(h_t, Tensor(np.zeros((1, 2, 2))), m, 0, comp)
+        jumps = jumps_for(rng, 2, 1)
+        a = compensate(h_t, Tensor(np.zeros((1, 2, 2))), m, 0, jumps)
         shift = rng.standard_normal((1, 2, 2))
-        b = compensate(h_t, Tensor(shift), m, 0, comp)
+        b = compensate(h_t, Tensor(shift), m, 0, jumps)
         # changing the solver output shifts the result by exactly that amount
         assert np.allclose(b.data - a.data, shift, atol=1e-14)
 
@@ -245,86 +242,78 @@ class TestCompensate:
         h_t = Tensor(rng.standard_normal((3, 4, 2)) * 10)
         h_rk2 = Tensor(rng.standard_normal((3, 4, 2)))
         m = Tensor(np.full((3, 4, 2), 0.9))
-        out = compensate(h_t, h_rk2, m, 0, comp_for(rng, 2, 1))
+        out = compensate(h_t, h_rk2, m, 0, jumps_for(rng, 2, 1))
         assert np.abs(out.data - h_rk2.data).max() <= 0.9
 
     def test_step_index_checked(self):
         rng = np.random.default_rng(8)
-        comp = comp_for(rng, 2, 2)
+        jumps = jumps_for(rng, 2, 2)
         h = Tensor(np.zeros((1, 1, 2)))
         with pytest.raises(ContractError):
-            compensate(h, h, Tensor(np.ones((1, 1, 2))), 2, comp)
+            compensate(h, h, Tensor(np.ones((1, 1, 2))), 2, jumps)
 
 
 class TestEvolveContracts:
     def setup_method(self):
         self.rng = np.random.default_rng(9)
-        self.vf = affine_field(self.rng, 2)
-        self.comp = comp_for(self.rng, 2, 4)
+        self.field = affine_field(self.rng, 2)
+        self.jumps = jumps_for(self.rng, 2, 4)
         self.a = Tensor(np.eye(3))
         self.h0 = Tensor(self.rng.standard_normal((3, 2, 2)))
 
     def test_step_count_validated(self):
         with pytest.raises(ContractError):
-            evolve(self.h0, 0, 1.0, self.a, self.vf, self.comp)
-
-    def test_dt_times_steps_must_cover_unit_time(self):
-        with pytest.raises(ContractError):
-            evolve(self.h0, 4, 0.3, self.a, self.vf, self.comp)
-        # 1/3 * 3 only reaches 1.0 up to rounding; must be accepted
-        evolve(self.h0, 3, 1.0 / 3.0, self.a, self.vf, self.comp)
+            evolve(self.h0, 0, self.a, self.field, self.jumps)
 
     def test_unknown_mode(self):
         with pytest.raises(ContractError):
-            evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+            evolve(self.h0, 4, self.a, self.field, self.jumps,
                    mask_mode="bogus")
 
     def test_learned_needs_params(self):
         with pytest.raises(ContractError):
-            evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+            evolve(self.h0, 4, self.a, self.field, self.jumps,
                    mask_mode="learned")
 
     def test_gated_modes_need_compensator(self):
         for mode in ("lte", "uniform_one"):
             with pytest.raises(ContractError):
-                evolve(self.h0, 4, 0.25, self.a, self.vf, None, mask_mode=mode)
+                evolve(self.h0, 4, self.a, self.field, mask_mode=mode)
 
     def test_compensator_step_shortage(self):
-        short = comp_for(self.rng, 2, 2)
+        short = jumps_for(self.rng, 2, 2)
         with pytest.raises(ContractError):
-            evolve(self.h0, 4, 0.25, self.a, self.vf, short)
+            evolve(self.h0, 4, self.a, self.field, short)
 
     def test_numeric_failure_names_step(self):
         # 1e80 survives step 0 (state ~1e160) and overflows inside step 1
-        bad_vf = VectorFieldParams(w_f=Tensor(np.full((2, 2), 1e80)),
-                                   b_f=Tensor(np.zeros(2)))
+        bad_field = (Tensor(np.full((2, 2), 1e80)), Tensor(np.zeros(2)))
         with np.errstate(over="ignore"), pytest.raises(NumericError,
                                                        match="step 1"):
-            evolve(self.h0, 2, 0.5, self.a, bad_vf, comp_for(self.rng, 2, 2),
+            evolve(self.h0, 2, self.a, bad_field, jumps_for(self.rng, 2, 2),
                    mask_mode="off")
 
 
 class TestEvolveBehavior:
     def setup_method(self):
         self.rng = np.random.default_rng(10)
-        self.vf = affine_field(self.rng, 3)
-        self.comp = comp_for(self.rng, 3, 4)
+        self.field = affine_field(self.rng, 3)
+        self.jumps = jumps_for(self.rng, 3, 4)
         self.a = Tensor(np.abs(self.rng.standard_normal((4, 4))) / 4.0)
         self.h0 = Tensor(self.rng.standard_normal((4, 2, 3)))
 
     @pytest.mark.parametrize("mode", ["lte", "uniform_one", "learned", "off"])
     def test_nfe_budget_all_modes(self, mode):
         nfe = NFECounter()
-        mask_params = LearnedMaskParams(
-            Tensor(self.rng.standard_normal((3, 3))),
-            Tensor(np.zeros(3))) if mode == "learned" else None
-        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
-                     mask_mode=mode, mask_params=mask_params, nfe=nfe)
+        learned_mask = (Tensor(self.rng.standard_normal((3, 3))),
+                        Tensor(np.zeros(3))) if mode == "learned" else None
+        res = evolve(self.h0, 4, self.a, self.field, self.jumps,
+                     mask_mode=mode, learned_mask=learned_mask, nfe=nfe)
         assert nfe.count == 8
         assert len(res.lte) == 4
 
     def test_uniform_mode_pins_gate_to_one(self):
-        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+        res = evolve(self.h0, 4, self.a, self.field, self.jumps,
                      mask_mode="uniform_one", collect_masks=True)
         assert all(np.all(m == 1.0) for m in res.masks)
         stats = GateStats()
@@ -334,25 +323,25 @@ class TestEvolveBehavior:
         assert (stats.mean, stats.std, stats.p95) == (1.0, 0.0, 1.0)
 
     def test_lte_mode_gate_range(self):
-        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+        res = evolve(self.h0, 4, self.a, self.field, self.jumps,
                      collect_masks=True)
         for m, err in zip(res.masks, res.lte):
             assert np.all((0.5 <= m) & (m < 1.0))
             assert np.all(err.data >= 0.0)
 
     def test_off_mode_is_pure_solver(self):
-        res = evolve(self.h0, 2, 0.5, self.a, self.vf, None, mask_mode="off",
+        res = evolve(self.h0, 2, self.a, self.field, mask_mode="off",
                      collect_masks=True)
         h = self.h0
         for _ in range(2):
-            _, h = embedded_dual_step(h, 0.5, self.a, self.vf)
+            _, h = embedded_dual_step(h, 0.5, self.a, self.field)
         assert np.array_equal(res.h_final.data, h.data)
         assert res.masks == []
 
     def test_gate_stats_match_collected_masks(self):
-        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+        res = evolve(self.h0, 4, self.a, self.field, self.jumps,
                      collect_masks=True)
-        ref = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp)
+        ref = evolve(self.h0, 4, self.a, self.field, self.jumps)
         stats = GateStats()
         for m in res.masks:
             stats.add(m)
@@ -365,7 +354,7 @@ class TestEvolveBehavior:
             np.mean([np.percentile(m, 95) for m in res.masks]), rel=0, abs=1e-12)
 
     def test_collect_masks_and_states(self):
-        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+        res = evolve(self.h0, 4, self.a, self.field, self.jumps,
                      collect_masks=True, collect_states=True)
         assert len(res.masks) == 4
         assert all(m.shape == self.h0.shape for m in res.masks)
@@ -373,8 +362,8 @@ class TestEvolveBehavior:
         assert np.array_equal(res.states[0], self.h0.data)
 
     def test_determinism(self):
-        r1 = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp)
-        r2 = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp)
+        r1 = evolve(self.h0, 4, self.a, self.field, self.jumps)
+        r2 = evolve(self.h0, 4, self.a, self.field, self.jumps)
         assert np.array_equal(r1.h_final.data, r2.h_final.data)
 
     @pytest.mark.parametrize("mode, mask_grad", [
@@ -383,11 +372,10 @@ class TestEvolveBehavior:
     def test_uncollected_error_stays_off_the_tape(self, mode, mask_grad, monkeypatch):
         # the gate reads the error's values, so only mask_grad tapes it; the
         # other modes never read it, so they do not compute it
-        mask_params = LearnedMaskParams(
-            Tensor(self.rng.standard_normal((3, 3))),
-            Tensor(np.zeros(3))) if mode == "learned" else None
-        run = dict(mask_mode=mode, mask_params=mask_params, mask_grad=mask_grad)
-        collected = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp,
+        learned_mask = (Tensor(self.rng.standard_normal((3, 3))),
+                        Tensor(np.zeros(3))) if mode == "learned" else None
+        run = dict(mask_mode=mode, learned_mask=learned_mask, mask_grad=mask_grad)
+        collected = evolve(self.h0, 4, self.a, self.field, self.jumps,
                            tape=Tape(), **run)
         tapes = []
         real = odegate.dynamics.local_truncation_error
@@ -398,7 +386,7 @@ class TestEvolveBehavior:
 
         monkeypatch.setattr(odegate.dynamics, "local_truncation_error", recording)
         tape = Tape()
-        res = evolve(self.h0, 4, 0.25, self.a, self.vf, self.comp, tape=tape,
+        res = evolve(self.h0, 4, self.a, self.field, self.jumps, tape=tape,
                      collect_lte=False, **run)
         assert res.lte is None
         expected = {"lte": [tape if mask_grad else None] * 4}.get(mode, [])
@@ -410,14 +398,14 @@ class TestEvolveBehavior:
 class TestGateGradientFlow:
     def grads_for(self, mask_grad):
         rng = np.random.default_rng(21)
-        vf = affine_field(rng, 2)
-        comp = comp_for(rng, 2, 2)
+        field = affine_field(rng, 2)
+        jumps = jumps_for(rng, 2, 2)
         h0 = Tensor(rng.standard_normal((3, 1, 2)))
         a = Tensor(np.eye(3) * 0.8)
         tape = Tape()
-        res = evolve(h0, 2, 0.5, a, vf, comp, mask_grad=mask_grad, tape=tape)
+        res = evolve(h0, 2, a, field, jumps, mask_grad=mask_grad, tape=tape)
         backward(mean_all(res.h_final, tape), tape)
-        return vf.w_f.grad.copy()
+        return field[0].grad.copy()
 
     def test_detached_gate_changes_gradients(self):
         g_detached = self.grads_for(False)
@@ -429,14 +417,14 @@ class TestGateGradientFlow:
         # the smoothness penalty needs d mean(E) / d field weights even though
         # the gate itself is detached by default
         rng = np.random.default_rng(22)
-        vf = affine_field(rng, 2)
-        comp = comp_for(rng, 2, 2)
+        field = affine_field(rng, 2)
+        jumps = jumps_for(rng, 2, 2)
         h0 = Tensor(rng.standard_normal((3, 1, 2)))
         tape = Tape()
-        res = evolve(h0, 2, 0.5, Tensor(np.eye(3)), vf, comp, tape=tape)
+        res = evolve(h0, 2, Tensor(np.eye(3)), field, jumps, tape=tape)
         backward(mean_all(res.lte[0], tape), tape)
-        assert vf.w_f.grad is not None
-        assert float(np.abs(vf.w_f.grad).sum()) > 0.0
+        assert field[0].grad is not None
+        assert float(np.abs(field[0].grad).sum()) > 0.0
 
 
 class TestGateStats:

@@ -39,7 +39,6 @@ def tiny_inputs(config, batch=2, seed=0):
 class TestConfig:
     def test_derived_quantities(self):
         assert DEFAULT.hidden_dim == 40
-        assert DEFAULT.dt == 0.25
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -94,7 +93,8 @@ class TestParams:
         q = p.copy()
         q.w_input.data[0, 0] += 1.0
         assert p.w_input.data[0, 0] != q.w_input.data[0, 0]
-        assert np.array_equal(p.streams["static"]["vf"].w_f.data, q.streams["static"]["vf"].w_f.data)
+        assert np.array_equal(p.streams["static"]["field"][0].data,
+                              q.streams["static"]["field"][0].data)
 
     # sha256 over (name, shape, little-endian float64 bytes) of every
     # parameter, computed with the hand-written initializer that preceded
@@ -128,15 +128,13 @@ def _views(params) -> dict:
              "node_embeddings": params.e_node,
              "readout_weight": params.w_out, "readout_bias": params.b_out}
     for stream in ("static", "adaptive"):
-        vf = params.streams[stream]["vf"]
-        views[f"{stream}_field_weight"], views[f"{stream}_field_bias"] = vf.w_f, vf.b_f
-        comp = params.streams[stream]["comp"]
-        for s, (w_g, b_g) in enumerate(comp.per_step if comp else []):
+        entry = params.streams[stream]
+        views[f"{stream}_field_weight"], views[f"{stream}_field_bias"] = entry["field"]
+        for s, (w_g, b_g) in enumerate(entry["jumps"]):
             views[f"{stream}_comp_weight_{s}"] = w_g
             views[f"{stream}_comp_bias_{s}"] = b_g
-        mask = params.streams[stream]["mask_params"]
-        if mask is not None:
-            views[f"{stream}_mask_weight"], views[f"{stream}_mask_bias"] = mask.w_m, mask.b_m
+        if entry["learned_mask"] is not None:
+            views[f"{stream}_mask_weight"], views[f"{stream}_mask_bias"] = entry["learned_mask"]
     return views
 
 
@@ -227,8 +225,8 @@ class TestForward:
         step = {"propagate": 2, "affine": 2, "axpy": 3, "gated_jump": 1}
         for collect_lte, extra in ((False, {}), (True, {"abs_diff": 1})):
             tape = Tape()
-            odegate.dynamics.evolve(h, 1, 1.0, ahat, params.streams["static"]["vf"],
-                                    params.streams["static"]["comp"], "lte", tape=tape,
+            odegate.dynamics.evolve(h, 1, ahat, params.streams["static"]["field"],
+                                    params.streams["static"]["jumps"], "lte", tape=tape,
                                     collect_lte=collect_lte)
             assert Counter(name for name, _ in tape.nodes) == {**step, **extra}
 
@@ -249,7 +247,7 @@ class TestForward:
         operators = (("static", ahat),
                      ("adaptive", adaptive_adjacency(params.e_node)))
         for i, (name, a_op) in enumerate(operators):
-            ref = odegate.dynamics.evolve(h0, TINY.steps, TINY.dt, a_op,
+            ref = odegate.dynamics.evolve(h0, TINY.steps, a_op,
                                           mask_mode=TINY.mask_mode,
                                           collect_masks=True,
                                           **params.streams[name])

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import odegate.dynamics
 import odegate.training
 from odegate.autodiff import Tape, Tensor, mean_abs_error
 from odegate.data import (ForecastDataset, Scaler, ShockEvent, ShockScenario,
@@ -63,6 +64,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"variant": "bogus"}, {"lr": 0.0}, {"epochs": 0},
         {"batch_size": 0}, {"patience": 0}, {"clip_norm": 0.0},
+        {"lr": math.nan}, {"clip_norm": math.nan}, {"clip_norm": math.inf},
+        {"variant": "manifold_penalty", "lam": math.nan},
+        {"variant": "manifold_penalty", "lam": -1.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
@@ -475,6 +479,33 @@ class TestMaskStatistics:
         blend = (report.shock_mean * report.shock_cells
                  + report.nonshock_mean * report.nonshock_cells) / n_cells
         assert blend == pytest.approx(report.mean, rel=1e-9)
+
+    def test_two_percentiles_per_report(self, monkeypatch):
+        # p95 and shock_p95 are the report's only order statistics; no
+        # per-step p95 is computed and thrown away
+        calls = []
+        real = odegate.dynamics.percentile95
+
+        def counting(values):
+            calls.append(values.size)
+            return real(values)
+
+        monkeypatch.setattr(odegate.dynamics, "percentile95", counting)
+        monkeypatch.setattr(odegate.training, "percentile95", counting)
+        mask_report(init_params(TINY_MODEL, seed=0), TINY_MODEL, tiny_dataset(),
+                    split="val", batch_size=7)
+        assert len(calls) == 2
+
+    def test_mean_and_std_of_pooled_values(self):
+        ds = tiny_dataset()
+        params = init_params(TINY_MODEL, seed=0)
+        windows = ds.splits["val"]
+        res = forward(Tensor(windows.x), normalize_adjacency(ds.graph), params,
+                      TINY_MODEL, collect_masks=True)
+        values = np.concatenate([m.ravel() for m in res.masks])
+        report = mask_report(params, TINY_MODEL, ds, split="val", batch_size=7)
+        assert report.mean == pytest.approx(np.mean(values), rel=0, abs=1e-12)
+        assert report.std == pytest.approx(np.std(values), rel=0, abs=1e-12)
 
     def test_p95s_equal_numpy(self, monkeypatch):
         # both are np.percentile of the same values, bitwise, by partitioning
