@@ -41,8 +41,7 @@ def main():
 
     print(f"{'variant':<18} {'params':>7} {'test_mae':>9} {'test_rmse':>10} "
           f"{'gate mean/std':>16}")
-    for variant in ("full", "no_lte", "no_compensation", "no_mask",
-                    "manifold_penalty"):
+    for variant in VARIANTS:
         lam = 0.1 if variant == "manifold_penalty" else 0.0
         result, report, gate = run_variant(dataset, base, variant, lam)
         print(f"{variant:<18} {result.params.count:>7} {report.mae:>9.4f} "

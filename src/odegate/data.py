@@ -52,6 +52,9 @@ class ShockScenario:
             raise ValidationError("ShockScenario.period must be positive")
         if self.shock_decay <= 0:
             raise ValidationError("ShockScenario.shock_decay must be positive")
+        # for c in [0, 1] the smooth step I + c(Â - I) never expands the state
+        if not 0.0 <= self.diffusion <= 1.0:
+            raise ValidationError("ShockScenario.diffusion must be in [0, 1]")
         if not 0.0 <= self.shock_rate <= 100.0:
             raise ValidationError("ShockScenario.shock_rate must be in [0, 100]")
         if self.shock_mag_lo > self.shock_mag_hi:
@@ -327,12 +330,11 @@ def read_events_csv(path):
 META_REQUIRED = ("n_nodes", "in_dim", "tick_seconds", "edge_list_path")
 
 
-def write_meta(path, scenario: ShockScenario, edge_list_path: str,
-               tick_seconds: int = DEFAULT_TICK_SECONDS) -> None:
+def write_meta(path, scenario: ShockScenario, edge_list_path: str) -> None:
     payload = {
         "n_nodes": scenario.n_nodes,
         "in_dim": 1,
-        "tick_seconds": tick_seconds,
+        "tick_seconds": DEFAULT_TICK_SECONDS,
         "edge_list_path": edge_list_path,
         "scenario": {k: v for k, v in asdict(scenario).items() if k != "n_nodes"},
     }
@@ -355,14 +357,15 @@ def read_meta(path) -> dict:
         value = payload[key]
         if type(value) is not int or value < 1:
             raise ParseError(f"{path}: {key} must be a positive integer, got {value!r}")
+    if payload["in_dim"] != 1:
+        raise ParseError(f"{path}: in_dim must be 1, got {payload['in_dim']}")
     if not isinstance(payload["edge_list_path"], str):
         raise ParseError(f"{path}: edge_list_path must be a string")
     return payload
 
 
 def write_dataset_files(out_dir, scenario: ShockScenario, graph: SpatialGraph,
-                        series: np.ndarray, events,
-                        tick_seconds: int = DEFAULT_TICK_SECONDS) -> dict:
+                        series: np.ndarray, events) -> dict:
     """Write the four-file on-disk form; returns name -> path."""
     paths = {name: os.path.join(out_dir, fname)
              for name, fname in (("series", "series.csv"), ("events", "events.csv"),
@@ -370,8 +373,7 @@ def write_dataset_files(out_dir, scenario: ShockScenario, graph: SpatialGraph,
     write_edge_list(paths["edges"], graph)
     write_series_csv(paths["series"], series)
     write_events_csv(paths["events"], events)
-    write_meta(paths["meta"], scenario, edge_list_path="edges.csv",
-               tick_seconds=tick_seconds)
+    write_meta(paths["meta"], scenario, edge_list_path="edges.csv")
     return paths
 
 

@@ -27,12 +27,13 @@ CHECKPOINT_MAGIC = "odegate-checkpoint"
 CHECKPOINT_VERSION = 1
 MAX_STEPS = 1000   # integration steps per unit time; each costs 2 NFEs per stream
 STREAMS = ("static", "adaptive")   # graph streams, in parameter and readout order
+# removed config keys -> the value (and JSON type) under which old checkpoints still load
+RETIRED_CONFIG_KEYS = {"sparsity_tau": None, "in_dim": 1}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     n_nodes: int
-    in_dim: int = 1
     window: int = 12
     horizon: int = 12
     proj_dim: int = 30
@@ -42,8 +43,7 @@ class ModelConfig:
     mask_grad: bool = False
 
     def __post_init__(self):
-        for name in ("n_nodes", "in_dim", "window", "horizon",
-                     "proj_dim", "embed_dim", "steps"):
+        for name in ("n_nodes", "window", "horizon", "proj_dim", "embed_dim", "steps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"ModelConfig.{name} must be >= 1")
         if self.steps > MAX_STEPS:
@@ -65,7 +65,7 @@ def param_shapes(config: ModelConfig) -> dict:
     """
     d_h = config.hidden_dim
     square, vector = (d_h, d_h), (d_h,)
-    shapes = {"input_projection": (config.window * config.in_dim, config.proj_dim),
+    shapes = {"input_projection": (config.window, config.proj_dim),
               "node_embeddings": (config.n_nodes, config.embed_dim)}
 
     def per_stream(block: str, suffixes=("",)) -> None:
@@ -175,18 +175,18 @@ class ForwardResult:
 
 def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
                      tape: Tape | None = None) -> Tensor:
-    """Shared node-major initial state [N,B,d_h] of an input x[B,N,T,D].
+    """Shared node-major initial state [N,B,d_h] of an input x[B,N,T,1].
 
     Per node and window: the window's projection, then the node embedding.
     """
     if x.data.ndim != 4:
-        raise DimensionError(f"initialize_state: input must be [B,N,T,D], got {x.shape}")
+        raise DimensionError(f"initialize_state: input must be [B,N,T,1], got {x.shape}")
     b, n, t, d = x.shape
-    if (n, t, d) != (config.n_nodes, config.window, config.in_dim):
+    if (n, t, d) != (config.n_nodes, config.window, 1):
         raise DimensionError(
             f"initialize_state: input {x.shape} does not match config "
-            f"(n_nodes={config.n_nodes}, window={config.window}, in_dim={config.in_dim})")
-    windows = Tensor(x.data.swapaxes(0, 1).reshape(n, b, t * d))
+            f"(n_nodes={config.n_nodes}, window={config.window}, one channel)")
+    windows = Tensor(x.data.swapaxes(0, 1).reshape(n, b, t))
     proj = affine(windows, params.w_input, tape=tape)
     emb = expand_batch(params.e_node, b, tape)
     return concat_channels(proj, emb, tape)
@@ -265,7 +265,7 @@ def flop_report(config: ModelConfig, batch_size: int = 1) -> FlopReport:
     per_eval = n * n * d_h + n * d_h * d_h          # propagate + shared affine
     comp_active = config.mask_mode != "off"
     return FlopReport(
-        encoder=2 * b * n * config.window * config.in_dim * config.proj_dim,
+        encoder=2 * b * n * config.window * config.proj_dim,
         graph_build=2 * n * n * config.embed_dim,
         solver=2 * b * k * 2 * s * per_eval,
         compensation=(2 * b * k * s * n * d_h * d_h) if comp_active else 0,
@@ -325,11 +325,11 @@ def _stored_config(path, stored) -> ModelConfig:
     if not isinstance(stored, dict):
         raise ValidationError(f"{path}: checkpoint has no config object")
     stored = dict(stored)
-    # Checkpoints from before the sparsity_tau knob was removed carry it, null
-    # unless the model was trained with that approximation switched on.
-    if stored.pop("sparsity_tau", None) is not None:
-        raise ValidationError(f"{path}: checkpoint was trained with sparsity_tau, "
-                              "which is no longer supported")
+    for key, kept in RETIRED_CONFIG_KEYS.items():
+        value = stored.pop(key, kept)
+        if type(value) is not type(kept) or value != kept:
+            raise ValidationError(f"{path}: checkpoint was trained with {key}="
+                                  f"{json.dumps(value)}, which is no longer supported")
     # annotations are strings here ("int", "str", "bool"); JSON gives exactly
     # those types, and a bool is never accepted where an int is expected
     types = {f.name: f.type for f in dataclasses.fields(ModelConfig)}

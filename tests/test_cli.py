@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odegate.cli import (ABLATE_KEYS, ABLATION_ORDER, DEFAULTS, EVAL_KEYS,
+from odegate.cli import (ABLATE_KEYS, DEFAULTS, EVAL_KEYS,
                          EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          GENERATE_KEYS, NFE_KEYS, TRAIN_KEYS, _coerce, main,
                          parse_config_file, resolve_settings, write_resolved)
@@ -101,7 +101,7 @@ class TestCoercion:
 GENERATE_DEFAULTS = {
     "amplitude": 1.0, "diffusion": 0.05, "n_nodes": 20, "period": 100.0,
     "seed": 0, "shock_decay": 12.0, "shock_mag_hi": 8.0, "shock_mag_lo": 3.0,
-    "shock_rate": 1.0, "tick_seconds": 300, "total_t": 2000,
+    "shock_rate": 1.0, "total_t": 2000,
 }
 TRAIN_DEFAULTS = {
     "batch_size": 32, "clip_norm": 5.0, "embed_dim": 10, "epochs": 50,
@@ -111,7 +111,7 @@ TRAIN_DEFAULTS = {
 }
 EVAL_DEFAULTS = {"batch_size": 32, "stride": 1}
 NFE_DEFAULTS = {"embed_dim": 10, "horizon": 12, "n_nodes": 20, "proj_dim": 30,
-                "seed": 0, "steps": 4, "window": 12}
+                "steps": 4, "window": 12}
 
 
 class TestDefaults:
@@ -167,9 +167,10 @@ class TestConfigFile:
             parse_config_file(cfg, set(GENERATE_KEYS))
 
     def test_write_resolved_sorted(self, tmp_path):
-        write_resolved(tmp_path, {"b_key": 0.5, "a_key": None, "c_key": True})
+        write_resolved(tmp_path, {"b_key": 0.5, "a_key": 3, "c_key": True,
+                                  "d_key": False})
         text = (tmp_path / "resolved_config.txt").read_text()
-        assert text == "a_key=none\nb_key=0.5\nc_key=true\n"
+        assert text == "a_key=3\nb_key=0.5\nc_key=true\nd_key=false\n"
 
 
 class TestGenerateData:
@@ -388,6 +389,29 @@ class TestEvaluate:
         assert err.startswith("error[validation]:") and "sparsity_tau" in err
         assert err.count("\n") == 1
 
+    def test_legacy_in_dim_key(self, data_dir, full_run, tmp_path, capsys):
+        # checkpoints written while ModelConfig had in_dim carry it as 1
+        ref, old = tmp_path / "ref", tmp_path / "old"
+        main(["evaluate", "--data", str(data_dir), "--out", str(ref),
+              "--checkpoint", str(full_run / "checkpoint.json")])
+        ckpt = self._edited_checkpoint(full_run, tmp_path, in_dim=1)
+        code = main(["evaluate", "--data", str(data_dir), "--out", str(old),
+                     "--checkpoint", str(ckpt)])
+        assert code == EXIT_OK
+        assert filecmp.cmp(ref / "metrics.json", old / "metrics.json",
+                           shallow=False)
+
+    @pytest.mark.parametrize("value", [2, True, 1.0], ids=["two", "true", "float"])
+    def test_retired_in_dim_value_rejected(self, data_dir, full_run, tmp_path,
+                                           capsys, value):
+        ckpt = self._edited_checkpoint(full_run, tmp_path, in_dim=value)
+        code = main(["evaluate", "--data", str(data_dir),
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        line = _one_error_line(capsys, "validation")
+        assert (f"trained with in_dim={json.dumps(value)}, which is no longer "
+                "supported") in line
+
     @pytest.mark.parametrize("row", ["5,99,4.0", "5,0,nan", "-5,0,4.0", "99999,0,4.0"],
                              ids=["node_out_of_range", "nan_magnitude",
                                   "tick_negative", "tick_past_end"])
@@ -520,6 +544,7 @@ class TestEvaluate:
 
 class TestAblate:
     FLAGS = [f for f in SMALL_TRAIN if f != "--quiet"] + ["--epochs", "1"]
+    ORDER = ["full", "no_lte", "no_compensation", "no_mask", "manifold_penalty"]
 
     def test_outputs(self, data_dir, tmp_path, capsys):
         out = tmp_path / "ablate"
@@ -528,11 +553,11 @@ class TestAblate:
         assert code == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 5
         assert sorted(p.name for p in out.glob("checkpoint_*.json")) == sorted(
-            f"checkpoint_{v}.json" for v in ABLATION_ORDER)
+            f"checkpoint_{v}.json" for v in self.ORDER)
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[0] == "variant,param_count,mae,rmse,mape,mask_mean,mask_std"
         rows = [line.split(",") for line in lines[1:]]
-        assert [r[0] for r in rows] == list(ABLATION_ORDER)
+        assert [r[0] for r in rows] == self.ORDER
         for row in rows:
             masks = row[5:]
             if row[0] == "no_compensation":
@@ -625,6 +650,40 @@ def test_non_finite_setting_rejected(data_dir, tmp_path, capsys, argv):
     code = main(argv + extra + ["--out", str(out)])
     assert code == EXIT_DATA
     _one_error_line(capsys, "validation")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["generate-data", "--tick-seconds", "300"],
+                                  ["nfe-report", "--seed", "0"]],
+                         ids=lambda argv: " ".join(argv))
+def test_removed_flag_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-50", "-0.01", "1.01"])
+def test_diffusion_outside_unit_interval_rejected(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    code = main(["generate-data", f"--diffusion={value}", "--n-nodes", "4",
+                 "--total-t", "140", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert "diffusion must be in [0, 1]" in _one_error_line(capsys, "validation")
+    assert not out.exists()
+
+
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
+    # a setting too large for the host is bad input; nothing is allocated here
+    def refuse(scenario, graph):
+        raise MemoryError("Unable to allocate 2.84 PiB for an array")
+
+    monkeypatch.setattr("odegate.cli.generate_shock_series", refuse)
+    out = tmp_path / "o"
+    code = main(["generate-data", "--n-nodes", "4", "--total-t", "140",
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert "Unable to allocate" in _one_error_line(capsys, "memory")
     assert not out.exists()
 
 

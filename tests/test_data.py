@@ -37,6 +37,18 @@ class TestScenario:
         with pytest.raises(ValidationError):
             ShockScenario(shock_mag_lo=5.0, shock_mag_hi=2.0)
 
+    @pytest.mark.parametrize("diffusion", [-50.0, -0.01, 1.01])
+    def test_diffusion_outside_unit_interval_rejected(self, diffusion):
+        # outside [0, 1] the smooth step I + c(A - I) can expand the state
+        with pytest.raises(ValidationError, match=r"diffusion must be in \[0, 1\]"):
+            ShockScenario(diffusion=diffusion)
+
+    @pytest.mark.parametrize("diffusion", [0.0, 1.0])
+    def test_diffusion_bounds_accepted(self, diffusion):
+        sc = ShockScenario(n_nodes=4, total_t=200, diffusion=diffusion)
+        series, _ = generate_shock_series(sc, default_graph(4))
+        assert np.abs(series).max() < 50.0
+
     @pytest.mark.parametrize("kwargs", [
         {"amplitude": math.nan}, {"period": math.inf}, {"diffusion": math.nan},
         {"shock_rate": math.nan}, {"shock_mag_lo": -math.inf},
@@ -348,6 +360,16 @@ class TestCsvFormats:
         with open(tmp_path / "events.csv", "a") as fh:
             fh.write(row + "\n")
         with pytest.raises(ValidationError, match=f"events.csv line {len(events) + 2}:"):
+            load_dataset_files(tmp_path)
+
+    def test_dataset_with_more_than_one_channel_rejected(self, tmp_path):
+        sc = ShockScenario(n_nodes=4, total_t=80, seed=8)
+        g = default_graph(4, seed=8)
+        series, events = generate_shock_series(sc, g)
+        write_dataset_files(tmp_path, sc, g, series, events)
+        meta = (tmp_path / "meta.json").read_text()
+        (tmp_path / "meta.json").write_text(meta.replace('"in_dim": 1,', '"in_dim": 2,'))
+        with pytest.raises(ParseError, match="in_dim must be 1"):
             load_dataset_files(tmp_path)
 
     def test_meta_edge_list_path_must_be_string(self, tmp_path):

@@ -29,8 +29,7 @@ TINY = ModelConfig(n_nodes=4, window=3, horizon=2, proj_dim=5, embed_dim=3, step
 
 def tiny_inputs(config, batch=2, seed=0):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((batch, config.n_nodes, config.window,
-                                    config.in_dim)))
+    x = Tensor(rng.standard_normal((batch, config.n_nodes, config.window, 1)))
     edges = [(i, i + 1, 1.0) for i in range(config.n_nodes - 1)]
     ahat = normalize_adjacency(SpatialGraph(n_nodes=config.n_nodes, edges=edges))
     return x, ahat
@@ -165,7 +164,7 @@ class TestInitializeState:
         b, n = 3, TINY.n_nodes
         assert h0.shape == (n, b, TINY.hidden_dim)   # node-major
         # projection channels first, then the node embedding, per node
-        flat = x.data.reshape(b * n, TINY.window * TINY.in_dim)
+        flat = x.data.reshape(b * n, TINY.window)
         proj = (flat @ params.w_input.data).reshape(b, n, TINY.proj_dim)
         assert np.array_equal(h0.data[..., :TINY.proj_dim], proj.swapaxes(0, 1))
         for bi in range(b):
@@ -577,6 +576,23 @@ class TestCheckpoint:
         named = init_params(config).named()
         assert param_shapes(config) == {n: t.shape for n, t in named.items()}
 
+    def test_legacy_in_dim_predicts_pinned(self, tmp_path):
+        # a checkpoint saved while ModelConfig had in_dim carries "in_dim": 1;
+        # it loads and forecasts the bits pinned before the field went
+        import json
+        config = dataclasses.replace(TINY, steps=3)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params(config, seed=5), config)
+        payload = json.loads(path.read_text())
+        payload["config"]["in_dim"] = 1
+        path.write_text(json.dumps(payload))
+        params, loaded = load_checkpoint(path)
+        assert loaded == config
+        x, ahat = tiny_inputs(config, batch=3, seed=6)
+        y_hat = forward(x, ahat, params, loaded).y_hat.data
+        digest = hashlib.sha256(np.ascontiguousarray(y_hat, dtype="<f8").tobytes())
+        assert digest.hexdigest() == TestForwardBits.Y_HAT_DIGESTS["lte"]
+
     def _edited(self, tmp_path, edit):
         import json
         path = tmp_path / "ckpt.json"
@@ -603,9 +619,17 @@ class TestCheckpoint:
         (lambda p: (p["config"].update(mask_mode="off", steps=10 ** 9),
                     [p["params"].pop(k) for k in list(p["params"]) if "_comp_" in k]),
          "steps=1000000000 exceeds"),
+        # a retired key loads only with the value, and JSON type, it had
+        (lambda p: p["config"].update(in_dim=2), "trained with in_dim=2, which"),
+        (lambda p: p["config"].update(in_dim=True), "trained with in_dim=true, which"),
+        (lambda p: p["config"].update(in_dim=1.0), r"trained with in_dim=1\.0, which"),
+        (lambda p: p["config"].update(sparsity_tau=0.2), "with sparsity_tau=0.2, which"),
+        (lambda p: p["config"].update(sparsity_tau=False), "with sparsity_tau=false"),
     ], ids=["unknown_key", "missing_key", "str_int", "float_int", "bool_int",
             "int_bool", "no_config", "params_not_object", "bias_shape",
-            "bias_rank", "bias_text", "bias_ragged", "huge_steps", "off_huge_steps"])
+            "bias_rank", "bias_text", "bias_ragged", "huge_steps", "off_huge_steps",
+            "retired_in_dim_2", "retired_in_dim_true", "retired_in_dim_float",
+            "retired_tau_value", "retired_tau_bool"])
     def test_bad_config_and_shapes_rejected(self, tmp_path, edit, match):
         with pytest.raises(ValidationError, match=match):
             load_checkpoint(self._edited(tmp_path, edit))
