@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import platform
 import sys
@@ -41,7 +40,7 @@ from .data import (ShockScenario, build_dataset, default_graph,
                    generate_shock_series, load_dataset_files, write_dataset_files)
 from .dynamics import MASK_MODES, evolve
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
-                     ValidationError, read_text)
+                     ValidationError, read_text, write_json)
 from .graph import SpatialGraph, normalize_adjacency
 from .model import (ModelConfig, flop_report, forward, init_params,
                     load_checkpoint, save_checkpoint, tape_peak_bytes)
@@ -164,12 +163,6 @@ def pick(cls, settings: dict, **fixed):
     """`cls` built from the settings named like its fields; `fixed` wins."""
     names = {f.name for f in dataclasses.fields(cls)}
     return cls(**{**{k: v for k, v in settings.items() if k in names}, **fixed})
-
-
-def write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def blas_info() -> dict:

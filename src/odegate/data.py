@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import all_finite
-from .errors import ParseError, ValidationError, read_text, require_finite
+from .errors import ParseError, ValidationError, read_text, require_finite, write_json
 from .graph import SpatialGraph, load_graph, normalize_adjacency, write_edge_list
 
 DEFAULT_TICK_SECONDS = 300
@@ -338,9 +338,7 @@ def write_meta(path, scenario: ShockScenario, edge_list_path: str) -> None:
         "edge_list_path": edge_list_path,
         "scenario": {k: v for k, v in asdict(scenario).items() if k != "n_nodes"},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def read_meta(path) -> dict:

@@ -3,11 +3,13 @@
 Each class maps onto one failure family so callers (and the CLI exit-code
 mapping) can distinguish bad shapes, bad data files, broken numerics, and
 violated call contracts without string matching.  `read_text` is how every
-input file is read, so a file that is not text is a ParseError too, and
-`require_finite` is how a settings dataclass rejects a NaN or infinite float.
+input file is read, so a file that is not text is a ParseError too;
+`write_json` is how every JSON output is written; and `require_finite` is
+how a settings dataclass rejects a NaN or infinite float.
 """
 
 import dataclasses
+import json
 import math
 
 
@@ -42,6 +44,13 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file ({exc})") from exc
+
+
+def write_json(path, payload) -> None:
+    """`payload` as JSON with sorted keys, one space of indent, and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def require_finite(settings) -> None:

@@ -79,9 +79,13 @@ def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:
     """Read an edge-list CSV (`src,dst,weight`, 0-based) into a SpatialGraph.
 
     Duplicate (src,dst) records have their weights summed; orientation is
-    ignored for the duplicate check since edges are undirected.
+    ignored for the duplicate check since edges are undirected.  A line is
+    bad data if, with it, an edge's summed weight or a node's degree
+    overflows: the degree is the row sum of A + I that `normalize_adjacency`
+    takes, summed here the same way, and it only grows line by line.
     """
     merged: dict[tuple[int, int], float] = {}
+    a_tilde = np.eye(n_nodes)   # A + I of the lines read so far
     reader = csv.reader(read_text(edge_list_path).splitlines())
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:3]] != ["src", "dst", "weight"]:
@@ -100,7 +104,17 @@ def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:
         except ValidationError as exc:
             raise ValidationError(f"{edge_list_path}: line {lineno}: {exc}") from exc
         key = (src, dst) if src <= dst else (dst, src)
-        merged[key] = merged.get(key, 0.0) + weight
+        total = merged.get(key, 0.0) + weight
+        if not np.isfinite(total):
+            raise ValidationError(f"{edge_list_path}: line {lineno}: the weights of "
+                                  f"edge ({key[0]},{key[1]}) sum to {total}")
+        merged[key] = a_tilde[src, dst] = a_tilde[dst, src] = total
+        with np.errstate(over="ignore"):
+            degrees = a_tilde[[src, dst]].sum(axis=1)
+        for node, degree in zip((src, dst), degrees):
+            if not np.isfinite(degree):
+                raise ValidationError(f"{edge_list_path}: line {lineno}: the degree "
+                                      f"of node {node} overflows to {degree}")
     edges = [(s, d, w) for (s, d), w in merged.items()]
     return SpatialGraph(n_nodes=n_nodes, edges=edges)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import (Tape, Tensor, affine, all_finite, backward, concat_channels,
                        expand_batch, mean_abs_error, swap_leading)
 from .dynamics import MASK_MODES, NFECounter, evolve
-from .errors import DimensionError, ParseError, ValidationError, read_text
+from .errors import DimensionError, ParseError, ValidationError, read_text, write_json
 from .graph import adaptive_adjacency
 
 CHECKPOINT_MAGIC = "odegate-checkpoint"
@@ -315,9 +315,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
         "config": dataclasses.asdict(config),
         "params": {name: t.data.tolist() for name, t in params.named().items()},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _stored_config(path, stored) -> ModelConfig:

@@ -265,6 +265,13 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                 for m in res.masks:
                     gate.add(m)
                 loss = batch_loss(res, y, train_config.lam, tape)
+                # Without the result, backward frees each gate mask as it pops
+                # that step's jump, and no field of it reaches the next batch.
+                # `m` keeps the last mask alive on purpose: at the top of the
+                # heap, it stops glibc from trimming the batch's pages, which
+                # the next forward would fault in again (about 30k faults a
+                # batch at N=300).
+                del res
                 t1 = clock()
                 params.zero_grad()
                 backward(loss, tape)

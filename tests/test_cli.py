@@ -541,6 +541,26 @@ class TestEvaluate:
         assert err.startswith("error[validation]:") and "non-finite weight" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "train", "mask-stats"])
+    @pytest.mark.parametrize("appended, message", [
+        ("0,1,1e308\n1,2,1e308\n", "the degree of node 1 overflows to inf"),
+        ("0,1,1e308\n1,0,1e308\n", "the weights of edge (0,1) sum to inf"),
+    ], ids=["degree", "edge"])
+    def test_overflowing_edge_weights_name_line(self, data_dir, full_run, tmp_path,
+                                                capsys, command, appended, message):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        with open(bad / "edges.csv", "a") as fh:
+            fh.write(appended)
+        line = len((bad / "edges.csv").read_text().splitlines())
+        flags = (SMALL_TRAIN if command == "train"
+                 else ["--checkpoint", str(full_run / "checkpoint.json")])
+        code = main([command, "--data", str(bad), "--out", str(tmp_path / "o")] + flags)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"error[validation]: {bad / 'edges.csv'}: line {line}: "
+                       f"{message}\n")
+
 
 class TestAblate:
     FLAGS = [f for f in SMALL_TRAIN if f != "--quiet"] + ["--epochs", "1"]

@@ -1,6 +1,7 @@
 """Graph construction, the two propagation operators, and edge-list I/O."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -233,6 +234,30 @@ class TestEdgeListIO:
         path = tmp_path / "edges.csv"
         path.write_text(f"src,dst,weight\n0,1,1.0\n1,2,{weight}\n")
         with pytest.raises(ValidationError, match="line 3: .*non-finite weight"):
+            load_graph(path, 3)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("0,1,1e308\n1,2,1e308\n", r"line 3: the degree of node 1 overflows to inf"),
+        ("0,1,1e308\n1,0,1e308\n", r"line 3: the weights of edge \(0,1\) sum to inf"),
+    ], ids=["degree", "edge"])
+    def test_overflowing_sums_name_line(self, tmp_path, lines, message):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\n" + lines)
+        with pytest.raises(ValidationError, match=f"edges.csv: {message}"):
+            load_graph(path, 3)
+
+    def test_degree_overflows_where_normalization_would(self, tmp_path):
+        # node 1's degree 1 + 2w rounds to the largest float at w = max / 2,
+        # and overflows one ulp of w above it
+        path = tmp_path / "edges.csv"
+        w = float(np.finfo(np.float64).max) / 2
+        path.write_text(f"src,dst,weight\n0,1,{w!r}\n1,2,{w!r}\n")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            a_hat = normalize_adjacency(load_graph(path, 3)).data
+        assert np.isfinite(a_hat).all()
+        w = math.nextafter(w, math.inf)
+        path.write_text(f"src,dst,weight\n0,1,{w!r}\n1,2,{w!r}\n")
+        with pytest.raises(ValidationError, match="line 3: the degree of node 1"):
             load_graph(path, 3)
 
     def test_blank_lines_skipped(self, tmp_path):

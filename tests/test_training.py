@@ -7,6 +7,7 @@ not comparable against the full baseline.
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from odegate.data import (ForecastDataset, Scaler, ShockEvent, ShockScenario,
                           generate_shock_series)
 from odegate.errors import ContractError, NumericError, ValidationError
 from odegate.graph import normalize_adjacency
-from odegate.model import ModelConfig, forward, init_params
+from odegate.model import ModelConfig, forward, init_params, tape_peak_bytes
 from odegate.training import (VARIANTS, AdamState, EvalReport, TrainConfig,
                               adam_step, batch_loss, check_finite_grads,
                               clip_gradients, config_for_variant, evaluate,
@@ -335,6 +336,30 @@ class TestTrainLoop:
             epoch_norms = np.array(norms[e * per_epoch:(e + 1) * per_epoch])
             assert h["grad_norm"] == pytest.approx(epoch_norms.mean(), rel=1e-15)
             assert h["clip_frac"] == np.mean(epoch_norms > cfg.clip_norm)
+
+    def test_train_peaks_within_8_states_of_one_batch(self):
+        # a whole train() call may need one batch's tape_peak_bytes plus small
+        # change: the previous batch's 8 gate masks alone would be 8 state
+        # arrays more
+        scenario = ShockScenario(n_nodes=20, total_t=400)
+        graph = default_graph(20)
+        series, events = generate_shock_series(scenario, graph)
+        ds = build_dataset(series, events, graph)
+        config = ModelConfig(n_nodes=20)
+        cfg = TrainConfig(epochs=1)
+        assert ds.splits["train"].count == 217
+        train(ds, config, cfg)   # warm-up: caches and free lists filled
+        tracemalloc.start()
+        try:
+            train(ds, config, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x = Tensor(ds.splits["train"].x[:cfg.batch_size])
+        one_batch = tape_peak_bytes(x, normalize_adjacency(graph),
+                                    init_params(config), config)
+        state = cfg.batch_size * config.n_nodes * config.hidden_dim * 8
+        assert peak - one_batch < 8 * state, (peak - one_batch) / state
 
     def test_no_compensation_history_has_no_gate(self):
         ds = tiny_dataset()
