@@ -164,11 +164,6 @@ def _slot_of(t: Tensor) -> _Slot:
     return t if t._slot is None else t._slot
 
 
-def detach(t: Tensor) -> Tensor:
-    """A view of `t` cut off from gradient tracking."""
-    return Tensor._wrap(t.data)
-
-
 def swap_leading(t: Tensor) -> Tensor:
     """The view of `t` with its two leading axes swapped, [N,B,...] <-> [B,N,...].
 

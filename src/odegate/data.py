@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import all_finite
-from .errors import ParseError, ValidationError, read_text, require_finite, write_json
+from .errors import (ParseError, ValidationError, read_text, require_finite, write_csv,
+                     write_json)
 from .graph import SpatialGraph, load_graph, normalize_adjacency, write_edge_list
 
 DEFAULT_TICK_SECONDS = 300
@@ -267,11 +268,10 @@ def build_dataset(series: np.ndarray, events, graph: SpatialGraph,
 # ---------------------------------------------------------------------------
 
 def write_series_csv(path, series: np.ndarray) -> None:
-    n = series.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write("t," + ",".join(f"node_{i}" for i in range(n)) + "\n")
-        for t in range(series.shape[0]):
-            fh.write(str(t) + "," + ",".join(repr(float(v)) for v in series[t]) + "\n")
+    # a row at a time: a whole-array tolist() holds every cell as a float at once
+    cells = np.asarray(series, dtype=float)
+    write_csv(path, ["t"] + [f"node_{i}" for i in range(cells.shape[1])],
+              ([t] + row.tolist() for t, row in enumerate(cells)))
 
 
 def read_series_csv(path) -> np.ndarray:
@@ -304,10 +304,8 @@ def read_series_csv(path) -> np.ndarray:
 
 
 def write_events_csv(path, events) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,node,magnitude\n")
-        for ev in events:
-            fh.write(f"{ev.t},{ev.node},{repr(float(ev.magnitude))}\n")
+    write_csv(path, ("t", "node", "magnitude"),
+              ((ev.t, ev.node, float(ev.magnitude)) for ev in events))
 
 
 def read_events_csv(path):

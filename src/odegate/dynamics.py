@@ -45,10 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tape, Tensor, abs_diff, all_finite, axpy, detach, gated_jump,
-                       sigmoid)
+from .autodiff import Tape, Tensor, abs_diff, axpy, gated_jump, sigmoid
 from .autodiff import affine as node_linear, propagate as graph_propagate
-from .errors import ContractError, NumericError, OdegateError
+from .errors import ContractError, OdegateError
 
 MASK_MODES = ("lte", "uniform_one", "learned", "off")
 
@@ -242,14 +241,15 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
       learned      mask = sigmoid of an affine map of the pre-step state
       off          pure embedded RK2, jumps skipped entirely
 
-    By default the error feeding the mask is detached from the tape; pass
-    mask_grad=True to let gradients flow through the gate.  With collect_lte
-    (the default), `lte` holds every step's error tensor, on the tape (the
-    smoothness-penalty loss differentiates them), in every mode.  Without it,
-    `lte` is None: `lte` mode computes each error off the tape (on it with
-    mask_grad) and drops it with its step, and the other modes, which never
-    read it, skip it.  With collect_masks, `masks` holds every gated step's
-    mask array (read-only); mask_mode 'off' collects none.
+    By default the mask is computed off the tape, so no gradient reaches the
+    error through the gate; pass mask_grad=True to let gradients flow through
+    it.  With collect_lte (the default), `lte` holds every step's error
+    tensor, on the tape (the smoothness-penalty loss differentiates them), in
+    every mode.  Without it, `lte` is None: `lte` mode computes each error
+    off the tape (on it with mask_grad) and drops it with its step, and the
+    other modes, which never read it, skip it.  With collect_masks, `masks`
+    holds every gated step's mask array (read-only); mask_mode 'off' collects
+    none.
     """
     if steps < 1:
         raise ContractError(f"evolve: steps must be >= 1, got {steps}")
@@ -281,8 +281,7 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
                 h_next = h_rk2
             else:
                 if mask_mode == "lte":
-                    gate_input = err if mask_grad else detach(err)
-                    m = attention_mask(gate_input, tape)
+                    m = attention_mask(err, tape if mask_grad else None)
                 elif mask_mode == "uniform_one":
                     m = Tensor(np.ones_like(h.data))
                 else:  # learned
@@ -298,7 +297,5 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
             states.append(h_next.data.copy())
         h = h_next
 
-    if not all_finite(h.data):
-        raise NumericError("evolve: final state is non-finite")
     return EvolveResult(h_final=h, lte=lte_tensors,
                         masks=masks, states=states)

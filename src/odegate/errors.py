@@ -4,13 +4,17 @@ Each class maps onto one failure family so callers (and the CLI exit-code
 mapping) can distinguish bad shapes, bad data files, broken numerics, and
 violated call contracts without string matching.  `read_text` is how every
 input file is read, so a file that is not text is a ParseError too;
-`write_json` is how every JSON output is written; and `require_finite` is
-how a settings dataclass rejects a NaN or infinite float.
+`write_json` is how every JSON output is written, `write_csv` how every CSV
+output is, with each cell printed by `format_value` (a float as its
+`repr`, so it reads back exactly); and `require_finite` is how a settings
+dataclass rejects a NaN or infinite float.
 """
 
 import dataclasses
 import json
 import math
+
+import numpy as np
 
 
 class OdegateError(Exception):
@@ -51,6 +55,25 @@ def write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def format_value(value) -> str:
+    """`true`/`false` for a bool, `repr(float(v))` for any float, else `str(v)`."""
+    if type(value) is float:   # nearly every cell of a series: keep it one test
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):   # np.float32 is no float
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """One `header` line, then one line of `format_value` cells per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_value, row)) + "\n")
 
 
 def require_finite(settings) -> None:

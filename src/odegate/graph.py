@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Tensor, gram, relu, row_normalize
-from .errors import ParseError, ValidationError, read_text
+from .errors import ParseError, ValidationError, read_text, write_csv
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,5 @@ def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:
 
 
 def write_edge_list(path, graph: SpatialGraph) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst", "weight"])
-        for src, dst, weight in graph.edges:
-            writer.writerow([src, dst, repr(float(weight))])
+    write_csv(path, ("src", "dst", "weight"),
+              ((src, dst, float(weight)) for src, dst, weight in graph.edges))

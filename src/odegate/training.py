@@ -85,11 +85,13 @@ class TrainConfig:
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     moments: dict = field(default_factory=dict)   # name -> (m, v)
 
@@ -123,16 +125,16 @@ def clip_gradients(named: dict, max_norm: float) -> float:
 def adam_step(named: dict, state: AdamState, lr: float) -> None:
     state.ensure(named)
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in named.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m, v = state.moments[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +322,6 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
     return TrainResult(params=best, model_config=model_config,
                        train_config=train_config, history=history,
                        best_epoch=best_epoch, best_val_mae=best_val, timing=timing)
-
-
-def write_history_csv(path, history) -> None:
-    cols = ("epoch", "train_loss", "val_mae", "m_mean", "m_std", "m_p95",
-            "grad_norm", "clip_frac")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in history:
-            fh.write(",".join(
-                str(row[c]) if c == "epoch" else repr(row[c]) for c in cols) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 import odegate.autodiff
 from odegate.autodiff import (Tape, Tensor, _finite, _sigmoid_values, abs_diff, add,
                               affine, all_finite, axpy, backward, concat_channels,
-                              detach, expand_batch, finite_diff_gradient, gated_jump,
+                              expand_batch, finite_diff_gradient, gated_jump,
                               gram, mean_abs_error, mean_all, propagate, relu,
                               row_normalize, scale, sigmoid, swap_leading)
 from odegate.errors import ContractError, DimensionError, NumericError
@@ -73,12 +73,6 @@ class TestTensor:
         assert np.array_equal(t.grad, [1.5, 1.25])
         t.zero_grad()
         assert t.grad is None
-
-    def test_detach_drops_tracking(self):
-        t = Tensor([1.0], requires_grad=True)
-        d = detach(t)
-        assert not d.requires_grad
-        assert np.array_equal(d.data, t.data)
 
     def test_constructor_copies(self):
         src = np.array([1.0, 2.0])
@@ -528,9 +522,11 @@ class TestGradientOracles:
         grad_matches(build, [h])
 
     def test_detached_input_gets_no_grad(self):
+        # an op run without a tape gives a constant, cut off from `a`
         t = Tape()
         a = Tensor(rand(3), requires_grad=True)
-        d = detach(a)
+        d = scale(a, 1.0)
+        assert not d.requires_grad and np.array_equal(d.data, a.data)
         backward(mean_all(axpy(d, d, 2.0, t), t), t)
         assert a.grad is None
 

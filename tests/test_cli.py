@@ -31,7 +31,7 @@ from odegate.cli import (ABLATE_KEYS, DEFAULTS, EVAL_KEYS,
 from odegate.data import ShockScenario, read_series_csv
 from odegate.errors import ParseError, ValidationError
 from odegate.model import ModelConfig, init_params, save_checkpoint
-from odegate.training import TrainConfig
+from odegate.training import TrainConfig, train
 
 SMALL_TRAIN = ["--window", "4", "--horizon", "3", "--proj-dim", "4",
                "--embed-dim", "2", "--steps", "2", "--batch-size", "16",
@@ -186,6 +186,19 @@ class TestGenerateData:
         assert meta["n_nodes"] == 4
         assert read_series_csv(data_dir / "series.csv").shape == (140, 4)
 
+    # The three CSV files of `data_dir` (4 nodes, 140 ticks), byte for byte:
+    # a change to how any writer formats a cell must not move a single digit.
+    DATASET_DIGESTS = {
+        "edges.csv": "3402fa15699130d0c92864899e4e46f9d975577ba3767f29d1bd513f6d2e63cf",
+        "events.csv": "bc1c66b8342ab33ee7d65b6377412a7af97723ab05f0f15184fa281ba5d197d5",
+        "series.csv": "063a53c114de9c73f45a205dda4ea3dc4f59d4ee1fbab7458e10969ca0341183",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DATASET_DIGESTS))
+    def test_csv_files_pinned(self, data_dir, name):
+        digest = hashlib.sha256((data_dir / name).read_bytes()).hexdigest()
+        assert digest == self.DATASET_DIGESTS[name]
+
     def test_byte_identical_rerun(self, data_dir, tmp_path):
         rerun = tmp_path / "again"
         code = main(["generate-data", "--out", str(rerun),
@@ -308,6 +321,34 @@ class TestTrain:
         assert main(["no-such-command"]) == EXIT_USAGE
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestHistoryCsv:
+    def test_written_values_survive_float_repr(self, data_dir, tmp_path, capsys,
+                                               monkeypatch):
+        # every history entry reads back exactly, in the entry's own key order;
+        # the first gets values whose short forms would lose bits
+        entries = []
+
+        def recording(*args, **kwargs):
+            result = train(*args, **kwargs)
+            result.history[0].update(train_loss=0.1 + 0.2,
+                                     val_mae=np.float64(1e-17))
+            entries.extend(result.history)
+            return result
+
+        monkeypatch.setattr("odegate.cli.train", recording)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--out", str(out)]
+                    + SMALL_TRAIN) == EXIT_OK
+        lines = (out / "history.csv").read_text().splitlines()
+        assert lines[0] == ",".join(entries[0])
+        assert len(lines) == 1 + len(entries) == 3
+        for line, entry in zip(lines[1:], entries):
+            cells = line.split(",")
+            assert int(cells[0]) == entry["epoch"]
+            assert [float(c) for c in cells[1:]] == list(entry.values())[1:]
+        assert lines[1].split(",")[1:3] == ["0.30000000000000004", "1e-17"]
 
 
 class TestEvaluate:

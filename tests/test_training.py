@@ -26,8 +26,7 @@ from odegate.model import ModelConfig, forward, init_params, tape_peak_bytes
 from odegate.training import (VARIANTS, AdamState, EvalReport, TrainConfig,
                               adam_step, batch_loss, check_finite_grads,
                               clip_gradients, config_for_variant, evaluate,
-                              mask_report, predict, shock_cell_matrix, train,
-                              write_history_csv)
+                              mask_report, predict, shock_cell_matrix, train)
 
 
 def tiny_dataset(seed=0):
@@ -387,23 +386,6 @@ class TestTrainLoop:
         with pytest.raises(ValidationError, match=f"batch_size must be >= 1, got {batch_size}"):
             predict(params, TINY_MODEL, normalize_adjacency(ds.graph), ds.splits["val"],
                     batch_size=batch_size)
-
-
-class TestHistoryCsv:
-    def test_written_values_survive_float_repr(self, tmp_path):
-        history = [{"epoch": 0, "train_loss": 0.1 + 0.2, "val_mae": 1e-17,
-                    "m_mean": 0.5, "m_std": 0.0, "m_p95": 0.75,
-                    "grad_norm": 2.5, "clip_frac": 0.25}]
-        path = tmp_path / "history.csv"
-        write_history_csv(path, history)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ("epoch,train_loss,val_mae,m_mean,m_std,m_p95,"
-                            "grad_norm,clip_frac")
-        cells = lines[1].split(",")
-        assert int(cells[0]) == 0
-        assert float(cells[1]) == 0.1 + 0.2
-        assert float(cells[2]) == 1e-17
-        assert float(cells[6]) == 2.5 and float(cells[7]) == 0.25
 
 
 class TestEvaluate:
