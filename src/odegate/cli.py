@@ -103,7 +103,7 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path, allowed) -> dict:
-    values = {}
+    values, set_on = {}, {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -117,6 +117,10 @@ def parse_config_file(path, allowed) -> dict:
         if key not in allowed:
             raise ParseError(
                 f"{path}: line {lineno}: key '{key}' does not apply here")
+        if key in set_on:
+            raise ParseError(f"{path}: line {lineno}: key '{key}' is already set "
+                             f"on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = _coerce(key, raw.strip())
     return values
 

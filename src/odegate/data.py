@@ -15,7 +15,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -23,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import all_finite
-from .errors import (ParseError, ValidationError, read_text, require_finite, write_csv,
-                     write_json)
+from .errors import (ParseError, ValidationError, read_csv, read_json, require_finite,
+                     write_csv, write_json)
 from .graph import SpatialGraph, load_graph, normalize_adjacency, write_edge_list
 
 DEFAULT_TICK_SECONDS = 300
@@ -275,31 +274,19 @@ def write_series_csv(path, series: np.ndarray) -> None:
 
 
 def read_series_csv(path) -> np.ndarray:
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[0] != "t" or any(h != f"node_{i}" for i, h in enumerate(header[1:])):
-        raise ParseError(f"{path}: bad header {lines[0]!r}")
-    n = len(header) - 1
-    if n == 0:
-        raise ParseError(f"{path}: no node columns")
-    rows = []
-    for r, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != n + 1:
-            raise ParseError(f"{path}: line {r}: expected {n + 1} cells, got {len(cells)}")
-        try:
-            if int(cells[0]) != r - 2:
-                raise ParseError(f"{path}: line {r}: tick out of order")
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {r}: {exc}") from exc
+    def header(width):   # the header names its own width, and at least node_0
+        return ["t"] + [f"node_{i}" for i in range(max(width - 1, 1))]
+
+    rows = read_csv(path, header, (int, float))
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    arr = np.array(rows)
+    for tick, (lineno, row) in enumerate(rows):
+        if row.pop(0) != tick:   # in place: a slice per row would copy the series
+            raise ParseError(f"{path}: line {lineno}: tick out of order")
+    arr = np.array([row for _, row in rows])
     if not all_finite(arr):
-        raise ParseError(f"{path}: non-finite value in series")
+        i, node = np.argwhere(~np.isfinite(arr))[0]
+        raise ParseError(f"{path}: line {rows[i][0]}: non-finite value in node_{node}")
     return arr
 
 
@@ -308,21 +295,13 @@ def write_events_csv(path, events) -> None:
               ((ev.t, ev.node, float(ev.magnitude)) for ev in events))
 
 
+def _event_rows(path) -> list:
+    return [(lineno, ShockEvent(*row))
+            for lineno, row in read_csv(path, ("t", "node", "magnitude"), (int, int, float))]
+
+
 def read_events_csv(path):
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != "t,node,magnitude":
-        raise ParseError(f"{path}: bad events header")
-    events = []
-    for r, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ParseError(f"{path}: line {r}: expected 3 cells")
-        try:
-            events.append(ShockEvent(t=int(cells[0]), node=int(cells[1]),
-                                     magnitude=float(cells[2])))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {r}: {exc}") from exc
-    return events
+    return [event for _, event in _event_rows(path)]
 
 
 META_REQUIRED = ("n_nodes", "in_dim", "tick_seconds", "edge_list_path")
@@ -340,12 +319,7 @@ def write_meta(path, scenario: ShockScenario, edge_list_path: str) -> None:
 
 
 def read_meta(path) -> dict:
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    payload = read_json(path)
     missing = [k for k in META_REQUIRED if k not in payload]
     if missing:
         raise ParseError(f"{path}: missing keys {missing}")
@@ -377,13 +351,13 @@ def load_dataset_files(data_dir):
     """Read the four-file form back; returns (series, events, graph, meta)."""
     meta = read_meta(os.path.join(data_dir, "meta.json"))
     series = read_series_csv(os.path.join(data_dir, "series.csv"))
-    events = read_events_csv(os.path.join(data_dir, "events.csv"))
+    event_rows = _event_rows(os.path.join(data_dir, "events.csv"))
     graph = load_graph(os.path.join(data_dir, meta["edge_list_path"]),
                        n_nodes=meta["n_nodes"])
     if series.shape[1] != meta["n_nodes"]:
         raise ValidationError(
             f"{data_dir}: series has {series.shape[1]} nodes, meta says {meta['n_nodes']}")
-    for line, ev in enumerate(events, start=2):
+    for line, ev in event_rows:
         if not 0 <= ev.t < series.shape[0]:
             raise ValidationError(f"{data_dir}: events.csv line {line}: tick {ev.t} "
                                   f"outside [0, {series.shape[0]})")
@@ -393,4 +367,4 @@ def load_dataset_files(data_dir):
         if not math.isfinite(ev.magnitude):
             raise ValidationError(f"{data_dir}: events.csv line {line}: "
                                   f"non-finite magnitude {ev.magnitude}")
-    return series, events, graph, meta
+    return series, [ev for _, ev in event_rows], graph, meta

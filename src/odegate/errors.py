@@ -2,12 +2,20 @@
 
 Each class maps onto one failure family so callers (and the CLI exit-code
 mapping) can distinguish bad shapes, bad data files, broken numerics, and
-violated call contracts without string matching.  `read_text` is how every
-input file is read, so a file that is not text is a ParseError too;
-`write_json` is how every JSON output is written, `write_csv` how every CSV
-output is, with each cell printed by `format_value` (a float as its
-`repr`, so it reads back exactly); and `require_finite` is how a settings
-dataclass rejects a NaN or infinite float.
+violated call contracts without string matching.
+
+Each file format has one reader and one writer here.  `read_text` is how
+every input file is read, so a file that is not text is a ParseError too.
+`read_csv` is the one CSV dialect: cells split on commas with no quoting,
+blank lines skipped, spaces around a header name or a cell ignored, the
+header checked whole, every row's width checked, and each cell converted
+(a digit-group underscore such as `1_0` is a ParseError, though `int` and
+`float` accept it).  `read_json` takes a file whose top level is a JSON
+object with no repeated key.  `write_json` is how every JSON output is
+written, `write_csv` how every CSV output is, with each cell printed by
+`format_value` (a float as its `repr`, so it reads back exactly); and
+`require_finite` is how a settings dataclass rejects a NaN or infinite
+float.
 """
 
 import dataclasses
@@ -48,6 +56,60 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file ({exc})") from exc
+
+
+def read_csv(path, header, kinds) -> list:
+    """`(line number, converted cells)` for each data row of a CSV input file.
+
+    `header` is the column names, or a function from the header's width to
+    them; `kinds[i]` converts column i, and the last kind every further column.
+    """
+    text = read_text(path)
+    lines = text.splitlines() or [""]
+    names = [name.strip() for name in lines[0].split(",")]
+    expected = list(header(len(names)) if callable(header) else header)
+    if names != expected:
+        raise ParseError(f"{path}: line 1: expected header {','.join(expected)!r}")
+    underscore = text.find("_", len(lines[0]))   # one search, not a test per cell
+    if underscore >= 0:
+        raise ParseError(f"{path}: line {len(text[:underscore + 1].splitlines())}: "
+                         f"'_' is not allowed in a number")
+    del text   # the lines hold the same characters; keeping both raises the peak
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ParseError(f"{path}: line {lineno}: expected {len(names)} cells, "
+                             f"got {len(cells)}")
+        try:
+            row = [kind(cell) for kind, cell in zip(kinds, cells)]
+            row.extend(map(kinds[-1], cells[len(kinds):]))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        rows.append((lineno, row))
+    return rows
+
+
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(path) -> dict:
+    """The top-level object of a JSON input file; no object may repeat a key."""
+    try:
+        payload = json.loads(read_text(path), object_pairs_hook=_unique_keys)
+    except ValueError as exc:   # bad syntax, a repeated key, an integer too long to read
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return payload
 
 
 def write_json(path, payload) -> None:

@@ -8,13 +8,12 @@ with respect to the embedding table.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, gram, relu, row_normalize
-from .errors import ParseError, ValidationError, read_text, write_csv
+from .errors import ValidationError, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,8 @@ def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:
     """
     merged: dict[tuple[int, int], float] = {}
     a_tilde = np.eye(n_nodes)   # A + I of the lines read so far
-    reader = csv.reader(read_text(edge_list_path).splitlines())
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:3]] != ["src", "dst", "weight"]:
-        raise ParseError(f"{edge_list_path}: line 1: expected header 'src,dst,weight'")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise ParseError(f"{edge_list_path}: line {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            src, dst, weight = int(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise ParseError(f"{edge_list_path}: line {lineno}: {exc}") from exc
+    for lineno, (src, dst, weight) in read_csv(edge_list_path, ("src", "dst", "weight"),
+                                               (int, int, float)):
         try:
             SpatialGraph(n_nodes, [(src, dst, weight)])   # the edge rules, per line
         except ValidationError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import (Tape, Tensor, affine, all_finite, backward, concat_channels,
                        expand_batch, mean_abs_error, swap_leading)
 from .dynamics import MASK_MODES, NFECounter, evolve
-from .errors import DimensionError, ParseError, ValidationError, read_text, write_json
+from .errors import DimensionError, ValidationError, read_json, write_json
 from .graph import adaptive_adjacency
 
 CHECKPOINT_MAGIC = "odegate-checkpoint"
@@ -346,11 +346,8 @@ def _stored_config(path, stored) -> ModelConfig:
 
 def load_checkpoint(path):
     """Read a checkpoint back as (params, config)."""
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
+    payload = read_json(path)
+    if payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version "

@@ -160,6 +160,12 @@ class TestConfigFile:
         with pytest.raises(ParseError, match="line 2.*does not apply"):
             parse_config_file(cfg, set(GENERATE_KEYS))
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=5\n# more epochs\nepochs=50\n")
+        with pytest.raises(ParseError, match="line 3: key 'epochs' is already set on line 1"):
+            parse_config_file(cfg, set(TRAIN_KEYS))
+
     def test_missing_equals(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed\n")

@@ -362,6 +362,16 @@ class TestCsvFormats:
         with pytest.raises(ValidationError, match=f"events.csv line {len(events) + 2}:"):
             load_dataset_files(tmp_path)
 
+    def test_bad_event_row_after_blank_line_names_its_line(self, tmp_path):
+        sc = ShockScenario(n_nodes=4, total_t=80, seed=8)
+        g = default_graph(4, seed=8)
+        series, events = generate_shock_series(sc, g)
+        write_dataset_files(tmp_path, sc, g, series, events)
+        with open(tmp_path / "events.csv", "a") as fh:
+            fh.write("\n5,99,4.0\n")
+        with pytest.raises(ValidationError, match=f"events.csv line {len(events) + 3}: node 99"):
+            load_dataset_files(tmp_path)
+
     def test_dataset_with_more_than_one_channel_rejected(self, tmp_path):
         sc = ShockScenario(n_nodes=4, total_t=80, seed=8)
         g = default_graph(4, seed=8)

@@ -1,9 +1,18 @@
-"""The shared output formatting: `format_value` and `write_csv`."""
+"""The shared readers and writers: `read_csv`, `read_json`, `format_value` and
+`write_csv`."""
+
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from odegate.errors import format_value, write_csv
+from odegate.data import read_events_csv, read_meta, read_series_csv
+from odegate.errors import ParseError, format_value, read_csv, write_csv
+from odegate.graph import load_graph
 
 
 class TestFormatValue:
@@ -49,3 +58,88 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         write_csv(path, ["t"], [])
         assert path.read_bytes() == b"t\n"
+
+
+# a valid file of each CSV input, and what loading it gives
+CSV_INPUTS = {
+    "series.csv": ("t,node_0,node_1", ["0,1.5,2.0", "1,0.5,-3.0"],
+                   lambda path: read_series_csv(path).tolist()),
+    "events.csv": ("t,node,magnitude", ["0,1,2.5", "3,0,4.0"], read_events_csv),
+    "edges.csv": ("src,dst,weight", ["0,1,1.5", "1,2,0.5"],
+                  lambda path: load_graph(path, 3).edges),
+}
+
+
+def _quote_last(cells):
+    return cells[:-1] + [f'"{cells[-1]}"']
+
+
+# header, first row, second row -> lines of the file
+DIALECT_CASES = {
+    "blank_lines": (lambda h, a, b: [h, a, "", b, "  "], None),
+    "spaced_header": (lambda h, a, b: [", ".join(h.split(",")), a, b], None),
+    "extra_header_column": (lambda h, a, b: [h + ",x", a, b],
+                            r"line 1: expected header"),
+    "quoted_cell": (lambda h, a, b: [h, ",".join(_quote_last(a.split(","))), b],
+                    r"line 2: could not convert"),
+    "short_row": (lambda h, a, b: [h, a, b.rsplit(",", 1)[0]],
+                  r"line 3: expected 3 cells, got 2"),
+    "digit_group_underscore": (lambda h, a, b: [h, a, b.replace(".", "_0.", 1)],
+                               r"line 3: '_' is not allowed"),
+}
+
+
+class TestCsvDialect:
+    @pytest.mark.parametrize("case", sorted(DIALECT_CASES))
+    @pytest.mark.parametrize("name", sorted(CSV_INPUTS))
+    def test_one_dialect_for_every_csv_input(self, tmp_path, name, case):
+        header, (first, second), load = CSV_INPUTS[name]
+        edit, error = DIALECT_CASES[case]
+        path = tmp_path / name
+        path.write_text(f"{header}\n{first}\n{second}\n")
+        valid = load(path)
+        path.write_text("\n".join(edit(header, first, second)) + "\n")
+        if error is None:
+            assert load(path) == valid
+        else:
+            with pytest.raises(ParseError, match=f"{name}: {error}"):
+                load(path)
+
+    @pytest.mark.parametrize("cell", ["0,nan", "0,1e999", "1,-inf"])
+    def test_non_finite_series_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "series.csv"
+        path.write_text(f"t,node_0,node_1\n0,1.0,2.0\n1,{cell}\n")
+        with pytest.raises(ParseError, match=r"line 3: non-finite value in node_1$"):
+            read_series_csv(path)
+
+
+def _bits(rows):
+    return [struct.pack(f"<{len(row)}d", *row) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3), max_size=8))
+@example([[0.1 + 0.2, 1e-308, -0.0], [5e-324, -1.7976931348623157e308, float("inf")]])
+def test_write_then_read_csv_is_bitwise_exact(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write_csv(path, ("a", "b", "c"), rows)
+        back = [row for _, row in read_csv(path, ("a", "b", "c"), (float,))]
+    assert _bits(back) == _bits(rows)
+
+
+class TestReadJson:
+    def test_repeated_key_is_named(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text('{"n_nodes": 3, "in_dim": 1, "tick_seconds": 300, '
+                        '"edge_list_path": "edges.csv", "n_nodes": 5}\n')
+        with pytest.raises(ParseError,
+                           match="meta.json: not valid JSON .repeated key 'n_nodes'"):
+            read_meta(path)
+
+    def test_integer_too_long_to_read(self, tmp_path):
+        # Python refuses to read an integer of more than 4300 digits
+        path = tmp_path / "meta.json"
+        path.write_text('{"n_nodes": 1' + "0" * 5000 + "}\n")
+        with pytest.raises(ParseError, match="meta.json: not valid JSON .Exceeds the limit"):
+            read_meta(path)

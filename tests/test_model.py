@@ -16,7 +16,7 @@ import odegate.dynamics
 from odegate.autodiff import Tape, Tensor, backward, finite_diff_gradient, mean_abs_error
 from odegate.data import WindowSet
 from odegate.dynamics import GateStats
-from odegate.errors import DimensionError, ValidationError
+from odegate.errors import DimensionError, ParseError, ValidationError
 from odegate.graph import SpatialGraph, adaptive_adjacency, normalize_adjacency
 from odegate.model import (MAX_STEPS, ModelConfig, flop_report, forward,
                            init_params, initialize_state, load_checkpoint,
@@ -539,6 +539,16 @@ class TestCheckpoint:
         path = tmp_path / "x.json"
         path.write_text('{"magic": "other"}\n')
         with pytest.raises(ValidationError, match="not a checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]\n", "expected a JSON object"),
+        ('{"magic": "a", "magic": "b"}\n', "repeated key 'magic'"),
+    ], ids=["not_an_object", "repeated_key"])
+    def test_malformed_json_object_is_a_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "ckpt.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
             load_checkpoint(path)
 
     def test_version_checked(self, tmp_path):
