@@ -295,24 +295,21 @@ def write_events_csv(path, events) -> None:
               ((ev.t, ev.node, float(ev.magnitude)) for ev in events))
 
 
-def _event_rows(path) -> list:
+def read_events_csv(path) -> list:
+    """(line number, ShockEvent) per data row, so a caller can name a bad row."""
     return [(lineno, ShockEvent(*row))
             for lineno, row in read_csv(path, ("t", "node", "magnitude"), (int, int, float))]
-
-
-def read_events_csv(path):
-    return [event for _, event in _event_rows(path)]
 
 
 META_REQUIRED = ("n_nodes", "in_dim", "tick_seconds", "edge_list_path")
 
 
-def write_meta(path, scenario: ShockScenario, edge_list_path: str) -> None:
+def write_meta(path, scenario: ShockScenario) -> None:
     payload = {
         "n_nodes": scenario.n_nodes,
         "in_dim": 1,
         "tick_seconds": DEFAULT_TICK_SECONDS,
-        "edge_list_path": edge_list_path,
+        "edge_list_path": "edges.csv",
         "scenario": {k: v for k, v in asdict(scenario).items() if k != "n_nodes"},
     }
     write_json(path, payload)
@@ -329,8 +326,13 @@ def read_meta(path) -> dict:
             raise ParseError(f"{path}: {key} must be a positive integer, got {value!r}")
     if payload["in_dim"] != 1:
         raise ParseError(f"{path}: in_dim must be 1, got {payload['in_dim']}")
-    if not isinstance(payload["edge_list_path"], str):
+    name = payload["edge_list_path"]
+    if not isinstance(name, str):
         raise ParseError(f"{path}: edge_list_path must be a string")
+    # a plain file name: the edge list lies in the data directory itself
+    if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+        raise ParseError(f"{path}: edge_list_path must be a file name in the data "
+                         f"directory, got {name!r}")
     return payload
 
 
@@ -343,7 +345,7 @@ def write_dataset_files(out_dir, scenario: ShockScenario, graph: SpatialGraph,
     write_edge_list(paths["edges"], graph)
     write_series_csv(paths["series"], series)
     write_events_csv(paths["events"], events)
-    write_meta(paths["meta"], scenario, edge_list_path="edges.csv")
+    write_meta(paths["meta"], scenario)
     return paths
 
 
@@ -351,7 +353,7 @@ def load_dataset_files(data_dir):
     """Read the four-file form back; returns (series, events, graph, meta)."""
     meta = read_meta(os.path.join(data_dir, "meta.json"))
     series = read_series_csv(os.path.join(data_dir, "series.csv"))
-    event_rows = _event_rows(os.path.join(data_dir, "events.csv"))
+    event_rows = read_events_csv(os.path.join(data_dir, "events.csv"))
     graph = load_graph(os.path.join(data_dir, meta["edge_list_path"]),
                        n_nodes=meta["n_nodes"])
     if series.shape[1] != meta["n_nodes"]:

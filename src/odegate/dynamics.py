@@ -72,74 +72,30 @@ class NFECounter:
         self.count += 1
 
 
-_TAIL_STRIDE = 17   # prime, so the sample walks every channel of [N,B,d]
-
-
-def _order_stats(flat: np.ndarray, lo: int) -> tuple[float, float]:
-    """The order statistics lo and lo + 1 (ascending) of a 1-D array.
-
-    The array is cut at a lower bound taken from a strided sample: the
-    values at or above it are a tail, and if that tail holds the top
-    n - lo values, only the tail is partitioned.  Otherwise the whole
-    array is.
-    """
-    sample = flat[::_TAIL_STRIDE]
-    k = int(sample.size * 0.93)   # below 0.95, so the tail most likely covers it
-    cut = np.partition(sample, k)[k]
-    tail = flat[flat >= cut]
-    i = lo - (flat.size - tail.size)
-    if i >= 0:
-        part = np.partition(tail, (i, i + 1))
-        return part[i], part[i + 1]
-    part = np.partition(flat, (lo, lo + 1))
-    return part[lo], part[lo + 1]
-
-
-def percentile95(values: np.ndarray) -> float:
-    """np.percentile(values, 95) from its two order statistics.
-
-    Interpolates the way numpy's default "linear" method does, including its
-    switch to b - (b - a) * (1 - t) for t >= 0.5, so the result is bitwise equal.
-    """
-    flat = values.ravel()
-    pos = (flat.size - 1) * 0.95
-    lo = int(pos)
-    if lo >= flat.size - 1:
-        return float(flat.max())
-    a, b = _order_stats(flat, lo)
-    t = pos - lo
-    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
-
-
 class GateStats:
     """Streaming summary of gate values over many steps and batches.
 
     Keeps the count, sum and sum of squares of every value folded in, for the
-    mean and std over all of them, and the running sum of each step's p95.
+    mean and std over all of them.
     """
 
-    __slots__ = ("count", "total", "total_sq", "p95_sum", "steps")
+    __slots__ = ("count", "total", "total_sq")
 
     def __init__(self):
         self.count = 0
         self.total = 0.0
         self.total_sq = 0.0
-        self.p95_sum = 0.0
-        self.steps = 0
 
     def add(self, values: np.ndarray) -> None:
         """Fold in one step's gate values, in memory order.
 
         A transposed view, such as a batch-major mask, is read where it
-        lies instead of copied; every statistic but the sums' last bits is
-        independent of the order.
+        lies instead of copied; only the sums' last bits depend on the order.
         """
         flat = values.ravel(order="K")
         self.count += flat.size
         self.total += float(flat.sum())
         self.total_sq += float(np.dot(flat, flat))
-        self.p95_sum += percentile95(flat)
-        self.steps += 1
 
     @property
     def mean(self) -> float:
@@ -151,11 +107,6 @@ class GateStats:
             return 0.0
         mean = self.total / self.count
         return float(np.sqrt(max(self.total_sq / self.count - mean * mean, 0.0)))
-
-    @property
-    def p95(self) -> float:
-        """Mean over the folded-in steps of each step's p95."""
-        return self.p95_sum / self.steps if self.steps else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from .autodiff import (Tape, Tensor, add, all_finite, backward, mean_abs_error, mean_all,
                        scale)
 from .data import ForecastDataset, WindowSet
-from .dynamics import GateStats, percentile95
+from .dynamics import GateStats
 from .errors import ContractError, NumericError, ValidationError, require_finite
 from .graph import normalize_adjacency
 from .model import ModelConfig, ModelParams, forward, init_params
@@ -302,7 +302,6 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
             "val_mae": val_mae,
             "m_mean": gate.mean,
             "m_std": gate.std,
-            "m_p95": gate.p95,
             "grad_norm": float(np.mean(grad_norms)),
             "clip_frac": float(np.mean(np.array(grad_norms) > train_config.clip_norm)),
         }
@@ -419,9 +418,9 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
                   else np.array([np.nan]))
     return MaskReport(
         mean=float(np.mean(all_vals)), std=float(np.std(all_vals)),
-        p95=percentile95(all_vals),
+        p95=float(np.percentile(all_vals, 95)),
         histogram=[int(c) for c in hist],
         shock_mean=float(shock_sum / shock_n) if shock_n else float("nan"),
         nonshock_mean=float(nonshock_sum / nonshock_n) if nonshock_n else float("nan"),
-        shock_p95=percentile95(shock_vals),
+        shock_p95=float(np.percentile(shock_vals, 95)),
         shock_cells=int(shock_n), nonshock_cells=int(nonshock_n))

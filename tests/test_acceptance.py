@@ -10,6 +10,9 @@ the bounds are the contract.
 import dataclasses
 import filecmp
 import math
+import multiprocessing
+import os
+import warnings
 from contextlib import contextmanager
 from time import perf_counter
 from types import SimpleNamespace
@@ -43,6 +46,45 @@ def announce(capsys, number, text):
             print(f"[accept {number:02d}] {verdict}  {text}", flush=True)
 
 
+def timed_train(dataset, model_config, train_config):
+    """train(), and the wall seconds it took."""
+    start = perf_counter()
+    result = train(dataset, model_config, train_config)
+    return result, perf_counter() - start
+
+
+@contextmanager
+def one_thread_pool(processes):
+    """A spawn pool whose workers, and only they, run BLAS on one thread.
+
+    The variable is set only while the pool starts its workers, which read
+    it when they load numpy; this process has loaded numpy already and keeps
+    its thread count.  At 20 nodes the trained parameters do not depend on
+    the thread count, and two one-thread workers train two models at a time
+    without oversubscribing two cores.  A spawned worker starts with Python's
+    default warning filters, not the suite's, so each one turns every warning
+    into an error itself, as the suite does here.
+    """
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(
+            processes, initializer=warnings.simplefilter, initargs=("error",))
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    with pool:
+        yield pool
+
+
+def test_pool_workers_turn_warnings_into_errors():
+    with one_thread_pool(1) as pool:
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            pool.apply(np.multiply, (np.float64(1e308), 10.0))
+
+
 @pytest.fixture(scope="module")
 def runs():
     """Default-scenario dataset plus the trained models the gate compares."""
@@ -52,26 +94,21 @@ def runs():
     dataset = build_dataset(series, events, graph, window=12, horizon=12)
     cfg = ModelConfig(n_nodes=scenario.n_nodes)
 
-    times = {}
-
-    def timed(key, fn):
-        start = perf_counter()
-        out = fn()
-        times[key] = perf_counter() - start
-        return out
-
-    full = timed("full", lambda: train(dataset, cfg, TrainConfig()))
-    no_comp_cfg = config_for_variant(cfg, "no_compensation")
-    no_comp = timed("no_comp", lambda: train(
-        dataset, no_comp_cfg, TrainConfig(variant="no_compensation")))
-    penalty = {}
+    jobs = {"full": (cfg, TrainConfig())}
     for lam in PENALTY_WEIGHTS:
-        tc = TrainConfig(variant="manifold_penalty", lam=lam)
-        penalty[lam] = timed(f"pen_{lam}",
-                             lambda tc=tc: train(dataset, cfg, tc))
+        jobs[f"pen_{lam}"] = (cfg, TrainConfig(variant="manifold_penalty", lam=lam))
+    # the shortest run goes last, where it fills the gap the others leave
+    jobs["no_comp"] = (config_for_variant(cfg, "no_compensation"),
+                       TrainConfig(variant="no_compensation"))
+    with one_thread_pool(2) as pool:
+        pending = {key: pool.apply_async(timed_train, (dataset, *job))
+                   for key, job in jobs.items()}
+        done = {key: result.get() for key, result in pending.items()}
+    times = {key: seconds for key, (_, seconds) in done.items()}
     return SimpleNamespace(scenario=scenario, graph=graph, series=series,
                            events=events, dataset=dataset, cfg=cfg,
-                           full=full, no_comp=no_comp, penalty=penalty,
+                           full=done["full"][0], no_comp=done["no_comp"][0],
+                           penalty={lam: done[f"pen_{lam}"][0] for lam in PENALTY_WEIGHTS},
                            times=times)
 
 

@@ -251,7 +251,7 @@ class TestTrain:
         for name in ("checkpoint.json", "history.csv", "resolved_config.txt"):
             assert (out / name).exists()
         header = (out / "history.csv").read_text().splitlines()[0]
-        assert header == ("epoch,train_loss,val_mae,m_mean,m_std,m_p95,"
+        assert header == ("epoch,train_loss,val_mae,m_mean,m_std,"
                           "grad_norm,clip_frac")
 
     def test_byte_identical_rerun(self, data_dir, full_run, tmp_path):
@@ -495,6 +495,31 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]:")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(lambda tmp: str(tmp / "edges.csv"), id="absolute"),
+        pytest.param(lambda tmp: "../edges.csv", id="../edges.csv"),
+        pytest.param(lambda tmp: "sub/edges.csv", id="sub/edges.csv"),
+    ])
+    def test_edge_list_path_outside_data_dir(self, data_dir, full_run, tmp_path, capsys,
+                                             value):
+        # each value names a real copy of the edge list, which would load
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        (bad / "sub").mkdir()
+        shutil.copy(data_dir / "edges.csv", bad / "sub" / "edges.csv")
+        shutil.copy(data_dir / "edges.csv", tmp_path / "edges.csv")
+        value = value(tmp_path)
+        meta = json.loads((bad / "meta.json").read_text())
+        meta["edge_list_path"] = value
+        (bad / "meta.json").write_text(json.dumps(meta))
+        code = main(["evaluate", "--data", str(bad),
+                     "--checkpoint", str(full_run / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        line = _one_error_line(capsys, "parse")
+        assert "meta.json: edge_list_path must be a file name" in line
+        assert line.endswith(f"got {value!r}")
 
     @pytest.mark.parametrize("name, text", [
         ("series.csv", "t,node_0,node_1,node_2,node_3\n"),

@@ -6,7 +6,9 @@ coverage per split) rather than by spot-checking values.
 """
 
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,7 +306,7 @@ class TestCsvFormats:
         _, events = generate_shock_series(sc, default_graph(3, seed=6))
         path = tmp_path / "events.csv"
         write_events_csv(path, events)
-        assert read_events_csv(path) == events
+        assert read_events_csv(path) == list(enumerate(events, start=2))
 
     def test_dataset_files_round_trip(self, tmp_path):
         sc = ShockScenario(n_nodes=4, total_t=80, seed=8)
@@ -387,4 +389,15 @@ class TestCsvFormats:
         path.write_text('{"n_nodes": 3, "in_dim": 1, "tick_seconds": 300, '
                         '"edge_list_path": 7}\n')
         with pytest.raises(ParseError, match="edge_list_path"):
+            read_meta(path)
+
+    @pytest.mark.parametrize("name", ["/abs/edges.csv", "sub/", "", ".", "..",
+                                      "edges\0.csv"])
+    def test_meta_edge_list_path_must_be_a_file_name(self, tmp_path, name):
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps({"n_nodes": 3, "in_dim": 1, "tick_seconds": 300,
+                                    "edge_list_path": name}))
+        with pytest.raises(ParseError, match=re.escape(f"meta.json: edge_list_path must "
+                                                       f"be a file name in the data "
+                                                       f"directory, got {name!r}")):
             read_meta(path)

@@ -10,14 +10,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import odegate.dynamics
 from odegate.autodiff import Tape, Tensor, backward, mean_all
 from odegate.dynamics import (GateStats, NFECounter, attention_mask, compensate,
                               embedded_dual_step, evolve, local_truncation_error,
-                              percentile95, vector_field)
+                              vector_field)
 from odegate.errors import ContractError, NumericError
 
 
@@ -319,8 +317,8 @@ class TestEvolveBehavior:
         stats = GateStats()
         for m in res.masks:
             stats.add(m)
-        assert (stats.steps, stats.count) == (4, 4 * self.h0.size)
-        assert (stats.mean, stats.std, stats.p95) == (1.0, 0.0, 1.0)
+        assert stats.count == 4 * self.h0.size
+        assert (stats.mean, stats.std) == (1.0, 0.0)
 
     def test_lte_mode_gate_range(self):
         res = evolve(self.h0, 4, self.a, self.field, self.jumps,
@@ -347,11 +345,9 @@ class TestEvolveBehavior:
             stats.add(m)
         assert np.array_equal(res.h_final.data, ref.h_final.data)
         values = np.concatenate([m.ravel() for m in res.masks])
-        assert stats.count == values.size and stats.steps == 4
+        assert stats.count == values.size
         assert stats.mean == pytest.approx(values.mean(), rel=0, abs=1e-12)
         assert stats.std == pytest.approx(values.std(), rel=0, abs=1e-12)
-        assert stats.p95 == pytest.approx(
-            np.mean([np.percentile(m, 95) for m in res.masks]), rel=0, abs=1e-12)
 
     def test_collect_masks_and_states(self):
         res = evolve(self.h0, 4, self.a, self.field, self.jumps,
@@ -428,35 +424,6 @@ class TestGateGradientFlow:
 
 
 class TestGateStats:
-    @pytest.mark.parametrize("size", [1, 2, 3, 20, 21, 40, 101, 1000, 25600])
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_percentile95_equals_numpy(self, size, seed):
-        # ties at the cut, a constant array, descending order, sigmoid-shaped
-        # gate values, a tied top block, and a strided input that misleads the
-        # strided sample so the tail misses and the full partition runs
-        rng = np.random.default_rng(seed)
-        normal = rng.standard_normal(size)
-        top_block = normal.copy()
-        top_block[rng.random(size) < 0.2] = normal.max()
-        strided = normal.copy()
-        strided[::odegate.dynamics._TAIL_STRIDE] += 10.0
-        for values in (rng.uniform(0.5, 1.0, size),
-                       rng.standard_normal((size, 1)),
-                       np.round(rng.uniform(0, 1, size), 1),
-                       np.round(normal, 1),
-                       np.full(size, 0.75),
-                       np.sort(normal)[::-1],
-                       1.0 / (1.0 + np.exp(-np.abs(normal) * 20.0)),
-                       top_block,
-                       strided):
-            assert percentile95(values) == float(np.percentile(values, 95))
-
-    def test_percentile95_leaves_input_untouched(self):
-        values = np.array([3.0, 1.0, 2.0])
-        percentile95(values)
-        assert values.tolist() == [3.0, 1.0, 2.0]
-
     def test_folds_steps(self):
         rng = np.random.default_rng(0)
         steps = [rng.uniform(0.5, 1.0, (2, 4, 3)) for _ in range(5)]
@@ -464,11 +431,9 @@ class TestGateStats:
         for m in steps:
             stats.add(m)
         values = np.concatenate([m.ravel() for m in steps])
-        assert stats.count == values.size and stats.steps == 5
+        assert stats.count == values.size
         assert stats.mean == pytest.approx(values.mean(), rel=0, abs=1e-12)
         assert stats.std == pytest.approx(values.std(), rel=0, abs=1e-12)
-        assert stats.p95 == pytest.approx(
-            np.mean([np.percentile(m, 95) for m in steps]), rel=0, abs=1e-12)
 
     def test_folds_a_transposed_view_in_place(self):
         # a train-n300 mask as `forward` returns it: a batch-major view of a
@@ -485,9 +450,9 @@ class TestGateStats:
         finally:
             tracemalloc.stop()
         assert peak < view.nbytes / 2, peak
-        assert (got.count, got.steps, got.p95) == (ref.count, ref.steps, ref.p95)
+        assert got.count == ref.count
         assert got.mean == pytest.approx(ref.mean, rel=1e-15, abs=0)
 
     def test_empty_reads_zero(self):
         stats = GateStats()
-        assert (stats.mean, stats.std, stats.p95) == (0.0, 0.0, 0.0)
+        assert (stats.mean, stats.std) == (0.0, 0.0)

@@ -64,7 +64,8 @@ class TestWriteCsv:
 CSV_INPUTS = {
     "series.csv": ("t,node_0,node_1", ["0,1.5,2.0", "1,0.5,-3.0"],
                    lambda path: read_series_csv(path).tolist()),
-    "events.csv": ("t,node,magnitude", ["0,1,2.5", "3,0,4.0"], read_events_csv),
+    "events.csv": ("t,node,magnitude", ["0,1,2.5", "3,0,4.0"],
+                   lambda path: [event for _, event in read_events_csv(path)]),
     "edges.csv": ("src,dst,weight", ["0,1,1.5", "1,2,0.5"],
                   lambda path: load_graph(path, 3).edges),
 }

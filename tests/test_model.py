@@ -271,7 +271,6 @@ class TestForward:
         stats = GateStats()
         for m in masks:
             stats.add(m)
-        assert stats.steps == 2 * TINY.steps
         assert stats.count == sum(m.size for m in masks)
         assert stats.total == pytest.approx(sum(m.sum() for m in masks), rel=1e-15)
         plain = forward(x, ahat, params, TINY)
@@ -282,7 +281,6 @@ class TestForward:
             raise AssertionError("gate statistic computed by a forward")
 
         monkeypatch.setattr(GateStats, "add", boom)
-        monkeypatch.setattr(odegate.dynamics, "percentile95", boom)
         monkeypatch.setattr(np, "histogram", boom)
         monkeypatch.setattr(np, "percentile", boom)
         params = init_params(TINY, seed=3)

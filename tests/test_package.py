@@ -83,3 +83,35 @@ def test_only_the_shared_readers_parse_input_files():
             parsers.add(module)
     assert readers == TEXT_READERS
     assert parsers == {"errors"}
+
+
+def _referenced_names(node) -> set:
+    """Every name `node` reads: a Name, an Attribute, or an imported name."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.alias):
+            names.add(child.name)
+    return names
+
+
+def test_every_top_level_definition_has_a_caller():
+    # a function or class that is not exported must be read somewhere in the
+    # package or the demos other than in its own definition
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    package = _package_trees()
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    trees = package + [(path.stem, ast.parse(path.read_text()))
+                       for path in sorted(demos.glob("*.py"))]
+    referenced = set()
+    for _, tree in trees:
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, defs) else None
+            referenced |= _referenced_names(stmt) - {own}
+    unused = [f"{module}.{stmt.name}" for module, tree in package for stmt in tree.body
+              if isinstance(stmt, defs) and stmt.name not in odegate.__all__
+              and stmt.name not in referenced]
+    assert unused == []

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import odegate.dynamics
 import odegate.training
 from odegate.autodiff import Tape, Tensor, mean_abs_error
 from odegate.data import (ForecastDataset, Scaler, ShockEvent, ShockScenario,
@@ -330,8 +329,6 @@ class TestTrainLoop:
             values = np.concatenate([m.ravel() for m in steps])
             assert h["m_mean"] == pytest.approx(values.mean(), rel=0, abs=1e-12)
             assert h["m_std"] == pytest.approx(values.std(), rel=0, abs=1e-12)
-            assert h["m_p95"] == pytest.approx(
-                np.mean([np.percentile(m, 95) for m in steps]), rel=0, abs=1e-12)
             epoch_norms = np.array(norms[e * per_epoch:(e + 1) * per_epoch])
             assert h["grad_norm"] == pytest.approx(epoch_norms.mean(), rel=1e-15)
             assert h["clip_frac"] == np.mean(epoch_norms > cfg.clip_norm)
@@ -366,7 +363,7 @@ class TestTrainLoop:
                        TrainConfig(variant="no_compensation", epochs=1,
                                    batch_size=16))
         h = result.history[0]
-        assert (h["m_mean"], h["m_std"], h["m_p95"]) == (0.0, 0.0, 0.0)
+        assert (h["m_mean"], h["m_std"]) == (0.0, 0.0)
         assert h["grad_norm"] > 0.0 and 0.0 <= h["clip_frac"] <= 1.0
 
     def test_predict_batching_invariant(self):
@@ -491,14 +488,13 @@ class TestMaskStatistics:
         # p95 and shock_p95 are the report's only order statistics; no
         # per-step p95 is computed and thrown away
         calls = []
-        real = odegate.dynamics.percentile95
+        real = np.percentile
 
-        def counting(values):
+        def counting(values, q, **kwargs):
             calls.append(values.size)
-            return real(values)
+            return real(values, q, **kwargs)
 
-        monkeypatch.setattr(odegate.dynamics, "percentile95", counting)
-        monkeypatch.setattr(odegate.training, "percentile95", counting)
+        monkeypatch.setattr(np, "percentile", counting)
         mask_report(init_params(TINY_MODEL, seed=0), TINY_MODEL, tiny_dataset(),
                     split="val", batch_size=7)
         assert len(calls) == 2
@@ -514,9 +510,8 @@ class TestMaskStatistics:
         assert report.mean == pytest.approx(np.mean(values), rel=0, abs=1e-12)
         assert report.std == pytest.approx(np.std(values), rel=0, abs=1e-12)
 
-    def test_p95s_equal_numpy(self, monkeypatch):
-        # both are np.percentile of the same values, bitwise, by partitioning
-        # rather than by sorting every gate value of the split
+    def test_p95s_equal_numpy(self):
+        # both are np.percentile of the pooled values of the split, bitwise
         ds = tiny_dataset()
         params = init_params(TINY_MODEL, seed=0)
         windows = ds.splits["val"]
@@ -531,10 +526,5 @@ class TestMaskStatistics:
                 shocked.append(m[cells[lo:lo + 64]].ravel())
         p95 = float(np.percentile(np.concatenate(values), 95))
         shock_p95 = float(np.percentile(np.concatenate(shocked), 95))
-
-        def boom(*_args, **_kwargs):
-            raise AssertionError("np.percentile sorts the whole split")
-
-        monkeypatch.setattr(np, "percentile", boom)
         report = mask_report(params, TINY_MODEL, ds, split="val")
         assert (report.p95, report.shock_p95) == (p95, shock_p95)
