@@ -4,16 +4,19 @@ A `Tensor` wraps a numpy array, and every differentiable operation is a
 module-level function that takes an explicit `tape`.  Reverse mode needs one
 thing from each op: for every input, its vector-Jacobian product (VJP), the
 map from the gradient of the op's output to that input's share of it.  An op
-computes its forward array and hands it to `_out` with one VJP per input;
-nothing else about the backward pass is written per op.  A VJP closes over
-the arrays it reads and nothing else, never over a `Tensor` only for its
-shape, so an output that no VJP reads is freed as soon as the forward code
-drops it.
+computes its forward array first.  Without a tape it returns that array
+through `_value`, which checks it and wraps it, and builds no VJP, closure or
+route at all: a forecast pays for no backward rule.  With a tape it hands the
+array to `_out` with one VJP per input; nothing else about the backward pass
+is written per op.  A VJP closes over the arrays it reads and nothing else,
+never over a `Tensor` only for its shape, so an output that no VJP reads is
+freed as soon as the forward code drops it.
 
-`_out` is the only place that records a backward rule.  Given a tape and an
-input that requires gradients, it gives the output a small gradient slot and
-appends one rule that holds that slot and, for each such input, a route: the
-input's own slot and its VJP.  The rule and the routes hold slots, never the
+`_out` is the only place that records a backward rule, and it is only ever
+called with a tape.  Given an input that requires gradients, it gives the
+output a small gradient slot and appends one rule that holds that slot and,
+for each such input, a route: the input's own slot and its VJP; with none,
+it records nothing.  The rule and the routes hold slots, never the
 output tensors.  Replaying the rules in reverse recording order carries
 gradients from a scalar loss to every parameter; recording order is execution
 order, so the reverse replay is a valid topological sweep, and fan-out sums
@@ -51,14 +54,14 @@ product and both its VJPs each read the state as one `[N, B*d]` matrix and
 run as a single 2-D matrix product.  `swap_leading` turns such a tensor
 into its batch-major view, `[B,N,d]`, without a tape node.
 
-Every op validates that its output is finite; NaN/Inf raise `NumericError`
-immediately instead of propagating.  `all_finite` is the package's one test
-of finiteness: one `np.vdot` of the array with itself, whose sum of squares
-is finite only if every entry is.  A sum that overflows from finite entries
-(|x| above about 1.34e154) falls back to the exact `np.isfinite` test, so
-the answer is always exact.  `vdot`, unlike `np.dot` and `@`, reports no
-floating-point status, so finite values never warn or raise, whatever
-`np.errstate` is in force.
+Every op validates that its output is finite, once, on either exit; NaN/Inf
+raise `NumericError` immediately instead of propagating.  `all_finite` is
+the package's one test of finiteness: one `np.vdot` of the array with
+itself, whose sum of squares is finite only if every entry is.  A sum that
+overflows from finite entries (|x| above about 1.34e154) falls back to the
+exact `np.isfinite` test, so the answer is always exact.  `vdot`, unlike
+`np.dot` and `@`, reports no floating-point status, so finite values never
+warn or raise, whatever `np.errstate` is in force.
 """
 
 from __future__ import annotations
@@ -234,10 +237,19 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _out(arr: np.ndarray, op: str, tape: Tape | None, inputs: Sequence[Tensor],
+def _value(arr: np.ndarray, op: str) -> Tensor:
+    """The tape-free exit of an op: its checked result, with no backward rule."""
+    return Tensor._wrap(_finite(arr, op))
+
+
+def _out(arr: np.ndarray, op: str, tape: Tape, inputs: Sequence[Tensor],
          vjps: Sequence[Callable[..., np.ndarray]],
          share: Callable[[np.ndarray], object] | None = None) -> Tensor:
-    """Wrap an op result; when gradients are live, record its one backward rule.
+    """Wrap an op result and, when gradients are live, record its one backward rule.
+
+    Only an op that has a tape calls it; without one an op returns through
+    `_value` and builds no VJP.  When no input requires a gradient, the
+    result is wrapped and nothing is recorded.
 
     `vjps[i]` maps the output's gradient to the gradient of `inputs[i]`; it is
     kept, and called once the output has received a gradient, only for an
@@ -250,8 +262,6 @@ def _out(arr: np.ndarray, op: str, tape: Tape | None, inputs: Sequence[Tensor],
     only when at most one route follows it.
     """
     _finite(arr, op)
-    if tape is None:
-        return Tensor._wrap(arr)
     live = [(_slot_of(t), vjp) for t, vjp in zip(inputs, vjps) if t.requires_grad]
     if not live:
         return Tensor._wrap(arr)
@@ -311,7 +321,10 @@ def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
             f"propagate: operator {a.shape} does not match h[N,B,d] with "
             f"{n} nodes, got {shape}")
     x = h.data.reshape(n, -1)
-    return _out(np.dot(mat, x).reshape(shape), "propagate", tape, (a, h),
+    out = np.dot(mat, x).reshape(shape)
+    if tape is None:
+        return _value(out, "propagate")
+    return _out(out, "propagate", tape, (a, h),
                 (lambda g: g.reshape(n, -1) @ x.T,
                  lambda g: (mat.T @ g.reshape(n, -1)).reshape(shape)))
 
@@ -322,9 +335,12 @@ def gram(e: Tensor, tape: Tape | None = None) -> Tensor:
         raise DimensionError(f"gram: expects a 2-D table [rows x width], got {e.shape}")
     x = e.data
     xt = x.T.copy()
+    out = x @ xt
+    if tape is None:
+        return _value(out, "gram")
     # the VJP is that of E times a copy of E^T, product by product; the
     # shorter (G + G^T) E rounds differently
-    return _out(x @ xt, "gram", tape, (e,), (lambda g: g @ xt.T + (x.T @ g).T,))
+    return _out(out, "gram", tape, (e,), (lambda g: g @ xt.T + (x.T @ g).T,))
 
 
 def row_normalize(s: Tensor, tape: Tape | None = None) -> Tensor:
@@ -344,51 +360,68 @@ def row_normalize(s: Tensor, tape: Tape | None = None) -> Tensor:
     z = (rows == 0.0).astype(np.float64)
     denom = rows + z
     numer = x + z / m
+    out = numer / denom
+    if tape is None:
+        return _value(out, "row_normalize")
 
     def d_s(g):
         g_denom = -g * numer / (denom * denom)
         return g / denom + g_denom @ ones
 
-    return _out(numer / denom, "row_normalize", tape, (s,), (d_s,))
+    return _out(out, "row_normalize", tape, (s,), (d_s,))
 
 
 def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
            tape: Tape | None = None) -> Tensor:
     """Shared channel map over the leading axes, h[...,k] @ w[k,m] (+ b[m])."""
-    if w.data.ndim != 2 or h.data.ndim < 1 or h.shape[-1] != w.shape[0]:
+    shape, w_shape = h.data.shape, w.data.shape
+    if len(w_shape) != 2 or not shape or shape[-1] != w_shape[0]:
         raise DimensionError(f"affine: cannot map {h.shape} by {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
+    if b is not None and b.data.shape != w_shape[1:]:
         raise DimensionError(f"affine: bias {b.shape} does not match {w.shape}")
-    k, m = w.shape
-    shape, wt = h.shape, w.data
+    k, m = w_shape
+    wt = w.data
     flat = h.data.reshape(-1, k)
     out_flat = flat @ wt
+    if b is not None:
+        out_flat += b.data
+    out = out_flat.reshape(shape[:-1] + (m,))
+    if tape is None:
+        return _value(out, "affine")
     inputs = (h, w)
     vjps = (lambda g: (g.reshape(-1, m) @ wt.T).reshape(shape),
             lambda g: flat.T @ g.reshape(-1, m))
     if b is not None:
-        out_flat += b.data
         inputs += (b,)
         vjps += (lambda g: g.reshape(-1, m).sum(axis=0),)
-    return _out(out_flat.reshape(h.shape[:-1] + (m,)), "affine", tape, inputs, vjps)
+    return _out(out, "affine", tape, inputs, vjps)
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _check_same_shape(a, b, "add")
-    return _out(a.data + b.data, "add", tape, (a, b), (_same, _same))
+    out = a.data + b.data
+    if tape is None:
+        return _value(out, "add")
+    return _out(out, "add", tape, (a, b), (_same, _same))
 
 
 def scale(a: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
     s = float(s)
-    return _out(a.data * s, "scale", tape, (a,), (lambda g: g * s,))
+    out = a.data * s
+    if tape is None:
+        return _value(out, "scale")
+    return _out(out, "scale", tape, (a,), (lambda g: g * s,))
 
 
 def axpy(h: Tensor, k: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
     """h + k * s, the solver's stage update, in one node."""
-    _check_same_shape(h, k, "axpy")
+    if h.data.shape != k.data.shape:
+        _check_same_shape(h, k, "axpy")
     s = float(s)
     out = k.data * s
     out += h.data
+    if tape is None:
+        return _value(out, "axpy")
     return _out(out, "axpy", tape, (h, k), (_same, lambda g: g * s))
 
 
@@ -396,10 +429,14 @@ def abs_diff(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """|a - b| element-wise; the backward rule uses sign with subgradient 0 at 0.
 
     The rule computes g * sign(d) once: a's route hands it on, and b's, the
-    last, negates it, which is exact.
+    last, negates it, which is exact.  Without a tape nothing else reads d,
+    so |d| is taken in place (a 0-d d is a numpy scalar, which cannot be).
     """
-    _check_same_shape(a, b, "abs_diff")
+    if a.data.shape != b.data.shape:
+        _check_same_shape(a, b, "abs_diff")
     d = a.data - b.data
+    if tape is None:
+        return _value(np.abs(d, out=d) if d.ndim else np.abs(d), "abs_diff")
     return _out(np.abs(d), "abs_diff", tape, (a, b),
                 (lambda g, gs: gs, lambda g, gs: -gs),
                 share=lambda g: g * np.sign(d))
@@ -415,16 +452,19 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
     and gradients are bitwise those of the two-op chain.  A non-finite
     pre-activation raises, although tanh would round it to +-1.
     """
-    _check_same_shape(base, m, "gated_jump")
-    if w.data.ndim != 2 or h.data.ndim < 1 or h.shape[-1] != w.shape[0]:
+    x = m.data
+    if base.data.shape != x.shape:
+        _check_same_shape(base, m, "gated_jump")
+    shape, w_shape = h.data.shape, w.data.shape
+    if len(w_shape) != 2 or not shape or shape[-1] != w_shape[0]:
         raise DimensionError(f"gated_jump: cannot map {h.shape} by {w.shape}")
-    k, n = w.shape
-    if b.shape != (n,):
+    k, n = w_shape
+    if b.data.shape != (n,):
         raise DimensionError(f"gated_jump: bias {b.shape} does not match {w.shape}")
-    if h.shape[:-1] + (n,) != m.shape:
+    if shape[:-1] + (n,) != x.shape:
         raise DimensionError(
             f"gated_jump: {h.shape} mapped by {w.shape} does not match the gate {m.shape}")
-    shape, wt, bias, x = h.shape, w.data, b.data, m.data
+    wt, bias = w.data, b.data
     flat = h.data.reshape(-1, k)
 
     def pre_activation():
@@ -435,6 +475,8 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
     z = _finite(pre_activation(), "gated_jump pre-activation")
     out = x * np.tanh(z, out=z)
     out += base.data
+    if tape is None:
+        return _value(out, "gated_jump")
 
     def share(g):
         # the tanh j once more, and dz = (g * m) * (1 - j * j) as the chain had it
@@ -455,7 +497,10 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
     x = a.data
-    return _out(np.maximum(x, 0.0), "relu", tape, (a,), (lambda g: g * (x > 0.0),))
+    out = np.maximum(x, 0.0)
+    if tape is None:
+        return _value(out, "relu")
+    return _out(out, "relu", tape, (a,), (lambda g: g * (x > 0.0),))
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -478,6 +523,8 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
     """Logistic function; bitwise the same whichever of its two formulas runs."""
     y = _sigmoid_values(a.data)
+    if tape is None:
+        return _value(y, "sigmoid")
     return _out(y, "sigmoid", tape, (a,), (lambda g: g * y * (1.0 - y),))
 
 
@@ -490,9 +537,12 @@ def concat_channels(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.data.ndim != b.data.ndim or a.shape[:-1] != b.shape[:-1]:
         raise DimensionError(
             f"concat_channels: leading shapes differ, {a.shape} vs {b.shape}")
+    out = np.concatenate([a.data, b.data], axis=-1)
+    if tape is None:
+        return _value(out, "concat_channels")
     split = a.shape[-1]
-    return _out(np.concatenate([a.data, b.data], axis=-1), "concat_channels", tape,
-                (a, b), (lambda g: g[..., :split].copy(), lambda g: g[..., split:].copy()))
+    return _out(out, "concat_channels", tape, (a, b),
+                (lambda g: g[..., :split].copy(), lambda g: g[..., split:].copy()))
 
 
 def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
@@ -501,8 +551,10 @@ def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
         raise ContractError(f"expand_batch: batch must be >= 1, got {batch}")
     if a.data.ndim < 1:
         raise DimensionError(f"expand_batch: needs a leading node axis, got {a.shape}")
-    arr = np.broadcast_to(a.data[:, None], (a.shape[0], batch) + a.shape[1:]).copy()
-    return _out(arr, "expand_batch", tape, (a,), (lambda g: g.sum(axis=1),))
+    out = np.repeat(a.data[:, None], batch, axis=1)
+    if tape is None:
+        return _value(out, "expand_batch")
+    return _out(out, "expand_batch", tape, (a,), (lambda g: g.sum(axis=1),))
 
 
 # ---------------------------------------------------------------------------
@@ -510,22 +562,26 @@ def expand_batch(a: Tensor, batch: int, tape: Tape | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def mean_all(a: Tensor, tape: Tape | None = None) -> Tensor:
+    out = np.array(a.data.mean())
+    if tape is None:
+        return _value(out, "mean_all")
     shape, inv = a.shape, 1.0 / a.size
-    return _out(np.array(a.data.mean()), "mean_all", tape, (a,),
-                (lambda g: np.full(shape, float(g) * inv),))
+    return _out(out, "mean_all", tape, (a,), (lambda g: np.full(shape, float(g) * inv),))
 
 
 def mean_abs_error(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:
     """Scalar mean absolute deviation (1/count) * sum |pred - target|."""
     _check_same_shape(pred, target, "mean_abs_error")
     diff = pred.data - target.data
+    out = np.array(np.abs(diff).mean())
+    if tape is None:
+        return _value(out, "mean_abs_error")
     inv = 1.0 / pred.size
 
     def d_pred(g):
         return float(g) * inv * np.sign(diff)
 
-    return _out(np.array(np.abs(diff).mean()), "mean_abs_error", tape,
-                (pred, target), (d_pred, lambda g: -d_pred(g)))
+    return _out(out, "mean_abs_error", tape, (pred, target), (d_pred, lambda g: -d_pred(g)))
 
 
 # ---------------------------------------------------------------------------

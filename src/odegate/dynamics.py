@@ -91,11 +91,14 @@ class GateStats:
 
         A transposed view, such as a batch-major mask, is read where it
         lies instead of copied; only the sums' last bits depend on the order.
+        The sum of squares is `einsum`'s own loop, not BLAS: a BLAS dot
+        rounds by its thread split, and the std's cancellation would carry
+        that into its 10th digit.
         """
         flat = values.ravel(order="K")
         self.count += flat.size
         self.total += float(flat.sum())
-        self.total_sq += float(np.dot(flat, flat))
+        self.total_sq += float(np.einsum("i,i->", flat, flat))
 
     @property
     def mean(self) -> float:
@@ -234,7 +237,7 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
                 if mask_mode == "lte":
                     m = attention_mask(err, tape if mask_grad else None)
                 elif mask_mode == "uniform_one":
-                    m = Tensor(np.ones_like(h.data))
+                    m = Tensor._wrap(np.ones_like(h.data))
                 else:  # learned
                     m = sigmoid(node_linear(h, *learned_mask, tape), tape)
 

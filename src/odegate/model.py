@@ -186,7 +186,9 @@ def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
         raise DimensionError(
             f"initialize_state: input {x.shape} does not match config "
             f"(n_nodes={config.n_nodes}, window={config.window}, one channel)")
-    windows = Tensor(x.data.swapaxes(0, 1).reshape(n, b, t))
+    # x's data was copied and checked when x was built and is never mutated,
+    # so its swapped windows need neither a second copy nor a second check
+    windows = Tensor._wrap(x.data.swapaxes(0, 1).reshape(n, b, t))
     proj = affine(windows, params.w_input, tape=tape)
     emb = expand_batch(params.e_node, b, tape)
     return concat_channels(proj, emb, tape)

@@ -218,6 +218,7 @@ class TestForwardOracles:
         assert np.array_equal(scale(Tensor(a), 2.5).data, a * 2.5)
         assert np.array_equal(axpy(Tensor(a), Tensor(b), 2.5).data, a + b * 2.5)
         assert np.array_equal(abs_diff(Tensor(a), Tensor(b)).data, np.abs(a - b))
+        assert abs_diff(Tensor(1.0), Tensor(3.5)).item() == 2.5   # 0-d operands
         w, bias = rand(3, 3), rand(3)
         assert np.array_equal(
             gated_jump(Tensor(a), Tensor(b), Tensor(c), Tensor(w), Tensor(bias)).data,
@@ -371,14 +372,20 @@ class TestForwardOracles:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="^gram"):
             gram(big)
 
+    @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("op", ["axpy", "abs_diff", "gated_jump"])
-    def test_fused_overflow_names_the_op(self, op):
-        # each operand is finite; only the fused result overflows
-        big, low = Tensor(np.full((1, 3), 1e308)), Tensor(np.full((1, 3), -1e308))
-        call = {"axpy": lambda: axpy(big, big, 2.0),
-                "abs_diff": lambda: abs_diff(big, low),
-                "gated_jump": lambda: gated_jump(big, big, Tensor(np.full((1, 3), 5.0)),
-                                                 Tensor(np.eye(3)), Tensor(np.zeros(3)))}[op]
+    def test_fused_overflow_names_the_op(self, op, taped):
+        # each operand is finite; only the fused result overflows, and each
+        # exit, with a tape and without, checks it
+        def leaf(arr):
+            return Tensor(arr, requires_grad=taped)
+
+        t = Tape() if taped else None
+        big, low = leaf(np.full((1, 3), 1e308)), leaf(np.full((1, 3), -1e308))
+        call = {"axpy": lambda: axpy(big, big, 2.0, t),
+                "abs_diff": lambda: abs_diff(big, low, t),
+                "gated_jump": lambda: gated_jump(big, big, leaf(np.full((1, 3), 5.0)),
+                                                 leaf(np.eye(3)), leaf(np.zeros(3)), t)}[op]
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericError, match=f"^{op} produced non-finite"):
             call()
@@ -674,6 +681,17 @@ class TestSingleBackwardPath:
         grad_matches(build, [x for k, x in enumerate(tensors) if k != frozen])
         if frozen is not None:
             assert tensors[frozen].grad is None
+
+    @pytest.mark.parametrize("name", ORACLE_TABLE)
+    def test_both_exits_give_the_same_value(self, name):
+        # the tape-free exit returns bitwise the value the taped one records
+        call, inputs = ORACLE_TABLE[name]
+        arrays = inputs(np.random.default_rng(7))
+        free = call(None, *[Tensor(x) for x in arrays])
+        t = Tape()
+        taped = call(t, *[Tensor(x, requires_grad=True) for x in arrays])
+        assert len(t) == 1 and not free.requires_grad
+        assert np.array_equal(free.data, taped.data)
 
     def test_unused_output_leaves_inputs_untouched(self):
         t = Tape()

@@ -6,6 +6,7 @@ exponential flows, so the solver orders are measured against the truth rather
 than against the implementation.
 """
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -423,6 +424,13 @@ class TestGateGradientFlow:
         assert float(np.abs(field[0].grad).sum()) > 0.0
 
 
+def _fold_sum_of_squares(shape) -> str:
+    """The exact sum of squares `GateStats` folds from one seeded mask."""
+    stats = GateStats()
+    stats.add(0.5 + 0.5 * np.random.default_rng(5).random(shape))
+    return stats.total_sq.hex()
+
+
 class TestGateStats:
     def test_folds_steps(self):
         rng = np.random.default_rng(0)
@@ -452,6 +460,17 @@ class TestGateStats:
         assert peak < view.nbytes / 2, peak
         assert got.count == ref.count
         assert got.mean == pytest.approx(ref.mean, rel=1e-15, abs=0)
+
+    def test_sum_of_squares_ignores_the_blas_thread_count(self, monkeypatch):
+        # one default-scenario and one train-n300 batch mask, folded by a
+        # worker that loads numpy with one BLAS thread and by this process
+        shapes = [(32, 20, 40), (32, 300, 40)]
+        with monkeypatch.context() as env:
+            env.setenv("OPENBLAS_NUM_THREADS", "1")
+            pool = multiprocessing.get_context("spawn").Pool(1)
+        with pool:
+            one_thread = pool.map_async(_fold_sum_of_squares, shapes).get(timeout=120)
+        assert one_thread == [_fold_sum_of_squares(shape) for shape in shapes]
 
     def test_empty_reads_zero(self):
         stats = GateStats()

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import odegate.autodiff
 import odegate.dynamics
 from odegate.autodiff import Tape, Tensor, backward, finite_diff_gradient, mean_abs_error
 from odegate.data import WindowSet
@@ -290,6 +291,20 @@ class TestForward:
         windows = WindowSet(x=x.data, y=np.zeros((2, TINY.n_nodes, TINY.horizon)),
                             origins=np.arange(2))
         predict(params, TINY, ahat, windows, batch_size=1)
+
+    @pytest.mark.parametrize("mode", ["lte", "learned", "uniform_one", "off"])
+    def test_tape_free_forward_builds_no_rule(self, monkeypatch, mode):
+        # every op of a single-window forecast leaves through its tape-free
+        # exit; `_out`, which builds backward rules, never runs
+        def boom(*_args, **_kwargs):
+            raise AssertionError("a tape-free forward called autodiff._out")
+
+        config = dataclasses.replace(DEFAULT, mask_mode=mode)
+        params = init_params(config, seed=1)
+        window, graph = tiny_inputs(config, batch=1)
+        expected = forward(window, graph, params, config).y_hat.data
+        monkeypatch.setattr(odegate.autodiff, "_out", boom)
+        assert np.array_equal(forward(window, graph, params, config).y_hat.data, expected)
 
     def test_gradcheck_compact(self):
         config = dataclasses.replace(TINY, window=2, horizon=2, mask_grad=True)
