@@ -239,7 +239,9 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 def _value(arr: np.ndarray, op: str) -> Tensor:
     """The tape-free exit of an op: its checked result, with no backward rule."""
-    return Tensor._wrap(_finite(arr, op))
+    if not all_finite(arr):
+        raise NumericError(f"{op} produced non-finite values")
+    return Tensor._wrap(arr)
 
 
 def _out(arr: np.ndarray, op: str, tape: Tape, inputs: Sequence[Tensor],
@@ -442,6 +444,14 @@ def abs_diff(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
                 share=lambda g: g * np.sign(d))
 
 
+def _pre_activation(flat: np.ndarray, wt: np.ndarray, bias: np.ndarray,
+                    shape: tuple) -> np.ndarray:
+    """The jump's h[...,k] @ w[k,n] + b[n], for its forward and its backward alike."""
+    z = np.dot(flat, wt)
+    z += bias
+    return z.reshape(shape)
+
+
 def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
                tape: Tape | None = None) -> Tensor:
     """base + m * tanh(h[...,k] @ w[k,n] + b[n]), the gated jump, in one node.
@@ -466,13 +476,7 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
             f"gated_jump: {h.shape} mapped by {w.shape} does not match the gate {m.shape}")
     wt, bias = w.data, b.data
     flat = h.data.reshape(-1, k)
-
-    def pre_activation():
-        z = np.dot(flat, wt)
-        z += bias
-        return z.reshape(x.shape)
-
-    z = _finite(pre_activation(), "gated_jump pre-activation")
+    z = _finite(_pre_activation(flat, wt, bias, x.shape), "gated_jump pre-activation")
     out = x * np.tanh(z, out=z)
     out += base.data
     if tape is None:
@@ -480,7 +484,7 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
 
     def share(g):
         # the tanh j once more, and dz = (g * m) * (1 - j * j) as the chain had it
-        j = pre_activation()
+        j = _pre_activation(flat, wt, bias, x.shape)
         np.tanh(j, out=j)
         dz, jj = g * x, j * j
         np.subtract(1.0, jj, out=jj)
@@ -503,8 +507,12 @@ def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
     return _out(out, "relu", tape, (a,), (lambda g: g * (x > 0.0),))
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    if np.minimum.reduce(x, axis=None, initial=np.inf) >= 0:
+def _sigmoid_values(x: np.ndarray, lowest: float | None = None) -> np.ndarray:
+    # `lowest`, the smallest entry of x, picks the formula; one scan finds it
+    # unless the caller has
+    if lowest is None:
+        lowest = np.minimum.reduce(x, axis=None, initial=np.inf)
+    if lowest >= 0:
         # exp(-x) <= 1 cannot overflow, so one exp serves every entry:
         # 1 / (1 + exp(-x)) built in one array (`out=` keeps a 0-d input an array)
         y = np.negative(x, out=np.empty_like(x))
@@ -522,7 +530,18 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
     """Logistic function; bitwise the same whichever of its two formulas runs."""
-    y = _sigmoid_values(a.data)
+    return _logistic(a, tape)
+
+
+def _logistic(a: Tensor, tape: Tape | None = None,
+              lowest: float | None = None) -> Tensor:
+    """`sigmoid`, for a caller that may have found the smallest entry of `a`.
+
+    A caller that scans `a` for a check of its own (the gate's
+    nonnegativity) passes that scan's result as `lowest`, so `a` is
+    scanned once.
+    """
+    y = _sigmoid_values(a.data, lowest)
     if tape is None:
         return _value(y, "sigmoid")
     return _out(y, "sigmoid", tape, (a,), (lambda g: g * y * (1.0 - y),))

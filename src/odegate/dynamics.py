@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, abs_diff, axpy, gated_jump, sigmoid
+from .autodiff import Tape, Tensor, _logistic, abs_diff, axpy, gated_jump, sigmoid
 from .autodiff import affine as node_linear, propagate as graph_propagate
 from .errors import ContractError, OdegateError
 
@@ -153,11 +153,13 @@ def attention_mask(e: Tensor, tape: Tape | None = None) -> Tensor:
     """Sigmoid gate of a nonnegative error signal; values lie in [0.5, 1).
 
     Zero error anchors the gate at exactly 0.5; larger errors saturate it
-    toward 1.
+    toward 1.  One scan of the error finds its smallest entry, which both
+    the check and the logistic's choice of formula read.
     """
-    if np.minimum.reduce(e.data, axis=None, initial=np.inf) < 0:
+    lowest = np.minimum.reduce(e.data, axis=None, initial=np.inf)
+    if lowest < 0:
         raise ContractError("attention_mask: error signal must be nonnegative")
-    return sigmoid(e, tape)
+    return _logistic(e, tape, lowest)
 
 
 def compensate(h_t: Tensor, h_rk2: Tensor, m: Tensor, step: int,
@@ -250,6 +252,10 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
         if states is not None:
             states.append(h_next.data.copy())
         h = h_next
+        # this step's estimates, error and gate must not live on through the
+        # next step's evaluations: at train-n300 they are 3 states the tape
+        # does not keep
+        h_euler = h_rk2 = err = m = None
 
     return EvolveResult(h_final=h, lte=lte_tensors,
                         masks=masks, states=states)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, gram, relu, row_normalize
+from .autodiff import Tape, Tensor, all_finite, gram, relu, row_normalize
 from .errors import ValidationError, read_csv, write_csv
 
 
@@ -81,16 +81,45 @@ def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:
     ignored for the duplicate check since edges are undirected.  A line is
     bad data if, with it, an edge's summed weight or a node's degree
     overflows: the degree is the row sum of A + I that `normalize_adjacency`
-    takes, summed here the same way, and it only grows line by line.
+    takes.  The edge rules are checked line by line, the sums once, at the
+    end (see `_raise_first_overflow`).
     """
     merged: dict[tuple[int, int], float] = {}
     a_tilde = np.eye(n_nodes)   # A + I of the lines read so far
+    lines = []
     for lineno, (src, dst, weight) in read_csv(edge_list_path, ("src", "dst", "weight"),
                                                (int, int, float)):
         try:
             SpatialGraph(n_nodes, [(src, dst, weight)])   # the edge rules, per line
         except ValidationError as exc:
+            # a line before this one that overflowed is the first bad line
+            _raise_first_overflow(edge_list_path, n_nodes, lines, a_tilde)
             raise ValidationError(f"{edge_list_path}: line {lineno}: {exc}") from exc
+        lines.append((lineno, src, dst, weight))
+        key = (src, dst) if src <= dst else (dst, src)
+        merged[key] = a_tilde[src, dst] = a_tilde[dst, src] = merged.get(key, 0.0) + weight
+    _raise_first_overflow(edge_list_path, n_nodes, lines, a_tilde)
+    edges = [(s, d, w) for (s, d), w in merged.items()]
+    return SpatialGraph(n_nodes=n_nodes, edges=edges)
+
+
+def _raise_first_overflow(edge_list_path, n_nodes: int, lines: list,
+                          a_tilde: np.ndarray) -> None:
+    """Name the first of `lines` with which an edge total or a degree overflows.
+
+    `a_tilde` is A + I of all of `lines`.  Weights are non-negative, so every
+    sum only grows from line to line, and an edge total is at most its
+    node's degree: finite degrees of `a_tilde` prove that no line
+    overflowed, and the function returns.  Otherwise the lines are summed
+    again one by one, as `normalize_adjacency` would sum them, up to the
+    first that overflows.
+    """
+    with np.errstate(over="ignore"):
+        if all_finite(a_tilde.sum(axis=1)):
+            return
+    merged: dict[tuple[int, int], float] = {}
+    a_tilde = np.eye(n_nodes)
+    for lineno, src, dst, weight in lines:
         key = (src, dst) if src <= dst else (dst, src)
         total = merged.get(key, 0.0) + weight
         if not np.isfinite(total):
@@ -103,8 +132,6 @@ def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:
             if not np.isfinite(degree):
                 raise ValidationError(f"{edge_list_path}: line {lineno}: the degree "
                                       f"of node {node} overflows to {degree}")
-    edges = [(s, d, w) for (s, d), w in merged.items()]
-    return SpatialGraph(n_nodes=n_nodes, edges=edges)
 
 
 def write_edge_list(path, graph: SpatialGraph) -> None:

@@ -114,6 +114,21 @@ class ModelParams:
         self.e_node = t["node_embeddings"]
         self.streams = {name: stream(name) for name in STREAMS}
         self.w_out, self.b_out = pair("readout")
+        self._adaptive = None   # (key of the embedding table, the operator built from it)
+
+    def _adaptive_operator(self) -> Tensor:
+        """The adaptive operator of the embedding table, off the tape.
+
+        It is rebuilt, through `adaptive_adjacency`, only when the table
+        differs from the one the kept operator was built from.  The table is
+        compared by its exact shape and bytes, never by identity: the
+        optimizer and the tests write `.data` in place.
+        """
+        table = self.e_node.data
+        key = (table.shape, table.tobytes())
+        if self._adaptive is None or self._adaptive[0] != key:
+            self._adaptive = (key, adaptive_adjacency(self.e_node))
+        return self._adaptive[1]
 
     def named(self) -> dict:
         """Fixed-order name -> Tensor map over every parameter present."""
@@ -212,7 +227,9 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
         raise DimensionError(f"forward: static operator {ahat.shape}, expected {(n, n)}")
 
     h0 = initialize_state(x, params, config, tape)
-    a_adaptive = adaptive_adjacency(params.e_node, tape)
+    # a taped forward builds its own operator, on its tape, for the table's gradient
+    a_adaptive = (params._adaptive_operator() if tape is None
+                  else adaptive_adjacency(params.e_node, tape))
 
     common = dict(steps=config.steps, mask_mode=config.mask_mode,
                   mask_grad=config.mask_grad, tape=tape, collect_lte=collect_lte,

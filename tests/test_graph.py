@@ -246,6 +246,14 @@ class TestEdgeListIO:
         with pytest.raises(ValidationError, match=f"edges.csv: {message}"):
             load_graph(path, 3)
 
+    def test_overflow_is_named_before_a_later_bad_edge(self, tmp_path):
+        # the sums are checked after the edge rules of the lines read; an
+        # earlier line that overflowed is still the one named
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\n0,1,1e308\n1,2,1e308\n0,2,-1.0\n")
+        with pytest.raises(ValidationError, match="line 3: the degree of node 1 overflows"):
+            load_graph(path, 3)
+
     def test_degree_overflows_where_normalization_would(self, tmp_path):
         # node 1's degree 1 + 2w rounds to the largest float at w = max / 2,
         # and overflows one ulp of w above it

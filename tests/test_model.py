@@ -8,19 +8,21 @@ import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import odegate.autodiff
 import odegate.dynamics
+import odegate.model
 from odegate.autodiff import Tape, Tensor, backward, finite_diff_gradient, mean_abs_error
 from odegate.data import WindowSet
 from odegate.dynamics import GateStats
 from odegate.errors import DimensionError, ParseError, ValidationError
 from odegate.graph import SpatialGraph, adaptive_adjacency, normalize_adjacency
-from odegate.model import (MAX_STEPS, ModelConfig, flop_report, forward,
-                           init_params, initialize_state, load_checkpoint,
+from odegate.model import (MAX_STEPS, ModelConfig, ModelParams, flop_report,
+                           forward, init_params, initialize_state, load_checkpoint,
                            param_shapes, save_checkpoint)
 from odegate.training import batch_loss, check_finite_grads, predict
 
@@ -376,12 +378,88 @@ class TestForward:
         check_finite_grads(params.named())
         assert calls == [], "check_finite_grads"
 
+    def test_repeated_request_rebuilds_and_rescans_nothing(self, monkeypatch):
+        # two single-window forwards with one parameter set: the second takes
+        # the adaptive operator the first built, so it makes the 3 checks of
+        # gram, relu and row_normalize fewer (both made 96 while every
+        # forward rebuilt it), and each step scans its error once for both
+        # the gate's check and the logistic's formula (16 scans when they
+        # scanned it apart)
+        counts = Counter()
 
-def _grad_digest(mode, mask_grad, lam):
-    """sha256 over every parameter gradient of one seeded training batch."""
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(odegate.model, "adaptive_adjacency",
+                            counting("build", odegate.model.adaptive_adjacency))
+        monkeypatch.setattr(odegate.autodiff, "all_finite",
+                            counting("check", odegate.autodiff.all_finite))
+        monkeypatch.setattr(np, "minimum",
+                            SimpleNamespace(reduce=counting("scan", np.minimum.reduce)))
+        window, graph = tiny_inputs(DEFAULT, batch=1)
+        params = init_params(DEFAULT, seed=1)
+        per_forward = []
+        for _ in range(2):
+            counts.clear()
+            forward(window, graph, params, DEFAULT)
+            per_forward.append(dict(counts))
+        assert per_forward == [{"build": 1, "check": 96, "scan": 8},
+                               {"check": 93, "scan": 8}]
+
+
+class TestAdaptiveOperatorCache:
+    """A tape-free forward reuses the adaptive operator only for an unchanged table."""
+
+    def test_in_place_table_edit_is_seen(self):
+        params = init_params(DEFAULT, seed=1)
+        window, graph = tiny_inputs(DEFAULT, batch=1)
+        windows = WindowSet(x=window.data, y=np.zeros((1, DEFAULT.n_nodes, DEFAULT.horizon)),
+                            origins=np.arange(1))
+        before = predict(params, DEFAULT, graph, windows)
+        # an in-place write, as the optimizer makes: same Tensor, same array
+        params.e_node.data[3, 1] += 0.25
+        params.e_node.data[:2] *= -1.0
+        after = predict(params, DEFAULT, graph, windows)
+        fresh = ModelParams({name: Tensor(t.data, requires_grad=True)
+                             for name, t in params.named().items()})
+        assert np.array_equal(after, predict(fresh, DEFAULT, graph, windows))
+        assert not np.array_equal(after, before)
+
+    def test_taped_forward_after_cached_ones_is_unchanged(self):
+        for key, digest in TestGradientBits.GRAD_DIGESTS.items():
+            assert _grad_digest(*key, tape_free_first=2) == digest, key
+
+    def test_copies_and_checkpoints_start_without_an_operator(self, tmp_path, monkeypatch):
+        params = init_params(TINY, seed=3)
+        x, ahat = tiny_inputs(TINY)
+        forward(x, ahat, params, TINY)
+        save_checkpoint(tmp_path / "ckpt.json", params, TINY)
+        builds = []
+        real = odegate.model.adaptive_adjacency
+        monkeypatch.setattr(odegate.model, "adaptive_adjacency",
+                            lambda *args: builds.append(1) or real(*args))
+        forward(x, ahat, params, TINY)
+        assert builds == []
+        expected = forward(x, ahat, params, TINY).y_hat.data
+        for other in (params.copy(), load_checkpoint(tmp_path / "ckpt.json")[0]):
+            builds.clear()
+            assert np.array_equal(forward(x, ahat, other, TINY).y_hat.data, expected)
+            assert builds == [1]
+
+
+def _grad_digest(mode, mask_grad, lam, tape_free_first=0):
+    """sha256 over every parameter gradient of one seeded training batch.
+
+    `tape_free_first` tape-free forwards of the batch run before the taped one.
+    """
     config = dataclasses.replace(TINY, steps=3, mask_mode=mode, mask_grad=mask_grad)
     params = init_params(config, seed=5)
     x, ahat = tiny_inputs(config, batch=3, seed=6)
+    for _ in range(tape_free_first):
+        forward(x, ahat, params, config)
     y = Tensor(np.random.default_rng(7).standard_normal((3, config.n_nodes,
                                                          config.horizon)))
     tape = Tape()
