@@ -84,30 +84,35 @@ def load_graph(edge_list_path, n_nodes: int) -> SpatialGraph:
     takes.  The edge rules are checked line by line, the sums once, at the
     end (see `_raise_first_overflow`).
     """
+    rows = read_csv(edge_list_path, ("src", "dst", "weight"), (int, int, float))
     merged: dict[tuple[int, int], float] = {}
     a_tilde = np.eye(n_nodes)   # A + I of the lines read so far
-    lines = []
-    for lineno, (src, dst, weight) in read_csv(edge_list_path, ("src", "dst", "weight"),
-                                               (int, int, float)):
+    for i, (lineno, (src, dst, weight)) in enumerate(rows):
         try:
             SpatialGraph(n_nodes, [(src, dst, weight)])   # the edge rules, per line
         except ValidationError as exc:
             # a line before this one that overflowed is the first bad line
-            _raise_first_overflow(edge_list_path, n_nodes, lines, a_tilde)
+            _raise_first_overflow(edge_list_path, n_nodes, rows[:i], a_tilde)
             raise ValidationError(f"{edge_list_path}: line {lineno}: {exc}") from exc
-        lines.append((lineno, src, dst, weight))
-        key = (src, dst) if src <= dst else (dst, src)
-        merged[key] = a_tilde[src, dst] = a_tilde[dst, src] = merged.get(key, 0.0) + weight
-    _raise_first_overflow(edge_list_path, n_nodes, lines, a_tilde)
+        _merge(merged, a_tilde, src, dst, weight)
+    _raise_first_overflow(edge_list_path, n_nodes, rows, a_tilde)
     edges = [(s, d, w) for (s, d), w in merged.items()]
     return SpatialGraph(n_nodes=n_nodes, edges=edges)
 
 
-def _raise_first_overflow(edge_list_path, n_nodes: int, lines: list,
-                          a_tilde: np.ndarray) -> None:
-    """Name the first of `lines` with which an edge total or a degree overflows.
+def _merge(merged: dict, a_tilde: np.ndarray, src: int, dst: int,
+           weight: float) -> tuple[tuple[int, int], float]:
+    """Add one line's weight to its undirected edge's total; return (edge, total)."""
+    key = (src, dst) if src <= dst else (dst, src)
+    merged[key] = a_tilde[src, dst] = a_tilde[dst, src] = total = merged.get(key, 0.0) + weight
+    return key, total
 
-    `a_tilde` is A + I of all of `lines`.  Weights are non-negative, so every
+
+def _raise_first_overflow(edge_list_path, n_nodes: int, rows: list,
+                          a_tilde: np.ndarray) -> None:
+    """Name the first of `rows` with which an edge total or a degree overflows.
+
+    `a_tilde` is A + I of all of `rows`.  Weights are non-negative, so every
     sum only grows from line to line, and an edge total is at most its
     node's degree: finite degrees of `a_tilde` prove that no line
     overflowed, and the function returns.  Otherwise the lines are summed
@@ -119,13 +124,11 @@ def _raise_first_overflow(edge_list_path, n_nodes: int, lines: list,
             return
     merged: dict[tuple[int, int], float] = {}
     a_tilde = np.eye(n_nodes)
-    for lineno, src, dst, weight in lines:
-        key = (src, dst) if src <= dst else (dst, src)
-        total = merged.get(key, 0.0) + weight
+    for lineno, (src, dst, weight) in rows:
+        key, total = _merge(merged, a_tilde, src, dst, weight)
         if not np.isfinite(total):
             raise ValidationError(f"{edge_list_path}: line {lineno}: the weights of "
                                   f"edge ({key[0]},{key[1]}) sum to {total}")
-        merged[key] = a_tilde[src, dst] = a_tilde[dst, src] = total
         with np.errstate(over="ignore"):
             degrees = a_tilde[[src, dst]].sum(axis=1)
         for node, degree in zip((src, dst), degrees):

@@ -263,6 +263,10 @@ class FlopReport:
     Elementwise work (activations, masks, state updates) is excluded; the
     matrix products dominate.  The solver term is exactly linear in the step
     count: steps * 2 evaluations * 2 streams * one evaluation's cost.
+    `graph_build` is one build of the adaptive operator, which a taped
+    forward always does; a tape-free forward does it only when its
+    parameters' embedding table changed since the last build (see
+    `ModelParams._adaptive_operator`), so a run of requests pays it once.
     """
 
     encoder: int

@@ -203,13 +203,8 @@ def _forward_batches(params, config, ahat, windows: WindowSet, batch_size: int,
 def predict(params, config, ahat, windows: WindowSet,
             batch_size: int = 64) -> np.ndarray:
     """Scaled-unit predictions [count, n_nodes, horizon] for a window set."""
-    batches = _forward_batches(params, config, ahat, windows, batch_size)
-    if 0 < windows.count <= batch_size:
-        # one batch: its own prediction is the result, already C-ordered for one window
-        (_, res), = batches
-        return np.ascontiguousarray(res.y_hat.data)
     out = np.zeros((windows.count, config.n_nodes, config.horizon))
-    for sl, res in batches:
+    for sl, res in _forward_batches(params, config, ahat, windows, batch_size):
         out[sl] = res.y_hat.data
     return out
 

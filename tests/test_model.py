@@ -599,7 +599,7 @@ class TestFlopReport:
     def test_batch_scales_data_terms(self):
         r1, r4 = flop_report(DEFAULT, 1), flop_report(DEFAULT, 4)
         assert r4.solver == 4 * r1.solver
-        assert r4.graph_build == r1.graph_build   # built once per forward
+        assert r4.graph_build == r1.graph_build   # one operator build, whatever the batch
 
 
 class TestCheckpoint:
