@@ -30,7 +30,8 @@ spent after `backward`.
 Gradients are handed on, not copied.  A slot owns every array it is given:
 it keeps the first gradient it receives as its buffer and adds later ones
 into it in place.  So each array a VJP returns must belong to no one else:
-a fresh result, or the rule's own gradient handed on whole by `_same`.  A
+a fresh result, or the rule's own gradient, handed on whole by `_same` or
+overwritten by the rule's last route (`propagate`'s state route).  A
 rule hands its gradient on once; `_out` makes any further `_same` route of
 the same rule, and one into a slot that the rule also reaches by another
 route, return a copy.  A VJP that returns a view of its gradient, such as
@@ -39,15 +40,17 @@ route, return a copy.  A VJP that returns a view of its gradient, such as
 A rule may compute one value from its gradient and share it across its
 routes: `_out`'s `share` runs once, before the first route, and each VJP
 then reads it as a second argument.  `abs_diff` computes `g * sign(d)` once
-for both operands; `gated_jump` recomputes its tanh once for all five.
+for both operands; `gated_jump` recomputes its tanh once for all five;
+`propagate` computes g W^T once for its operator and its state.
 
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
-node axis of a batched state, `affine` applies a shared channel map (plus
-bias), `gram` and `row_normalize` build the adaptive graph, and
-`expand_batch` replicates along a new batch axis.  That keeps
-every VJP auditable against the finite-difference oracle at the bottom of
-this module.
+node axis of a batched state and then a shared channel map plus bias, the
+field's (A h) W + b in one node; `affine` applies a shared channel map
+(plus an optional bias) alone; `gram` and `row_normalize` build the
+adaptive graph; and `expand_batch` replicates along a new batch axis.
+That keeps every VJP auditable against the finite-difference oracle at the
+bottom of this module.
 
 Batched states are node-major, `[N,B,d]`: the node axis leads, so a graph
 product and both its VJPs each read the state as one `[N, B*d]` matrix and
@@ -305,30 +308,57 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # arithmetic ops
 # ---------------------------------------------------------------------------
 
-def propagate(a: Tensor, h: Tensor, tape: Tape | None = None) -> Tensor:
-    """Graph operator over the node axis of a node-major batch, a[N,N] @ h[N,B,d].
+def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
+              tape: Tape | None = None) -> Tensor:
+    """Graph propagation, (a[N,N] @ h[N,B,d]) @ w[d,m] + b[m], in one node.
 
-    The state is read as one [N, B*d] matrix, so the product and its two
-    VJPs, a^T g and g h^T, are one 2-D matrix product each.  The forward
-    product is `np.dot`, which dispatches a 2-D product in less time than
-    `@`: a single-window forecast makes 16 of them on a 20-node graph.
+    The state is read as one [N, B*d] matrix, so the graph product (`np.dot`,
+    which dispatches faster than `@` on a small graph) and its two VJPs are
+    one 2-D matrix product each, and the propagated state is read as
+    [N*B, d] rows for the channel map.  Only the output is checked: a
+    non-finite a @ h reaches it, as NaN where w's matching row is zero.
+
+    The rule keeps a @ h, and h only for an operator that requires a
+    gradient.  It shares g' = g w^T between the operator and state routes
+    and routes w and b first, so with a square w the state route writes
+    a^T g' over g: backward holds two state-sized arrays, g and g', never a
+    third.  Values and gradients are bitwise those of `affine` after a bare
+    graph product.
     """
-    mat, shape = a.data, h.data.shape
+    mat, shape, w_shape = a.data, h.data.shape, w.data.shape
     if mat.ndim != 2 or len(shape) != 3:
         raise DimensionError(
             f"propagate: expects a[N,N] and h[N,B,d], got {a.shape} and {shape}")
-    n = shape[0]
+    n, _, d = shape
     if mat.shape != (n, n):
         raise DimensionError(
             f"propagate: operator {a.shape} does not match h[N,B,d] with "
             f"{n} nodes, got {shape}")
+    if len(w_shape) != 2 or w_shape[0] != d:
+        raise DimensionError(f"propagate: cannot map h[N,B,d] {shape} by w {w.shape}")
+    m = w_shape[1]
+    if b.data.shape != (m,):
+        raise DimensionError(f"propagate: bias {b.shape} does not match w {w.shape}")
+    wt = w.data
     x = h.data.reshape(n, -1)
-    out = np.dot(mat, x).reshape(shape)
+    flat = np.dot(mat, x).reshape(-1, d)
+    out_flat = flat @ wt
+    out_flat += b.data
+    out = out_flat.reshape(shape[:2] + (m,))
     if tape is None:
         return _value(out, "propagate")
-    return _out(out, "propagate", tape, (a, h),
-                (lambda g: g.reshape(n, -1) @ x.T,
-                 lambda g: (mat.T @ g.reshape(n, -1)).reshape(shape)))
+
+    def d_h(g, gp):
+        # g is the rule's own and no route after this one reads it
+        dst = g.reshape(n, -1) if m == d else None
+        return np.matmul(mat.T, gp, out=dst).reshape(shape)
+
+    return _out(out, "propagate", tape, (w, b, a, h),
+                (lambda g, gp: flat.T @ g.reshape(-1, m),
+                 lambda g, gp: g.reshape(-1, m).sum(axis=0),
+                 lambda g, gp: gp @ x.T,
+                 d_h),
+                share=lambda g: (g.reshape(-1, m) @ wt.T).reshape(n, -1))
 
 
 def gram(e: Tensor, tape: Tape | None = None) -> Tensor:

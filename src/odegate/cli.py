@@ -97,6 +97,9 @@ def _coerce(key: str, raw: str):
             if low in ("false", "0"):
                 return False
             raise ValueError(f"expected true/false, got {raw!r}")
+        if kind is not str and "_" in raw:
+            # int and float read `1_0` as 10; a data file may not, nor may a setting
+            raise ValueError(f"'_' is not allowed in a number, got {raw!r}")
         return kind(raw)
     except ValueError as exc:
         raise ValidationError(f"config key '{key}': {exc}") from exc

@@ -14,25 +14,26 @@ The two solver estimates share k1, so the error signal costs exactly zero
 additional vector-field evaluations: every step performs 2 NFEs regardless of
 how the mask and compensation are configured.
 
-On a tape, a step in `lte` mode records 8 nodes per stream: `propagate` and
-`affine` per field evaluation, one `axpy` per stage update (h_euler, the
-midpoint, h_rk2), and the jump, `gated_jump`.  The jump keeps the pre-step
-state, which the gradient of W_g[step] reads anyway, and the gate, but not
-its tanh: backward recomputes h W_g[step] + b_g[step] and its tanh from h,
-once per step.  So a taped step keeps 4 state-sized arrays in a stream with
-a constant operator (h, both `propagate` outputs, the gate) and 5 in the
-adaptive one, whose second `propagate` keeps the midpoint for the
+On a tape, a step in `lte` mode records 6 nodes per stream: one
+`propagate`, (A h) W_f + b_f, per field evaluation, one `axpy` per stage
+update (h_euler, the midpoint, h_rk2), and the jump, `gated_jump`.  The
+jump keeps the pre-step state, which the gradient of W_g[step] reads
+anyway, and the gate, but not its tanh: backward recomputes
+h W_g[step] + b_g[step] and its tanh from h, once per step.  So a taped
+step keeps 4 state-sized arrays in a stream with a constant operator (h,
+both evaluations' A h, which W_f's gradient reads, and the gate) and 5 in
+the adaptive one, whose second evaluation keeps the midpoint for the
 operator's gradient.
 
 The gate reads the error's values only, so the error is computed off the
 tape and freed with its step.  Only a reader of its gradient puts it on the
-tape, as a ninth node, `abs_diff`: a caller that collects the errors (the
+tape, as a seventh node, `abs_diff`: a caller that collects the errors (the
 smoothness penalty differentiates them), or mask_grad, which adds the gate's
 `sigmoid` too.
 
 States are node-major, [N,B,d] (node, batch, channel), the layout
-`autodiff.propagate` reads as one [N, B*d] matrix; every array a step makes,
-masks and errors included, has that shape.
+`autodiff.propagate` reads as one [N, B*d] matrix for its graph product;
+every array a step makes, masks and errors included, has that shape.
 
 `evolve` composes S such steps over unit time (dt = 1/S). The gate values
 are opt-in: pass collect_masks=True to get each step's mask, which a caller
@@ -118,9 +119,9 @@ class GateStats:
 
 def vector_field(h: Tensor, a_op: Tensor, field: tuple, tape: Tape | None = None,
                  nfe: NFECounter | None = None) -> Tensor:
-    """Continuous field (A h) W_f + b_f: one graph propagation, one shared affine map."""
+    """Continuous field (A h) W_f + b_f: one graph propagation, in one tape node."""
     w_f, b_f = field
-    out = node_linear(graph_propagate(a_op, h, tape), w_f, b_f, tape)
+    out = graph_propagate(a_op, h, w_f, b_f, tape)
     if nfe is not None:
         nfe.bump()
     return out

@@ -3,6 +3,7 @@ central-difference gradient oracle, plus the tape-lifecycle contracts."""
 
 import inspect
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -91,7 +92,7 @@ class TestTapeLifecycle:
         t = Tape()
         a = Tensor(rand(2, 2))
         h = Tensor(rand(2, 1, 3))
-        propagate(a, h, t)
+        propagate(a, h, Tensor(rand(3, 2)), Tensor(rand(2)), t)
         gram(a, t)
         assert len(t) == 0
 
@@ -120,16 +121,20 @@ class TestTapeLifecycle:
             backward(loss, t)
         assert np.array_equal(a.grad, np.full(3, 1.0 / 3.0) * h.data * (1.0 - h.data))
 
-    @pytest.mark.parametrize("op", ["scale", "affine", "expand_batch", "mean_all"])
+    @pytest.mark.parametrize("op", ["scale", "affine", "propagate", "expand_batch",
+                                    "mean_all"])
     def test_tape_keeps_only_what_vjps_read(self, op):
         # none of these VJPs reads its input's array, so the tape must not
-        # keep it once the forward code drops the input
+        # keep it once the forward code drops the input; `propagate` reads
+        # its state only for the gradient of an operator that requires one
         t = Tape()
         a = Tensor(rand(2, 3, 4), requires_grad=True)
         frozen = Tensor(rand(4, 2))
         x = scale(a, 2.0, t)
         y = {"scale": lambda: scale(x, 0.5, t),
              "affine": lambda: affine(x, frozen, tape=t),
+             "propagate": lambda: propagate(Tensor(rand(2, 2)), x, frozen,
+                                            Tensor(rand(2)), t),
              "expand_batch": lambda: expand_batch(x, 2, t),
              "mean_all": lambda: mean_all(x, t)}[op]()
         arr = x.data
@@ -137,6 +142,24 @@ class TestTapeLifecycle:
         assert sys.getrefcount(arr) == 2   # `arr` and the call's argument
         backward(mean_all(y, t) if y.size > 1 else y, t)
         assert a.grad.shape == a.shape
+
+    def test_propagate_rule_holds_two_states(self):
+        # the rule makes g w^T and writes a^T (g w^T) over g, which becomes
+        # h's gradient: backward never holds a third state-sized array
+        n, batch, d = 30, 16, 32
+        a = Tensor(rand(n, n), requires_grad=True)
+        h = Tensor(rand(n, batch, d), requires_grad=True)
+        w, bias = Tensor(rand(d, d), requires_grad=True), Tensor(rand(d), requires_grad=True)
+        t = Tape()
+        loss = mean_all(propagate(a, h, w, bias, t), t)
+        tracemalloc.start()
+        try:
+            backward(loss, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = h.data.nbytes
+        assert 2 * state < peak < 2.5 * state
 
     def test_shared_gradient_not_aliased(self):
         # add's VJPs hand one array to both inputs; b's slot then gains more,
@@ -328,11 +351,12 @@ class TestForwardOracles:
             swap_leading(Tensor(rand(3)))
 
     def test_propagate_matches_per_batch_loop(self):
-        a, h = rand(5, 5), rand(5, 3, 4)   # node-major [N,B,d], B != N
-        expected = np.stack([a @ h[:, b] for b in range(3)], axis=1)
-        out = propagate(Tensor(a), Tensor(h)).data
-        assert out.shape == h.shape
-        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        # node-major [N,B,d] with B != N, mapped to m != d channels
+        a, h, w, bias = rand(5, 5), rand(5, 3, 4), rand(4, 2), rand(2)
+        expected = np.stack([np.dot(a, h[:, b]) @ w + bias for b in range(3)], axis=1)
+        out = propagate(Tensor(a), Tensor(h), Tensor(w), Tensor(bias)).data
+        assert out.shape == (5, 3, 2)
+        assert np.array_equal(out, expected)
 
     def test_affine_matches_per_batch_loop(self):
         h, w, bias = rand(3, 5, 4), rand(4, 2), rand(2)
@@ -343,14 +367,24 @@ class TestForwardOracles:
             assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_graph_op_shape_errors(self):
+        w, bias = Tensor(rand(3, 2)), Tensor(rand(2))
         with pytest.raises(DimensionError, match=r"h\[N,B,d\]"):
-            propagate(Tensor(rand(4, 4)), Tensor(rand(4, 3)))      # h not [N,B,d]
+            propagate(Tensor(rand(4, 4)), Tensor(rand(4, 3)), w, bias)      # h not [N,B,d]
         with pytest.raises(DimensionError, match=r"h\[N,B,d\]"):
-            propagate(Tensor(rand(4, 5)), Tensor(rand(4, 2, 3)))   # a not square
+            propagate(Tensor(rand(4, 5)), Tensor(rand(4, 2, 3)), w, bias)   # a not square
         with pytest.raises(DimensionError, match=r"h\[N,B,d\]"):
-            propagate(Tensor(rand(5, 5)), Tensor(rand(4, 2, 3)))   # node count
+            propagate(Tensor(rand(5, 5)), Tensor(rand(4, 2, 3)), w, bias)   # node count
         with pytest.raises(DimensionError, match=r"h\[N,B,d\]"):
-            propagate(Tensor(rand(4, 4)), Tensor(rand(2, 4, 3)))   # batch-major h
+            propagate(Tensor(rand(4, 4)), Tensor(rand(2, 4, 3)), w, bias)   # batch-major h
+        a, h = Tensor(rand(4, 4)), Tensor(rand(4, 2, 3))
+        with pytest.raises(DimensionError, match="^propagate: cannot map"):
+            propagate(a, h, Tensor(rand(2, 2)), bias)                       # inner dims
+        with pytest.raises(DimensionError, match="^propagate: cannot map"):
+            propagate(a, h, Tensor(rand(3)), bias)                          # w not 2-D
+        with pytest.raises(DimensionError, match="^propagate: bias"):
+            propagate(a, h, w, Tensor(rand(3)))                             # bias width
+        with pytest.raises(DimensionError, match="^propagate: bias"):
+            propagate(a, h, w, Tensor(rand(1, 2)))                          # bias not 1-D
         with pytest.raises(DimensionError):
             affine(Tensor(rand(2, 4, 3)), Tensor(rand(4, 2)))      # inner dims
         with pytest.raises(DimensionError):
@@ -389,6 +423,19 @@ class TestForwardOracles:
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericError, match=f"^{op} produced non-finite"):
             call()
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("w_row", [1.0, 0.0])
+    def test_propagate_overflow_names_the_op(self, w_row, taped):
+        # A h overflows in its first channel, and the output is the one
+        # check: w's first row carries the infinity on, and a zero row meets
+        # it as inf * 0, which is NaN
+        h = Tensor(np.array([[[1e308, 1.0]], [[1e308, 1.0]]]), requires_grad=taped)
+        w = Tensor([[w_row, w_row], [0.0, 1.0]], requires_grad=taped)
+        args = (Tensor(np.full((2, 2), 1.5)), h, w, Tensor(np.zeros(2)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="^propagate produced non-finite"):
+            propagate(*args, Tape() if taped else None)
 
     @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("w, b", [(2.0, 0.0), (1.0, 1e308)])
@@ -459,18 +506,24 @@ class TestGradientOracles:
         grad_matches(lambda t: mean_all(sigmoid(expand_batch(e, 3, t), t), t), [e])
 
     def test_propagate(self):
+        # a square channel map, as a field has: the state route may write
+        # over the rule's gradient
         a = Tensor(rand(4, 4), requires_grad=True)
         h = Tensor(rand(4, 3, 2), requires_grad=True)
-        grad_matches(lambda t: mean_all(sigmoid(propagate(a, h, t), t), t), [a, h])
+        w = Tensor(rand(2, 2), requires_grad=True)
+        bias = Tensor(rand(2), requires_grad=True)
+        grad_matches(lambda t: mean_all(sigmoid(propagate(a, h, w, bias, t), t), t),
+                     [a, h, w, bias])
 
     def test_propagate_learnable_operator(self):
         # the adaptive operator is itself built on the tape from embeddings
         e = Tensor(rand(4, 2), requires_grad=True)
         h = Tensor(rand(4, 3, 2), requires_grad=True)
+        w, bias = Tensor(rand(2, 2)), Tensor(rand(2))
 
         def build(t):
             a = row_normalize(relu(gram(e, t), t), t)
-            return mean_all(sigmoid(propagate(a, h, t), t), t)
+            return mean_all(sigmoid(propagate(a, h, w, bias, t), t), t)
 
         grad_matches(build, [e, h])
 
@@ -573,7 +626,8 @@ class TestSharedRules:
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         t = Tape()
         out = gated_jump(*tensors.values(), t)
-        backward(mean_all(propagate(Tensor(mix), out, t), t), t)
+        backward(mean_all(propagate(Tensor(mix), out, Tensor(np.eye(6)),
+                                    Tensor(np.zeros(6)), t), t), t)
         g = (mix.T @ np.full((5, 24), 1.0 / 120.0)).reshape(5, 4, 6)
         ref_out, ref_grads = _jump_chain(*arrays.values(), g)
         assert np.array_equal(out.data, ref_out)
@@ -625,9 +679,8 @@ def _relu_zeroed(rng):
 ORACLE_TABLE = {
     "gram": (lambda t, e: gram(e, t), _normal((4, 3))),
     "row_normalize": (lambda t, s: row_normalize(s, t), _relu_zeroed),
-    "propagate": (lambda t, a, h: propagate(a, h, t),
-                  lambda rng: (rng.standard_normal((4, 4)),
-                               rng.standard_normal((4, 3, 2)))),
+    "propagate": (lambda t, a, h, w, b: propagate(a, h, w, b, t),
+                  _normal((4, 4), (4, 3, 2), (2, 3), (3,))),
     "affine": (lambda t, h, w, b: affine(h, w, b, t),
                lambda rng: (rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)),
                             rng.standard_normal(5))),

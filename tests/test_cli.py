@@ -745,6 +745,25 @@ def test_non_finite_setting_rejected(data_dir, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, raw", [("nfe-report", "steps", "1_0"),
+                                               ("generate-data", "total_t", "1_4_0"),
+                                               ("generate-data", "amplitude", "1_0.5")])
+def test_digit_group_underscore_rejected(tmp_path, capsys, source, command, key, raw):
+    # int and float read `1_0` as 10; a setting, like a data file, is refused
+    out = tmp_path / "o"
+    if source == "flag":
+        setting = ["--" + key.replace("_", "-"), raw]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={raw}\n")
+        setting = ["--config", str(cfg)]
+    assert main([command, "--out", str(out)] + setting) == EXIT_DATA
+    err = _one_error_line(capsys, "validation")
+    assert f"'{key}'" in err and "'_' is not allowed in a number" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["generate-data", "--tick-seconds", "300"],
                                   ["nfe-report", "--seed", "0"]],
                          ids=lambda argv: " ".join(argv))

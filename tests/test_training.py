@@ -234,7 +234,7 @@ class TestTrainLoop:
         assert tapes
         for ops in tapes:
             assert "abs_diff" not in ops
-            assert sum(ops.values()) == 73
+            assert sum(ops.values()) == 57
 
     def test_parameter_gradients_share_no_memory(self, monkeypatch):
         # backward hands gradients on; clipping scales each in place, so no
