@@ -47,8 +47,10 @@ Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
 node axis of a batched state and then a shared channel map plus bias, the
 field's (A h) W + b in one node; `affine` applies a shared channel map
-(plus an optional bias) alone; `gram` and `row_normalize` build the
-adaptive graph; and `expand_batch` replicates along a new batch axis.
+(plus an optional bias) alone; `gated_jump` gates the tanh of one; `gram`
+and `row_normalize` build the adaptive graph; and `expand_batch` replicates
+along a new batch axis.  The three map ops check and compute the channel
+map x W + b in one helper, `_channel_map`, and each keeps its own VJPs.
 That keeps every VJP auditable against the finite-difference oracle at the
 bottom of this module.
 
@@ -304,6 +306,24 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: operand shapes differ, {a.shape} vs {b.shape}")
 
 
+def _channel_map(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                 op: str) -> tuple[np.ndarray, np.ndarray]:
+    """x[...,k] @ w[k,m] (+ b[m]) as (x's [R,k] rows, which w's gradient
+    reads, [R,m] result); a w or b that does not fit x raises naming `op`."""
+    shape, w_shape = x.shape, w.shape
+    if len(w_shape) != 2 or not shape or shape[-1] != w_shape[0]:
+        raise DimensionError(f"{op}: cannot map {shape} by {w_shape}")
+    if b is not None and b.shape != w_shape[1:]:
+        raise DimensionError(f"{op}: bias {b.shape} does not match {w_shape}")
+    rows = x.reshape(-1, w_shape[0])
+    # np.dot dispatches faster on a few rows (a forecast's N), `@` multiplies
+    # faster on many (a training batch's N*B); the two agree bit for bit
+    out = np.dot(rows, w) if len(rows) <= 128 else rows @ w
+    if b is not None:
+        out += b
+    return rows, out
+
+
 # ---------------------------------------------------------------------------
 # arithmetic ops
 # ---------------------------------------------------------------------------
@@ -325,7 +345,7 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
     third.  Values and gradients are bitwise those of `affine` after a bare
     graph product.
     """
-    mat, shape, w_shape = a.data, h.data.shape, w.data.shape
+    mat, shape = a.data, h.data.shape
     if mat.ndim != 2 or len(shape) != 3:
         raise DimensionError(
             f"propagate: expects a[N,N] and h[N,B,d], got {a.shape} and {shape}")
@@ -334,16 +354,10 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
         raise DimensionError(
             f"propagate: operator {a.shape} does not match h[N,B,d] with "
             f"{n} nodes, got {shape}")
-    if len(w_shape) != 2 or w_shape[0] != d:
-        raise DimensionError(f"propagate: cannot map h[N,B,d] {shape} by w {w.shape}")
-    m = w_shape[1]
-    if b.data.shape != (m,):
-        raise DimensionError(f"propagate: bias {b.shape} does not match w {w.shape}")
     wt = w.data
     x = h.data.reshape(n, -1)
-    flat = np.dot(mat, x).reshape(-1, d)
-    out_flat = flat @ wt
-    out_flat += b.data
+    flat, out_flat = _channel_map(np.dot(mat, x).reshape(shape), wt, b.data, "propagate")
+    m = out_flat.shape[1]
     out = out_flat.reshape(shape[:2] + (m,))
     if tape is None:
         return _value(out, "propagate")
@@ -406,17 +420,9 @@ def row_normalize(s: Tensor, tape: Tape | None = None) -> Tensor:
 def affine(h: Tensor, w: Tensor, b: Tensor | None = None,
            tape: Tape | None = None) -> Tensor:
     """Shared channel map over the leading axes, h[...,k] @ w[k,m] (+ b[m])."""
-    shape, w_shape = h.data.shape, w.data.shape
-    if len(w_shape) != 2 or not shape or shape[-1] != w_shape[0]:
-        raise DimensionError(f"affine: cannot map {h.shape} by {w.shape}")
-    if b is not None and b.data.shape != w_shape[1:]:
-        raise DimensionError(f"affine: bias {b.shape} does not match {w.shape}")
-    k, m = w_shape
-    wt = w.data
-    flat = h.data.reshape(-1, k)
-    out_flat = flat @ wt
-    if b is not None:
-        out_flat += b.data
+    shape, wt = h.data.shape, w.data
+    flat, out_flat = _channel_map(h.data, wt, None if b is None else b.data, "affine")
+    m = out_flat.shape[1]
     out = out_flat.reshape(shape[:-1] + (m,))
     if tape is None:
         return _value(out, "affine")
@@ -435,14 +441,6 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if tape is None:
         return _value(out, "add")
     return _out(out, "add", tape, (a, b), (_same, _same))
-
-
-def scale(a: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
-    s = float(s)
-    out = a.data * s
-    if tape is None:
-        return _value(out, "scale")
-    return _out(out, "scale", tape, (a,), (lambda g: g * s,))
 
 
 def axpy(h: Tensor, k: Tensor, s: Scalar, tape: Tape | None = None) -> Tensor:
@@ -474,14 +472,6 @@ def abs_diff(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
                 share=lambda g: g * np.sign(d))
 
 
-def _pre_activation(flat: np.ndarray, wt: np.ndarray, bias: np.ndarray,
-                    shape: tuple) -> np.ndarray:
-    """The jump's h[...,k] @ w[k,n] + b[n], for its forward and its backward alike."""
-    z = np.dot(flat, wt)
-    z += bias
-    return z.reshape(shape)
-
-
 def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
                tape: Tape | None = None) -> Tensor:
     """base + m * tanh(h[...,k] @ w[k,n] + b[n]), the gated jump, in one node.
@@ -495,18 +485,13 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
     x = m.data
     if base.data.shape != x.shape:
         _check_same_shape(base, m, "gated_jump")
-    shape, w_shape = h.data.shape, w.data.shape
-    if len(w_shape) != 2 or not shape or shape[-1] != w_shape[0]:
-        raise DimensionError(f"gated_jump: cannot map {h.shape} by {w.shape}")
-    k, n = w_shape
-    if b.data.shape != (n,):
-        raise DimensionError(f"gated_jump: bias {b.shape} does not match {w.shape}")
+    shape, wt, bias = h.data.shape, w.data, b.data
+    flat, z = _channel_map(h.data, wt, bias, "gated_jump")
+    n = z.shape[1]
     if shape[:-1] + (n,) != x.shape:
         raise DimensionError(
             f"gated_jump: {h.shape} mapped by {w.shape} does not match the gate {m.shape}")
-    wt, bias = w.data, b.data
-    flat = h.data.reshape(-1, k)
-    z = _finite(_pre_activation(flat, wt, bias, x.shape), "gated_jump pre-activation")
+    z = _finite(z.reshape(x.shape), "gated_jump pre-activation")
     out = x * np.tanh(z, out=z)
     out += base.data
     if tape is None:
@@ -514,7 +499,7 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
 
     def share(g):
         # the tanh j once more, and dz = (g * m) * (1 - j * j) as the chain had it
-        j = _pre_activation(flat, wt, bias, x.shape)
+        j = _channel_map(flat, wt, bias, "gated_jump")[1].reshape(x.shape)
         np.tanh(j, out=j)
         dz, jj = g * x, j * j
         np.subtract(1.0, jj, out=jj)

@@ -113,10 +113,15 @@ def read_json(path) -> dict:
 
 
 def write_json(path, payload) -> None:
-    """`payload` as JSON with sorted keys, one space of indent, and a final newline."""
+    """`payload` as JSON with sorted keys, one space of indent, and a final
+    newline; a non-finite float, which RFC 8259 lacks, as `null`."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:   # a non-finite float: only such a payload is read back
+        nulled = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        text = json.dumps(nulled, sort_keys=True, indent=1)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def format_value(value) -> str:

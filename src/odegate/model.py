@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import (Tape, Tensor, affine, all_finite, backward, concat_channels,
                        expand_batch, mean_abs_error, swap_leading)
 from .dynamics import MASK_MODES, NFECounter, evolve
-from .errors import DimensionError, ValidationError, read_json, write_json
+from .errors import ContractError, DimensionError, ValidationError, read_json, write_json
 from .graph import adaptive_adjacency
 
 CHECKPOINT_MAGIC = "odegate-checkpoint"
@@ -220,7 +220,8 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     every stream's per-step error tensors, on the tape, for a loss that
     differentiates them (the smoothness penalty); without it, `lte` is None
     and no error outlives its step or enters the tape unless mask_grad
-    differentiates the gate.
+    differentiates the gate.  A stream that makes other than two field
+    evaluations per step raises `ContractError`.
     """
     n = config.n_nodes
     if ahat.shape != (n, n):
@@ -240,6 +241,9 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     for name, a_op in zip(STREAMS, (ahat, a_adaptive)):
         counter = NFECounter()
         res = evolve(h0, a_op=a_op, nfe=counter, **params.streams[name], **common)
+        if counter.count != 2 * config.steps:
+            raise ContractError(f"forward: the {name} stream made {counter.count} field "
+                                f"evaluations, expected {2 * config.steps}")
         finals.append(res.h_final)
         nfe[f"nfe_{name}"] = counter.count
         if collect_lte:
@@ -307,7 +311,9 @@ def tape_peak_bytes(x: Tensor, ahat: Tensor, params: ModelParams,
     counts every Python-level allocation, so one untraced pass runs first:
     the caches and free lists that pass fills no longer depend on what the
     process ran before.  The gradients are cleared after each pass, so the
-    traced pass allocates them afresh, as a training batch does.
+    traced pass allocates them afresh, as a training batch does.  Inside a
+    caller's tracemalloc session the count starts from the traced size at
+    entry, and the session stays on.
     """
     y = Tensor(np.zeros((x.shape[0], config.n_nodes, config.horizon)))
 
@@ -318,12 +324,18 @@ def tape_peak_bytes(x: Tensor, ahat: Tensor, params: ModelParams,
         params.zero_grad()
 
     one_pass()
-    tracemalloc.start()
+    nested = tracemalloc.is_tracing()   # a caller's session stays on
+    if nested:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    entry = tracemalloc.get_traced_memory()[0]
     try:
         one_pass()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - entry
     finally:
-        tracemalloc.stop()
+        if not nested:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from odegate.autodiff import (Tape, Tensor, _finite, _sigmoid_values, abs_diff, 
                               affine, all_finite, axpy, backward, concat_channels,
                               expand_batch, finite_diff_gradient, gated_jump,
                               gram, mean_abs_error, mean_all, propagate, relu,
-                              row_normalize, scale, sigmoid, swap_leading)
+                              row_normalize, sigmoid, swap_leading)
 from odegate.errors import ContractError, DimensionError, NumericError
 
 RNG = np.random.default_rng(12345)
@@ -121,7 +121,7 @@ class TestTapeLifecycle:
             backward(loss, t)
         assert np.array_equal(a.grad, np.full(3, 1.0 / 3.0) * h.data * (1.0 - h.data))
 
-    @pytest.mark.parametrize("op", ["scale", "affine", "propagate", "expand_batch",
+    @pytest.mark.parametrize("op", ["axpy", "affine", "propagate", "expand_batch",
                                     "mean_all"])
     def test_tape_keeps_only_what_vjps_read(self, op):
         # none of these VJPs reads its input's array, so the tape must not
@@ -130,8 +130,8 @@ class TestTapeLifecycle:
         t = Tape()
         a = Tensor(rand(2, 3, 4), requires_grad=True)
         frozen = Tensor(rand(4, 2))
-        x = scale(a, 2.0, t)
-        y = {"scale": lambda: scale(x, 0.5, t),
+        x = axpy(a, a, 1.0, t)
+        y = {"axpy": lambda: axpy(x, x, 0.5, t),
              "affine": lambda: affine(x, frozen, tape=t),
              "propagate": lambda: propagate(Tensor(rand(2, 2)), x, frozen,
                                             Tensor(rand(2)), t),
@@ -168,7 +168,7 @@ class TestTapeLifecycle:
         a = Tensor(rand(3), requires_grad=True)
         x = Tensor(rand(3), requires_grad=True)
         b = sigmoid(x, t)
-        c = scale(b, 3.0, t)
+        c = axpy(b, b, 2.0, t)
         s = add(a, b, t)
         backward(add(mean_all(s, t), mean_all(c, t), t), t)
         assert np.array_equal(a.grad, np.full(3, 1.0 / 3.0))
@@ -238,7 +238,6 @@ class TestForwardOracles:
     def test_elementwise(self):
         a, b, c = rand(2, 3), rand(2, 3), rand(2, 3)
         assert np.array_equal(add(Tensor(a), Tensor(b)).data, a + b)
-        assert np.array_equal(scale(Tensor(a), 2.5).data, a * 2.5)
         assert np.array_equal(axpy(Tensor(a), Tensor(b), 2.5).data, a + b * 2.5)
         assert np.array_equal(abs_diff(Tensor(a), Tensor(b)).data, np.abs(a - b))
         assert abs_diff(Tensor(1.0), Tensor(3.5)).item() == 2.5   # 0-d operands
@@ -469,11 +468,11 @@ class TestGradientOracles:
         b = Tensor(np.abs(rand(3, 3)) + 0.5, requires_grad=True)
         grad_matches(lambda t: mean_all(add(a, b, t), t), [a, b])
         grad_matches(lambda t: mean_all(axpy(a, b, -0.75, t), t), [a, b])
-        grad_matches(lambda t: mean_all(abs_diff(a, scale(a, 3.0, t), t), t), [a])
+        grad_matches(lambda t: mean_all(abs_diff(a, axpy(a, a, 2.0, t), t), t), [a])
 
     def test_scalar_forms(self):
         a = Tensor(rand(4), requires_grad=True)
-        grad_matches(lambda t: mean_all(scale(a, -1.5, t), t), [a])
+        grad_matches(lambda t: mean_all(axpy(a, a, -2.5, t), t), [a])
 
     def test_activations(self):
         # keep entries away from the relu kink where the subgradient is taken
@@ -576,7 +575,7 @@ class TestGradientOracles:
 
         def build(t):
             x = sigmoid(h, t)
-            both = add(scale(swap_leading(x), 2.0, t), swap_leading(sigmoid(x, t)), t)
+            both = axpy(swap_leading(sigmoid(x, t)), swap_leading(x), 2.0, t)
             return add(mean_all(sigmoid(both, t), t), mean_all(relu(x, t), t), t)
 
         grad_matches(build, [h])
@@ -585,7 +584,7 @@ class TestGradientOracles:
         # an op run without a tape gives a constant, cut off from `a`
         t = Tape()
         a = Tensor(rand(3), requires_grad=True)
-        d = scale(a, 1.0)
+        d = axpy(a, a, 0.0)
         assert not d.requires_grad and np.array_equal(d.data, a.data)
         backward(mean_all(axpy(d, d, 2.0, t), t), t)
         assert a.grad is None
@@ -690,7 +689,6 @@ ORACLE_TABLE = {
     "abs_diff": (lambda t, a, b: abs_diff(a, b, t), _mae_pair),
     "gated_jump": (lambda t, base, m, h, w, b: gated_jump(base, m, h, w, b, t),
                    _normal((2, 3, 4), (2, 3, 4), (2, 3, 5), (5, 4), (4,))),
-    "scale": (lambda t, a: scale(a, -1.5, t), lambda rng: (rng.standard_normal(4),)),
     "relu": (lambda t, a: relu(a, t), lambda rng: (_away_from_zero(rng, 3, 3),)),
     "sigmoid": (lambda t, a: sigmoid(a, t), lambda rng: (rng.standard_normal((3, 3)),)),
     "concat_channels": (lambda t, a, b: concat_channels(a, b, t),
@@ -752,7 +750,7 @@ class TestSingleBackwardPath:
         b = Tensor(rand(2, 3), requires_grad=True)
         abs_diff(a, b, t)                     # recorded, never reaches the loss
         sigmoid(b, t)
-        loss = mean_all(scale(a, 2.0, t), t)
+        loss = mean_all(axpy(a, a, 1.0, t), t)
         assert len(t) == 4
         backward(loss, t)
         assert np.array_equal(a.grad, np.full((2, 3), 1.0 / 6.0 * 2.0))

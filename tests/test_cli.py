@@ -10,6 +10,7 @@ import dataclasses
 import filecmp
 import hashlib
 import io
+import itertools
 import json
 import shutil
 import subprocess
@@ -24,6 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odegate.cli
+import odegate.dynamics
 from odegate.cli import (ABLATE_KEYS, DEFAULTS, EVAL_KEYS,
                          EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          GENERATE_KEYS, NFE_KEYS, TRAIN_KEYS, _coerce, main,
@@ -56,6 +59,11 @@ def short_data(tmp_path_factory):
     config = ModelConfig(n_nodes=4)
     save_checkpoint(out / "checkpoint.json", init_params(config), config)
     return out
+
+
+def _not_json(name):
+    # json.loads reads NaN and Infinity, which RFC 8259 does not have
+    raise ValueError(f"{name} is not JSON")
 
 
 def _one_error_line(capsys, kind: str) -> str:
@@ -391,6 +399,19 @@ class TestEvaluate:
         assert code == EXIT_DATA
         assert "nodes" in capsys.readouterr().err
 
+    def test_series_narrower_than_meta(self, data_dir, full_run, tmp_path, capsys):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        lines = (bad / "series.csv").read_text().splitlines()
+        (bad / "series.csv").write_text(
+            "".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        code = main(["evaluate", "--data", str(bad),
+                     "--checkpoint", str(full_run / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert _one_error_line(capsys, "validation").endswith(
+            ": series has 3 nodes, meta says 4")
+
     def test_corrupt_checkpoint(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -688,6 +709,21 @@ class TestMaskStats:
         assert len(payload["histogram"]) == 20
         assert f"mean={payload['mean']!r}" in text
 
+    def test_no_shock_cells_write_strict_json(self, tmp_path, capsys):
+        # a split without shocks has no shock statistics: null in the file,
+        # nan on stdout
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "stats"
+        assert main(["generate-data", "--out", str(data), "--shock-rate", "0",
+                     "--n-nodes", "5", "--total-t", "300"]) == EXIT_OK
+        argv = SMALL_TRAIN[:-3] + ["--epochs", "1", "--quiet"]
+        assert main(["train", "--data", str(data), "--out", str(run)] + argv) == EXIT_OK
+        assert main(["mask-stats", "--data", str(data), "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.json")]) == EXIT_OK
+        assert "nan" in capsys.readouterr().out
+        payload = json.loads((out / "mask_stats.json").read_text(),
+                             parse_constant=_not_json)
+        assert payload["shock_mean"] is None and payload["shock_p95"] is None
+
     @pytest.mark.parametrize("split", ["val", "test"])
     def test_empty_split(self, short_data, tmp_path, capsys, split):
         code = main(["mask-stats", "--data", str(short_data),
@@ -820,6 +856,23 @@ class TestNfeReport:
         assert [l.split()[-1] for l in lines if l.startswith("steps=")] == [
             f"tape_peak_bytes={p}" for p in peaks]
 
+    def test_third_field_evaluation_is_a_contract_fault(self, tmp_path, capsys,
+                                                         monkeypatch):
+        original, calls = odegate.dynamics.vector_field, itertools.count(1)
+
+        def three_per_step(h, a_op, field, tape=None, nfe=None):
+            if next(calls) % 2 == 0:   # the midpoint stage, evaluated twice
+                original(h, a_op, field, tape, nfe)
+            return original(h, a_op, field, tape, nfe)
+
+        monkeypatch.setattr(odegate.dynamics, "vector_field", three_per_step)
+        code = main(["nfe-report", "--out", str(tmp_path / "nfe"), "--n-nodes", "4",
+                     "--proj-dim", "4", "--embed-dim", "2",
+                     "--window", "4", "--horizon", "3"])
+        assert code == EXIT_NUMERIC
+        assert _one_error_line(capsys, "contract").endswith(
+            "forward: the static stream made 12 field evaluations, expected 8")
+
 
 class TestIntersectDemo:
     def test_pass_and_trajectories(self, tmp_path, capsys):
@@ -834,6 +887,14 @@ class TestIntersectDemo:
         assert np.array_equal(off[:, 1], off[:, 2])
         d = on[:, 1] - on[:, 2]
         assert d[0] > 0 and (d < 0).any()
+
+    def test_fail_when_legs_never_cross(self, tmp_path, capsys, monkeypatch):
+        leg_off, _ = odegate.cli.crossing_legs()
+        monkeypatch.setattr(odegate.cli, "crossing_legs", lambda: (leg_off, leg_off))
+        code = main(["intersect-demo", "--out", str(tmp_path / "demo")])
+        assert code == EXIT_NUMERIC
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["compensation on: mirrored nodes never cross", "FAIL"]
 
     # The two legs' files, byte for byte: a change to how `evolve` lays out
     # or indexes its states must not move a single digit of either.

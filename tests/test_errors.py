@@ -1,6 +1,7 @@
-"""The shared readers and writers: `read_csv`, `read_json`, `format_value` and
-`write_csv`."""
+"""The shared readers and writers: `read_csv`, `read_json`, `format_value`,
+`write_csv` and `write_json`."""
 
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odegate.data import read_events_csv, read_meta, read_series_csv
-from odegate.errors import ParseError, format_value, read_csv, write_csv
+from odegate.errors import ParseError, format_value, read_csv, write_csv, write_json
 from odegate.graph import load_graph
 
 
@@ -144,3 +145,26 @@ class TestReadJson:
         path.write_text('{"n_nodes": 1' + "0" * 5000 + "}\n")
         with pytest.raises(ParseError, match="meta.json: not valid JSON .Exceeds the limit"):
             read_meta(path)
+
+
+def strict_json(text: str):
+    """`json.loads` that rejects the NaN and Infinity RFC 8259 does not have."""
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=no_constant)
+
+
+class TestWriteJson:
+    def test_non_finite_floats_are_null(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": float("nan"), "b": [1.5, float("inf"), -np.inf],
+                          "c": {"d": np.float64("nan"), "e": (2, "x")}, "f": 0.25})
+        assert strict_json(path.read_text()) == {
+            "a": None, "b": [1.5, None, None], "c": {"d": None, "e": [2, "x"]}, "f": 0.25}
+
+    def test_finite_payload_keeps_its_bytes(self, tmp_path):
+        payload = {"z": [0.1, -2.5e-300, 1e308], "a": {"k": True, "n": None}, "i": 7}
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -19,11 +20,11 @@ import odegate.model
 from odegate.autodiff import Tape, Tensor, backward, finite_diff_gradient, mean_abs_error
 from odegate.data import WindowSet
 from odegate.dynamics import GateStats
-from odegate.errors import DimensionError, ParseError, ValidationError
+from odegate.errors import ContractError, DimensionError, ParseError, ValidationError
 from odegate.graph import SpatialGraph, adaptive_adjacency, normalize_adjacency
 from odegate.model import (MAX_STEPS, ModelConfig, ModelParams, flop_report,
                            forward, init_params, initialize_state, load_checkpoint,
-                           param_shapes, save_checkpoint)
+                           param_shapes, save_checkpoint, tape_peak_bytes)
 from odegate.training import batch_loss, check_finite_grads, predict
 
 DEFAULT = ModelConfig(n_nodes=20)
@@ -231,6 +232,21 @@ class TestForward:
                                     params.streams["static"]["jumps"], "lte", tape=tape,
                                     collect_lte=collect_lte)
             assert Counter(name for name, _ in tape.nodes) == {**step, **extra}
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_third_field_evaluation_per_step_rejected(self, monkeypatch, taped):
+        original, calls = odegate.dynamics.vector_field, itertools.count(1)
+
+        def three_per_step(h, a_op, field, tape=None, nfe=None):
+            if next(calls) % 2 == 0:   # the midpoint stage, evaluated twice
+                original(h, a_op, field, tape, nfe)
+            return original(h, a_op, field, tape, nfe)
+
+        monkeypatch.setattr(odegate.dynamics, "vector_field", three_per_step)
+        x, ahat = tiny_inputs(TINY)
+        with pytest.raises(ContractError, match=r"^forward: the static stream made 6 "
+                                                r"field evaluations, expected 4$"):
+            forward(x, ahat, init_params(TINY, seed=3), TINY, Tape() if taped else None)
 
     def test_operator_shape_checked(self):
         params = init_params(TINY)
@@ -569,6 +585,23 @@ for _ in range(2):
     assert proc.returncode == 0, proc.stderr
     first, second = map(int, proc.stdout.split())
     assert abs(first - second) <= 0.01 * max(first, second), (first, second)
+
+
+def test_tape_peak_bytes_inside_a_traced_session():
+    # a caller's session, whose own peak is far above the tape's, stays on
+    # and does not reach the figure
+    params = init_params(DEFAULT, seed=0)
+    x, ahat = tiny_inputs(DEFAULT)
+    untraced = tape_peak_bytes(x, ahat, params, DEFAULT)
+    tracemalloc.start()
+    try:
+        block = np.ones(1_000_000)   # 8 MB, freed before the call
+        del block
+        nested = tape_peak_bytes(x, ahat, params, DEFAULT)
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert abs(nested - untraced) <= 0.01 * untraced, (nested, untraced)
 
 
 class TestFlopReport:
