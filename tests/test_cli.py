@@ -213,6 +213,21 @@ class TestGenerateData:
         digest = hashlib.sha256((data_dir / name).read_bytes()).hexdigest()
         assert digest == self.DATASET_DIGESTS[name]
 
+    # The JSON files, byte for byte, the same way: `meta.json` of `data_dir`,
+    # and the checkpoint of the 4-node default model initialized with seed 0.
+    META_DIGEST = "1d526188bbb1e72b8babc0b097a16b40c2d85e9f0754fd19f44d9e9d99c07e45"
+    CHECKPOINT_DIGEST = "2ea9f13224742100f5e9109875123fcb1ab2e1d558242179d1792c4504e0efe7"
+
+    def test_meta_pinned(self, data_dir):
+        digest = hashlib.sha256((data_dir / "meta.json").read_bytes()).hexdigest()
+        assert digest == self.META_DIGEST
+
+    def test_checkpoint_pinned(self, tmp_path):
+        config = ModelConfig(n_nodes=4)
+        save_checkpoint(tmp_path / "checkpoint.json", init_params(config, seed=0), config)
+        digest = hashlib.sha256((tmp_path / "checkpoint.json").read_bytes()).hexdigest()
+        assert digest == self.CHECKPOINT_DIGEST
+
     def test_byte_identical_rerun(self, data_dir, tmp_path):
         rerun = tmp_path / "again"
         code = main(["generate-data", "--out", str(rerun),
