@@ -306,6 +306,13 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: operand shapes differ, {a.shape} vs {b.shape}")
 
 
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x[R,k] @ w[k,m]: np.dot dispatches faster on a few rows (a forecast's
+    N), `@` multiplies faster on many (a training batch's N*B, or N=300
+    nodes); the two agree bit for bit."""
+    return np.dot(x, w) if len(x) <= 128 else x @ w
+
+
 def _channel_map(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                  op: str) -> tuple[np.ndarray, np.ndarray]:
     """x[...,k] @ w[k,m] (+ b[m]) as (x's [R,k] rows, which w's gradient
@@ -316,9 +323,7 @@ def _channel_map(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     if b is not None and b.shape != w_shape[1:]:
         raise DimensionError(f"{op}: bias {b.shape} does not match {w_shape}")
     rows = x.reshape(-1, w_shape[0])
-    # np.dot dispatches faster on a few rows (a forecast's N), `@` multiplies
-    # faster on many (a training batch's N*B); the two agree bit for bit
-    out = np.dot(rows, w) if len(rows) <= 128 else rows @ w
+    out = _product(rows, w)
     if b is not None:
         out += b
     return rows, out
@@ -332,11 +337,12 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
               tape: Tape | None = None) -> Tensor:
     """Graph propagation, (a[N,N] @ h[N,B,d]) @ w[d,m] + b[m], in one node.
 
-    The state is read as one [N, B*d] matrix, so the graph product (`np.dot`,
-    which dispatches faster than `@` on a small graph) and its two VJPs are
-    one 2-D matrix product each, and the propagated state is read as
-    [N*B, d] rows for the channel map.  Only the output is checked: a
-    non-finite a @ h reaches it, as NaN where w's matching row is zero.
+    The state is read as one [N, B*d] matrix, so the graph product and its
+    two VJPs are one 2-D matrix product each, and the propagated state is
+    read as [N*B, d] rows for the channel map.  The graph product picks its
+    call by row count as the channel map does (`_product`): `np.dot` up to
+    128 nodes, `@` above.  Only the output is checked: a non-finite a @ h
+    reaches it, as NaN where w's matching row is zero.
 
     The rule keeps a @ h, and h only for an operator that requires a
     gradient.  It shares g' = g w^T between the operator and state routes
@@ -356,7 +362,8 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
             f"{n} nodes, got {shape}")
     wt = w.data
     x = h.data.reshape(n, -1)
-    flat, out_flat = _channel_map(np.dot(mat, x).reshape(shape), wt, b.data, "propagate")
+    flat, out_flat = _channel_map(_product(mat, x).reshape(shape), wt, b.data,
+                                  "propagate")
     m = out_flat.shape[1]
     out = out_flat.reshape(shape[:2] + (m,))
     if tape is None:

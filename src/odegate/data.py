@@ -20,6 +20,7 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import all_finite
 from .errors import (ParseError, ValidationError, read_csv, read_json, require_finite,
@@ -97,10 +98,12 @@ def shock_envelope(hits: np.ndarray, mags: np.ndarray, decay: float) -> np.ndarr
     """Exponentially decaying sum of hits: j_t = j_{t-1} e^{-1/decay} + hit_t."""
     total_t, n = hits.shape
     factor = math.exp(-1.0 / decay)
+    kicks = hits * mags
     out = np.zeros((total_t, n))
-    out[0] = hits[0] * mags[0]
-    for t in range(1, total_t):
-        out[t] = out[t - 1] * factor + hits[t] * mags[t]
+    out[0] = kicks[0]
+    for row, prev, kick in zip(out[1:], out[:-1], kicks[1:]):
+        np.multiply(prev, factor, out=row)
+        row += kick
     return out
 
 
@@ -124,10 +127,12 @@ def generate_shock_series(scenario: ShockScenario, graph: SpatialGraph):
     ticks = np.arange(total_t).reshape(-1, 1)
     base = scenario.amplitude * np.sin(2.0 * np.pi * ticks / scenario.period + phases)
 
+    drift = base[1:] - base[:-1]
     smooth = np.zeros((total_t, n))
     smooth[0] = base[0]
-    for t in range(1, total_t):
-        smooth[t] = smooth[t - 1] + mix @ smooth[t - 1] + (base[t] - base[t - 1])
+    for row, prev, step in zip(smooth[1:], smooth[:-1], drift):   # row views
+        np.add(prev, mix @ prev, out=row)
+        row += step
 
     series = smooth + shock_envelope(hits, mags, scenario.shock_decay)
     events = [ShockEvent(t=int(t), node=int(nd), magnitude=float(mags[t, nd]))
@@ -167,12 +172,13 @@ def make_windows(series: np.ndarray, window: int, horizon: int,
     count = window_count(length, window, horizon, stride)
     x = np.zeros((count, n, window, 1))
     y = np.zeros((count, n, horizon))
-    origins = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        o = i * stride
-        x[i, :, :, 0] = series[o:o + window].T
-        y[i] = series[o + window:o + window + horizon].T
-        origins[i] = t_offset + o
+    if count:
+        # [start, node, tick] views; basic slicing keeps them views, so the
+        # only copies are the two fills (fancy indexing would copy once more)
+        last = (count - 1) * stride + 1
+        x[..., 0] = sliding_window_view(series, window, axis=0)[:last:stride]
+        y[...] = sliding_window_view(series[window:], horizon, axis=0)[:last:stride]
+    origins = t_offset + stride * np.arange(count, dtype=np.int64)
     return WindowSet(x=x, y=y, origins=origins)
 
 

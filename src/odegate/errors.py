@@ -16,11 +16,24 @@ written, `write_csv` how every CSV output is, with each cell printed by
 `format_value` (a float as its `repr`, so it reads back exactly); and
 `require_finite` is how a settings dataclass rejects a NaN or infinite
 float.
+
+The writers cost little more than the `repr` of their numbers, and their
+bytes never depend on which path wrote them.  `write_json` writes exactly
+`json.dumps(payload, sort_keys=True, indent=1)` and a newline; with an
+indent, `json.dumps` never uses its C encoder, so `_encode` builds the same
+text with C-level joins, an all-float list (a checkpoint's parameter rows)
+in one join over `float.__repr__`.  A non-finite float, or any type
+`_encode` does not take, sends the payload to `json.dumps`, which writes it
+or raises as it always has; a non-finite float is then written as `null`.
+`write_csv` joins a row whose cells are all plain `int` and `float` (a
+series row) by `repr` in one call, which is `format_value` cell by cell;
+any other row goes through `format_value`.
 """
 
 import dataclasses
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -112,14 +125,65 @@ def read_json(path) -> dict:
     return payload
 
 
+def _encode(value, indent: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=1)` nested at `indent` (a
+    newline and the spaces before the value's closing bracket); ValueError
+    for a non-finite float and for any type it leaves to `json.dumps`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = indent + " "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:   # an all-float list is one join; float.__repr__ rejects any other item
+            body = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:
+            body = ("," + inner).join([_encode(item, inner) for item in value])
+        else:
+            if "n" in body:   # "nan" or "inf": no finite float's text has an n
+                raise ValueError("a non-finite float")
+        return "[" + inner + body + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):   # json.dumps quotes a scalar key's text
+                if not (key is None or isinstance(key, (int, float))):
+                    raise ValueError(f"a key of type {type(key).__name__}")
+                key = _encode(key, inner)
+            items.append(encode_basestring_ascii(key) + ": " + _encode(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise ValueError(f"a value of type {type(value).__name__}")
+
+
+def _float_text(value) -> str:
+    if not math.isfinite(value):
+        raise ValueError("a non-finite float")
+    return float.__repr__(value)
+
+
 def write_json(path, payload) -> None:
     """`payload` as JSON with sorted keys, one space of indent, and a final
     newline; a non-finite float, which RFC 8259 lacks, as `null`."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
-    except ValueError:   # a non-finite float: only such a payload is read back
-        nulled = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-        text = json.dumps(nulled, sort_keys=True, indent=1)
+        text = _encode(payload, "\n")
+    except (ValueError, RecursionError):   # json.dumps takes it, or names the fault
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+        except ValueError:   # a non-finite float: only such a payload is read back
+            nulled = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+            text = json.dumps(nulled, sort_keys=True, indent=1)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -135,12 +199,21 @@ def format_value(value) -> str:
     return str(value)
 
 
+_PLAIN = frozenset((int, float))   # types whose repr is their format_value
+
+
+def _csv_line(row) -> str:
+    if _PLAIN.issuperset(map(type, row)):   # a series row: one C-level join
+        return ",".join(map(repr, row)) + "\n"
+    return ",".join(map(format_value, row)) + "\n"
+
+
 def write_csv(path, header, rows) -> None:
-    """One `header` line, then one line of `format_value` cells per row."""
+    """One `header` line, then one line of `format_value` cells per row
+    (each row a sequence, read twice)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(format_value, row)) + "\n")
+        fh.writelines(map(_csv_line, rows))
 
 
 def require_finite(settings) -> None:

@@ -60,6 +60,19 @@ class TestWriteCsv:
         write_csv(path, ["t"], [])
         assert path.read_bytes() == b"t\n"
 
+    def test_mixed_rows_are_format_value(self, tmp_path):
+        # plain int/float rows are joined by repr, every other row cell by cell
+        rows = [(True, np.float32(0.1), "x", 3, 2.5),
+                [7, -0.0, 5e-324, 1.7976931348623157e308, float("nan"), -np.inf],
+                [np.float64(1e-17), 2, 0.5],
+                (np.int64(-7), False, 1.0),
+                [True, 1, 0.5]]
+        path = tmp_path / "out.csv"
+        write_csv(path, ("a", "b"), rows)
+        assert path.read_text().splitlines()[1:] == [
+            ",".join(format_value(cell) for cell in row) for row in rows]
+        assert path.read_text().splitlines()[2] == "7,-0.0,5e-324,1.7976931348623157e+308,nan,-inf"
+
 
 # a valid file of each CSV input, and what loading it gives
 CSV_INPUTS = {
@@ -155,6 +168,25 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=no_constant)
 
 
+# A payload of every kind write_json meets or must refuse: nested dicts,
+# lists and tuples; keys of each kind json.dumps accepts (one kind per
+# dict, or mixed, which json.dumps refuses to sort); strings with
+# non-ASCII and control characters; floats at the edges of float64.
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOATS,
+                   JSON_FLOATS.map(np.float64), st.text())
+JSON_KEYS = st.one_of(st.text(), st.integers(), JSON_FLOATS, st.booleans(), st.none(),
+                 JSON_FLOATS.map(np.float64))
+JSON_PAYLOADS = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=5),
+    st.lists(inner, max_size=5).map(tuple),
+    st.lists(JSON_FLOATS, max_size=5),
+    st.dictionaries(st.text(), inner, max_size=5),
+    st.dictionaries(st.one_of(st.integers(), JSON_FLOATS, st.booleans()), inner,
+                    max_size=4),
+    st.dictionaries(JSON_KEYS, inner, max_size=3)), max_leaves=20)
+
+
 class TestWriteJson:
     def test_non_finite_floats_are_null(self, tmp_path):
         path = tmp_path / "out.json"
@@ -163,8 +195,48 @@ class TestWriteJson:
         assert strict_json(path.read_text()) == {
             "a": None, "b": [1.5, None, None], "c": {"d": None, "e": [2, "x"]}, "f": 0.25}
 
+    def test_non_finite_in_a_float_list_is_null(self, tmp_path):
+        # the one-join path of an all-float list must still find the inf
+        path = tmp_path / "out.json"
+        write_json(path, {"w": [[0.5, -1.5], [2.0, float("inf")]]})
+        assert strict_json(path.read_text()) == {"w": [[0.5, -1.5], [2.0, None]]}
+
     def test_finite_payload_keeps_its_bytes(self, tmp_path):
         payload = {"z": [0.1, -2.5e-300, 1e308], "a": {"k": True, "n": None}, "i": 7}
         path = tmp_path / "out.json"
         write_json(path, payload)
         assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_PAYLOADS)
+    @example({"w": [[-0.0, 5e-324, 1.7976931348623157e308], []], "b": (0.5,)})
+    @example({-0.0: "\x00\u00e9\u2028\U0001f600\n\t\"", 5e-324: None, 2: True})
+    @example([np.float64(0.1), 1.0, [np.float64(-0.0)], {np.float64(2.5): {}}])
+    @example({None: [1, 2.0, True]})
+    @example({"a": 1, 2: "b"})
+    def test_bytes_are_json_dumps(self, payload):
+        try:
+            expected = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        except Exception as exc:
+            with pytest.raises(type(exc)), tempfile.TemporaryDirectory() as tmp:
+                write_json(Path(tmp) / "out.json", payload)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.json"
+            write_json(path, payload)
+            assert path.read_text() == expected
+
+    @pytest.mark.parametrize("payload", [
+        {"n": np.int64(3)},
+        [1.0, np.int64(3)],
+        {"s": {1, 2}},
+        {np.int64(1): 2.0},
+        {"a": [0.5, {"b": frozenset()}]},
+        {(1, 2): 0.5},
+    ], ids=["int64", "int64-in-float-list", "set", "int64-key", "nested-frozenset",
+            "tuple-key"])
+    def test_unhandled_type_raises_as_json_dumps(self, tmp_path, payload):
+        with pytest.raises(Exception) as expected:
+            json.dumps(payload, sort_keys=True, indent=1)
+        with pytest.raises(type(expected.value)):
+            write_json(tmp_path / "out.json", payload)
