@@ -140,7 +140,9 @@ def _encode(value, indent: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float_text(value)
+        if not math.isfinite(value):
+            raise ValueError("a non-finite float")
+        return float.__repr__(value)
     inner = indent + " "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -165,12 +167,6 @@ def _encode(value, indent: str) -> str:
             items.append(encode_basestring_ascii(key) + ": " + _encode(item, inner))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise ValueError(f"a value of type {type(value).__name__}")
-
-
-def _float_text(value) -> str:
-    if not math.isfinite(value):
-        raise ValueError("a non-finite float")
-    return float.__repr__(value)
 
 
 def write_json(path, payload) -> None:

@@ -103,6 +103,17 @@ class TestShockEnvelope:
         f = math.exp(-0.5)
         assert env[2, 0] == pytest.approx(2.0 * f * f + 3.0, rel=1e-12)
 
+    def test_bitwise_the_tick_loop(self):
+        rng = np.random.default_rng(4)
+        hits = (rng.random((300, 5)) < 0.1).astype(np.float64)
+        mags = rng.uniform(3.0, 8.0, size=(300, 5))
+        factor = math.exp(-1.0 / 12.0)
+        expected = np.zeros((300, 5))
+        expected[0] = hits[0] * mags[0]
+        for t in range(1, 300):
+            expected[t] = expected[t - 1] * factor + hits[t] * mags[t]
+        assert shock_envelope(hits, mags, 12.0).tobytes() == expected.tobytes()
+
 
 class TestGenerator:
     def test_no_shocks_gives_smooth_only(self):
@@ -186,13 +197,18 @@ class TestWindows:
        st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=5))
 @settings(max_examples=80, deadline=None)
 def test_window_count_matches_construction(length, window, horizon, stride):
-    series = np.zeros((length, 2))
-    ws = make_windows(series, window, horizon, stride)
+    series = np.random.default_rng(length).random((length, 2))
+    ws = make_windows(series, window, horizon, stride, t_offset=7)
     assert ws.count == window_count(length, window, horizon, stride)
     if ws.count > 0:
         last = (ws.count - 1) * stride
         assert last + window + horizon <= length
         assert last + stride + window + horizon > length
+    for i in range(ws.count):   # the window-by-window slicing, bit for bit
+        o = i * stride
+        assert ws.origins[i] == 7 + o
+        assert ws.x[i, :, :, 0].tobytes() == series[o:o + window].T.tobytes()
+        assert ws.y[i].tobytes() == series[o + window:o + window + horizon].T.tobytes()
 
 
 class TestScaler:
