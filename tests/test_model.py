@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -489,6 +490,27 @@ def _grad_digest(mode, mask_grad, lam, tape_free_first=0):
     return h.hexdigest()
 
 
+def _wide_grad_digest():
+    """sha256 over every parameter gradient of one taped default batch at N=160.
+
+    160 nodes is above `autodiff._product`'s 128-row switch, so every graph
+    product, forward and backward, runs as `@` rather than `np.dot`.
+    """
+    config = ModelConfig(n_nodes=160)
+    params = init_params(config, seed=5)
+    x, ahat = tiny_inputs(config, batch=2)
+    y = Tensor(np.random.default_rng(7).standard_normal((2, config.n_nodes,
+                                                         config.horizon)))
+    tape = Tape()
+    res = forward(x, ahat, params, config, tape)
+    backward(batch_loss(res, y, 0.0, tape), tape)
+    h = hashlib.sha256()
+    for name, p in params.named().items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def _forward_digest(mode):
     """sha256 of a tape-free forward's y_hat for one seeded batch."""
     config = dataclasses.replace(TINY, steps=3, mask_mode=mode)
@@ -533,6 +555,22 @@ class TestGradientBits:
     @pytest.mark.parametrize("mode, mask_grad, lam", sorted(GRAD_DIGESTS))
     def test_gradients_pinned(self, mode, mask_grad, lam):
         assert _grad_digest(mode, mask_grad, lam) == self.GRAD_DIGESTS[mode, mask_grad, lam]
+
+    # GRAD_DIGESTS run 4 nodes, below the 128-row switch of the graph
+    # product; this one runs 160. Computed while the propagate rule kept
+    # each evaluation's a @ h; recomputing that product in backward must
+    # not move a bit. It holds with OPENBLAS_NUM_THREADS=1 as well as at
+    # the default thread count.
+    WIDE_GRAD_DIGEST = "c533d73d08be63284b20ace8a056835db46be6315dce8eb44d0a952a61304201"
+
+    def test_gradients_pinned_above_the_row_switch(self, monkeypatch):
+        with monkeypatch.context() as env:
+            env.setenv("OPENBLAS_NUM_THREADS", "1")
+            pool = multiprocessing.get_context("spawn").Pool(1)
+        with pool:
+            one_thread = pool.apply_async(_wide_grad_digest).get(timeout=120)
+        assert _wide_grad_digest() == self.WIDE_GRAD_DIGEST
+        assert one_thread == self.WIDE_GRAD_DIGEST
 
     def test_tape_memory_per_step(self):
         # growth of a taped forward from steps=2 to steps=4, in state-sized
