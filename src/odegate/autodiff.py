@@ -41,7 +41,10 @@ A rule may compute one value from its gradient and share it across its
 routes: `_out`'s `share` runs once, before the first route, and each VJP
 then reads it as a second argument.  `abs_diff` computes `g * sign(d)` once
 for both operands; `gated_jump` recomputes its tanh once for all five;
-`propagate` computes g W^T once for its operator and its state.
+`propagate` makes a @ h again for w's gradient, then g W^T once for its
+operator and its state.  Both rules keep an input the forward read rather
+than a state-sized product of their own, and the recompute repeats the
+forward's calls, so its bits are the forward's.
 
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
@@ -344,12 +347,16 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
     128 nodes, `@` above.  Only the output is checked: a non-finite a @ h
     reaches it, as NaN where w's matching row is zero.
 
-    The rule keeps a @ h, and h only for an operator that requires a
-    gradient.  It shares g' = g w^T between the operator and state routes
-    and routes w and b first, so with a square w the state route writes
-    a^T g' over g: backward holds two state-sized arrays, g and g', never a
-    third.  Values and gradients are bitwise those of `affine` after a bare
-    graph product.
+    The rule keeps h, the input state, and no array of its own: w's
+    gradient reads a @ h, which the rule's shared step makes again from h
+    by the forward's own `_product` call, turns into w's gradient and frees
+    before it makes g' = g w^T for the operator and state routes.  So a
+    field evaluation keeps no state-sized array beyond its input, and with
+    neither w nor the operator requiring a gradient it keeps none.  Routes
+    run w, b, operator, state, so with a square w the state route writes
+    a^T g' over g: backward holds two state-sized arrays, g and a @ h, then
+    g and g', never a third.  Values and gradients are bitwise those of
+    `affine` after a bare graph product.
     """
     mat, shape = a.data, h.data.shape
     if mat.ndim != 2 or len(shape) != 3:
@@ -362,24 +369,31 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
             f"{n} nodes, got {shape}")
     wt = w.data
     x = h.data.reshape(n, -1)
-    flat, out_flat = _channel_map(_product(mat, x).reshape(shape), wt, b.data,
-                                  "propagate")
+    _, out_flat = _channel_map(_product(mat, x).reshape(shape), wt, b.data,
+                               "propagate")
     m = out_flat.shape[1]
     out = out_flat.reshape(shape[:2] + (m,))
     if tape is None:
         return _value(out, "propagate")
+    w_grad = w.requires_grad
+    state = x if w_grad or a.requires_grad else None
 
-    def d_h(g, gp):
+    def share(g):
+        rows = g.reshape(-1, m)
+        dw = _product(mat, state).reshape(-1, d).T @ rows if w_grad else None
+        return dw, (rows @ wt.T).reshape(n, -1)
+
+    def d_h(g, s):
         # g is the rule's own and no route after this one reads it
         dst = g.reshape(n, -1) if m == d else None
-        return np.matmul(mat.T, gp, out=dst).reshape(shape)
+        return np.matmul(mat.T, s[1], out=dst).reshape(shape)
 
     return _out(out, "propagate", tape, (w, b, a, h),
-                (lambda g, gp: flat.T @ g.reshape(-1, m),
-                 lambda g, gp: g.reshape(-1, m).sum(axis=0),
-                 lambda g, gp: gp @ x.T,
+                (lambda g, s: s[0],
+                 lambda g, s: g.reshape(-1, m).sum(axis=0),
+                 lambda g, s: s[1] @ state.T,
                  d_h),
-                share=lambda g: (g.reshape(-1, m) @ wt.T).reshape(n, -1))
+                share=share)
 
 
 def gram(e: Tensor, tape: Tape | None = None) -> Tensor:

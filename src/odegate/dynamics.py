@@ -19,11 +19,12 @@ On a tape, a step in `lte` mode records 6 nodes per stream: one
 update (h_euler, the midpoint, h_rk2), and the jump, `gated_jump`.  The
 jump keeps the pre-step state, which the gradient of W_g[step] reads
 anyway, and the gate, but not its tanh: backward recomputes
-h W_g[step] + b_g[step] and its tanh from h, once per step.  So a taped
-step keeps 4 state-sized arrays in a stream with a constant operator (h,
-both evaluations' A h, which W_f's gradient reads, and the gate) and 5 in
-the adaptive one, whose second evaluation keeps the midpoint for the
-operator's gradient.
+h W_g[step] + b_g[step] and its tanh from h, once per step.  Each field
+evaluation keeps only the state it read, h or the midpoint, and backward
+makes its A h again from it for W_f's gradient.  So a taped step keeps 3
+state-sized arrays in each stream: h, the midpoint and the gate.  The
+`uniform_one` gate is one read-only array of ones per `evolve` call, so
+there a step keeps 2.
 
 The gate reads the error's values only, so the error is computed off the
 tape and freed with its step.  Only a reader of its gradient puts it on the
@@ -225,6 +226,11 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
     err_tape = tape if collect_lte or mask_grad else None
     masks = [] if collect_masks else None
     states = [h0.data.copy()] if collect_states else None
+    if mask_mode == "uniform_one":
+        # one gate for every step, so the tape keeps one array of ones
+        ones = np.ones_like(h0.data)
+        ones.flags.writeable = False
+        uniform = Tensor._wrap(ones)
 
     for step in range(steps):
         try:
@@ -240,7 +246,7 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
                 if mask_mode == "lte":
                     m = attention_mask(err, tape if mask_grad else None)
                 elif mask_mode == "uniform_one":
-                    m = Tensor._wrap(np.ones_like(h.data))
+                    m = uniform
                 else:  # learned
                     m = sigmoid(node_linear(h, *learned_mask, tape), tape)
 

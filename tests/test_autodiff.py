@@ -126,7 +126,8 @@ class TestTapeLifecycle:
     def test_tape_keeps_only_what_vjps_read(self, op):
         # none of these VJPs reads its input's array, so the tape must not
         # keep it once the forward code drops the input; `propagate` reads
-        # its state only for the gradient of an operator that requires one
+        # its state only for the gradient of a channel map or an operator
+        # that requires one, and here neither does
         t = Tape()
         a = Tensor(rand(2, 3, 4), requires_grad=True)
         frozen = Tensor(rand(4, 2))
@@ -142,6 +143,30 @@ class TestTapeLifecycle:
         assert sys.getrefcount(arr) == 2   # `arr` and the call's argument
         backward(mean_all(y, t) if y.size > 1 else y, t)
         assert a.grad.shape == a.shape
+
+    def test_propagate_keeps_its_input_state_only(self):
+        # with w and the operator requiring gradients, the rule keeps the
+        # state it read, from which backward makes a @ h again for w's
+        # gradient, and no state-sized array of its own
+        n, batch, d = 30, 16, 32
+        t = Tape()
+        leaf = Tensor(rand(n, batch, d), requires_grad=True)
+        x = axpy(leaf, leaf, 1.0, t)
+        a = Tensor(rand(n, n), requires_grad=True)
+        w, bias = Tensor(rand(d, d), requires_grad=True), Tensor(rand(d), requires_grad=True)
+        arr = x.data
+        tracemalloc.start()
+        try:
+            y = propagate(a, x, w, bias, t)
+            kept = tracemalloc.get_traced_memory()[0] - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept < arr.nbytes / 2, kept
+        del x
+        assert sys.getrefcount(arr) == 3   # `arr`, the call's argument, the rule
+        backward(mean_all(y, t), t)
+        assert sys.getrefcount(arr) == 2
+        assert leaf.grad.shape == leaf.shape and w.grad.shape == w.shape
 
     def test_propagate_rule_holds_two_states(self):
         # the rule makes g w^T and writes a^T (g w^T) over g, which becomes

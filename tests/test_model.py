@@ -576,28 +576,43 @@ class TestGradientBits:
         # growth of a taped forward from steps=2 to steps=4, in state-sized
         # arrays per step over both streams: keeping every op output costs
         # about 34, keeping only what backward reads about 15, leaving the
-        # uncollected error off the tape 11, and recomputing the jump's tanh
-        # in backward 9 (4 static, 5 adaptive); the rest is the tape's records
-        batch = 16
+        # uncollected error off the tape 11, recomputing the jump's tanh in
+        # backward 9 (4 static, 5 adaptive), and remaking each evaluation's
+        # A h in backward 6 (h, the midpoint and the gate in each stream);
+        # the rest is the tape's records
+        per_step = _taped_states_per_step(DEFAULT)
+        assert 6.0 <= per_step < 6.5, per_step
 
-        def live_bytes(steps):
-            config = dataclasses.replace(DEFAULT, steps=steps)
-            params = init_params(config, seed=1)
-            x, ahat = tiny_inputs(config, batch=batch)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                tape = Tape()
-                res = forward(x, ahat, params, config, tape)
-                grown = tracemalloc.get_traced_memory()[0] - base
-            finally:
-                tracemalloc.stop()
-            assert len(tape) and res.nfe_static == 2 * steps
-            return grown
+    def test_uniform_gate_is_one_array_per_stream(self):
+        # the uniform_one gate is one array of ones per `evolve` call, so a
+        # step keeps h and the midpoint in each stream: 4, where a fresh
+        # gate each step made it 6
+        per_step = _taped_states_per_step(dataclasses.replace(DEFAULT,
+                                                              mask_mode="uniform_one"))
+        assert 4.0 <= per_step < 4.5, per_step
 
-        state = batch * DEFAULT.n_nodes * DEFAULT.hidden_dim * 8
-        per_step = (live_bytes(4) - live_bytes(2)) / (2 * state)
-        assert 9.0 <= per_step < 9.5, per_step
+
+def _taped_states_per_step(base, batch=16):
+    """Growth of a taped forward from steps=2 to steps=4, in state-sized
+    arrays per step over both streams."""
+
+    def live_bytes(steps):
+        config = dataclasses.replace(base, steps=steps)
+        params = init_params(config, seed=1)
+        x, ahat = tiny_inputs(config, batch=batch)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            res = forward(x, ahat, params, config, tape)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(tape) and res.nfe_static == 2 * steps
+        return grown
+
+    state = batch * base.n_nodes * base.hidden_dim * 8
+    return (live_bytes(4) - live_bytes(2)) / (2 * state)
 
 
 def test_tape_peak_bytes_repeatable():
