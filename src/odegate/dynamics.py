@@ -228,9 +228,8 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
     states = [h0.data.copy()] if collect_states else None
     if mask_mode == "uniform_one":
         # one gate for every step, so the tape keeps one array of ones
-        ones = np.ones_like(h0.data)
-        ones.flags.writeable = False
-        uniform = Tensor._wrap(ones)
+        uniform = Tensor._wrap(np.ones_like(h0.data))
+        uniform.data.flags.writeable = False
 
     for step in range(steps):
         try:

@@ -468,6 +468,14 @@ class TestAdaptiveOperatorCache:
             assert builds == [1]
 
 
+def _grad_sha256(params) -> str:
+    h = hashlib.sha256()
+    for name, p in params.named().items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def _grad_digest(mode, mask_grad, lam, tape_free_first=0):
     """sha256 over every parameter gradient of one seeded training batch.
 
@@ -483,11 +491,7 @@ def _grad_digest(mode, mask_grad, lam, tape_free_first=0):
     tape = Tape()
     res = forward(x, ahat, params, config, tape, collect_lte=lam != 0.0)
     backward(batch_loss(res, y, lam, tape), tape)
-    h = hashlib.sha256()
-    for name, p in params.named().items():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
-    return h.hexdigest()
+    return _grad_sha256(params)
 
 
 def _wide_grad_digest():
@@ -504,11 +508,7 @@ def _wide_grad_digest():
     tape = Tape()
     res = forward(x, ahat, params, config, tape)
     backward(batch_loss(res, y, 0.0, tape), tape)
-    h = hashlib.sha256()
-    for name, p in params.named().items():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
-    return h.hexdigest()
+    return _grad_sha256(params)
 
 
 def _forward_digest(mode):
@@ -585,8 +585,7 @@ class TestGradientBits:
 
     def test_uniform_gate_is_one_array_per_stream(self):
         # the uniform_one gate is one array of ones per `evolve` call, so a
-        # step keeps h and the midpoint in each stream: 4, where a fresh
-        # gate each step made it 6
+        # step keeps only h and the midpoint in each stream
         per_step = _taped_states_per_step(dataclasses.replace(DEFAULT,
                                                               mask_mode="uniform_one"))
         assert 4.0 <= per_step < 4.5, per_step
