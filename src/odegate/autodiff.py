@@ -44,18 +44,24 @@ for both operands; `gated_jump` recomputes its tanh once for all five;
 `propagate` makes a @ h again for w's gradient, then g W^T once for its
 operator and its state.  Both rules keep an input the forward read rather
 than a state-sized product of their own, and the recompute repeats the
-forward's calls, so its bits are the forward's.
+forward's calls, so its bits are the forward's.  A `propagate` stage,
+the field at h + c k where k is the field at h, keeps h alone too: its
+rule makes k and the stage point again from h, and hands the a @ h it
+made on to k's rule, which would make the same product.  That product
+is the one value a rule passes to another besides gradients: it rides in
+k's gradient slot, and k's rule drops it once read.
 
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
 node axis of a batched state and then a shared channel map plus bias, the
-field's (A h) W + b in one node; `affine` applies a shared channel map
-(plus an optional bias) alone; `gated_jump` gates the tanh of one; `gram`
-and `row_normalize` build the adaptive graph; and `expand_batch` replicates
-along a new batch axis.  The three map ops check and compute the channel
-map x W + b in one helper, `_channel_map`, and each keeps its own VJPs.
-That keeps every VJP auditable against the finite-difference oracle at the
-bottom of this module.
+field's (A h) W + b in one node, at h or at a stage point h + c k;
+`affine` applies a shared channel map (plus an optional bias) alone;
+`gated_jump` gates the tanh of one; `gram` and `row_normalize` build the
+adaptive graph; and `expand_batch` replicates along a new batch axis.
+The three map ops check and compute the channel map x W + b in one helper,
+`_channel_map`, and each keeps its own VJPs.  That keeps every VJP
+auditable against the finite-difference oracle at the bottom of this
+module.
 
 Batched states are node-major, `[N,B,d]`: the node axis leads, so a graph
 product and both its VJPs each read the state as one `[N, B*d]` matrix and
@@ -75,6 +81,7 @@ warn or raise, whatever `np.errstate` is in force.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -118,6 +125,30 @@ class _Swapped(_Slot):
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         self.target.accumulate_grad(np.array(g.swapaxes(0, 1), order="C"))
+
+
+class _Field(_Slot):
+    """Gradient slot of a field evaluation, `propagate` without a stage.
+
+    It names the arrays the evaluation read, for a stage evaluation to check
+    its k against: a, w and b, and h only while the evaluation's rule keeps
+    it (a weak reference, so the slot never keeps h on its own).  `memo`
+    carries one a @ h from a stage rule, which makes it, to this slot's own
+    rule, which reads it and lets it go.
+    """
+
+    __slots__ = ("read", "memo")
+
+    def __init__(self, a: np.ndarray, h: np.ndarray | None, w: np.ndarray,
+                 b: np.ndarray):
+        super().__init__()
+        self.read = (a, None if h is None else weakref.ref(h), w, b)
+        self.memo: np.ndarray | None = None
+
+    def made_from(self, a: np.ndarray, h: np.ndarray | None, w: np.ndarray,
+                  b: np.ndarray) -> bool:
+        ra, rh, rw, rb = self.read
+        return ra is a and rw is w and rb is b and (None if rh is None else rh()) is h
 
 
 class Tensor(_Slot):
@@ -254,7 +285,8 @@ def _value(arr: np.ndarray, op: str) -> Tensor:
 
 def _out(arr: np.ndarray, op: str, tape: Tape, inputs: Sequence[Tensor],
          vjps: Sequence[Callable[..., np.ndarray]],
-         share: Callable[[np.ndarray], object] | None = None) -> Tensor:
+         share: Callable[[np.ndarray], object] | None = None,
+         slot: _Slot | None = None) -> Tensor:
     """Wrap an op result and, when gradients are live, record its one backward rule.
 
     Only an op that has a tape calls it; without one an op returns through
@@ -269,7 +301,9 @@ def _out(arr: np.ndarray, op: str, tape: Tape, inputs: Sequence[Tensor],
     computes `share(g)` once, before its first route, and calls each VJP as
     `vjp(g, shared)`.  Routes run in input order, and each adds its result
     before the next one runs, so a VJP may hand the shared value on whole
-    only when at most one route follows it.
+    only when at most one route follows it.  `slot`, when given, is the
+    output's gradient slot, for an op whose slot carries more than a
+    gradient (`propagate`'s `_Field`).
     """
     _finite(arr, op)
     live = [(_slot_of(t), vjp) for t, vjp in zip(inputs, vjps) if t.requires_grad]
@@ -282,7 +316,8 @@ def _out(arr: np.ndarray, op: str, tape: Tape, inputs: Sequence[Tensor],
                 vjp = _copy
             handed = True
         routes.append((target, vjp))
-    slot = _Slot()
+    if slot is None:
+        slot = _Slot()
 
     def rule():
         g, slot.grad = slot.grad, None
@@ -337,7 +372,8 @@ def _channel_map(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
-              tape: Tape | None = None) -> Tensor:
+              tape: Tape | None = None,
+              stage: tuple[Tensor, Scalar] | None = None) -> Tensor:
     """Graph propagation, (a[N,N] @ h[N,B,d]) @ w[d,m] + b[m], in one node.
 
     The state is read as one [N, B*d] matrix, so the graph product and its
@@ -347,16 +383,27 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
     128 nodes, `@` above.  Only the output is checked: a non-finite a @ h
     reaches it, as NaN where w's matching row is zero.
 
+    With `stage=(k, c)` the node evaluates at the stage point h + c * k,
+    computed and checked as `axpy` computes and checks it, and routes the
+    point's gradient to h and k as `axpy` would.  k must be the node's own
+    output at h, `propagate(a, h, w, b, tape)`, because the tape keeps no
+    stage point: backward makes k, and the point from it, again from h.  A
+    taped stage call whose k is not that output raises `ContractError`.
+
     The rule keeps h, the input state, and no array of its own: w's
-    gradient reads a @ h, which the rule's shared step makes again from h
-    by the forward's own `_product` call, turns into w's gradient and frees
-    before it makes g' = g w^T for the operator and state routes.  So a
-    field evaluation keeps no state-sized array beyond its input, and with
-    neither w nor the operator requiring a gradient it keeps none.  Routes
-    run w, b, operator, state, so with a square w the state route writes
-    a^T g' over g: backward holds two state-sized arrays, g and a @ h, then
-    g and g', never a third.  Values and gradients are bitwise those of
-    `affine` after a bare graph product.
+    gradient reads a @ h (a @ point at a stage), which the rule's shared
+    step makes again by the forward's own calls, turns into w's gradient
+    and frees before it makes g' = g w^T for the operator and state routes.
+    So a field evaluation keeps no state-sized array beyond h, and with
+    neither w nor the operator requiring a gradient it keeps none.  A stage
+    rule runs before the rule of its k and makes the a @ h that k's rule
+    reads; it hands it on through k's gradient slot, so the pair makes it
+    once.  Routes run w, b, operator, state (then k at a stage), so with a
+    square w the state route writes a^T g' over g: backward holds two
+    state-sized arrays, g and a @ h, then g and g', never a third; a stage
+    rule also holds a @ h, the remade point and a @ point while it makes
+    w's gradient.  Values and gradients are bitwise those of `axpy` and
+    `affine` around a bare graph product.
     """
     mat, shape = a.data, h.data.shape
     if mat.ndim != 2 or len(shape) != 3:
@@ -367,33 +414,87 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
         raise DimensionError(
             f"propagate: operator {a.shape} does not match h[N,B,d] with "
             f"{n} nodes, got {shape}")
-    wt = w.data
-    x = h.data.reshape(n, -1)
-    _, out_flat = _channel_map(_product(mat, x).reshape(shape), wt, b.data,
-                               "propagate")
+    wt, bias = w.data, b.data
+    if stage is None:
+        point = h.data.reshape(n, -1)
+    else:
+        k, c = stage[0], float(stage[1])
+        if k.data.shape != shape:
+            raise DimensionError(
+                f"propagate: stage {k.shape} does not match the state {shape}")
+        point = k.data * c
+        point += h.data
+        point = _finite(point, "propagate stage").reshape(n, -1)
+    _, out_flat = _channel_map(_product(mat, point).reshape(shape), wt, bias, "propagate")
     m = out_flat.shape[1]
     out = out_flat.reshape(shape[:2] + (m,))
     if tape is None:
         return _value(out, "propagate")
-    w_grad = w.requires_grad
-    state = x if w_grad or a.requires_grad else None
-
-    def share(g):
-        rows = g.reshape(-1, m)
-        dw = _product(mat, state).reshape(-1, d).T @ rows if w_grad else None
-        return dw, (rows @ wt.T).reshape(n, -1)
+    w_grad, a_grad = w.requires_grad, a.requires_grad
+    # h is kept only for the gradient of w or of the operator
+    state = h.data if w_grad or a_grad else None
+    # w, b, operator: the same routes with and without a stage
+    routes = (lambda g, s: s[0],
+              lambda g, s: g.reshape(-1, m).sum(axis=0),
+              lambda g, s: np.matmul(s[1], s[2].T))
 
     def d_h(g, s):
         # g is the rule's own and no route after this one reads it
         dst = g.reshape(n, -1) if m == d else None
         return np.matmul(mat.T, s[1], out=dst).reshape(shape)
 
-    return _out(out, "propagate", tape, (w, b, a, h),
-                (lambda g, s: s[0],
-                 lambda g, s: g.reshape(-1, m).sum(axis=0),
-                 lambda g, s: s[1] @ state.T,
-                 d_h),
-                share=share)
+    if stage is None:
+        slot = _Field(mat, state, wt, bias)
+
+        def share(g):
+            rows = g.reshape(-1, m)
+            x = None if state is None else state.reshape(n, -1)
+            dw = None
+            if w_grad:
+                # a stage rule may have made a @ h already
+                ah, slot.memo = slot.memo, None
+                if ah is None:
+                    ah = _product(mat, x)
+                dw = ah.reshape(-1, d).T @ rows
+                del ah
+            return dw, (rows @ wt.T).reshape(n, -1), x
+
+        return _out(out, "propagate", tape, (w, b, a, h), routes + (d_h,),
+                    share=share, slot=slot)
+
+    k_slot = k._slot
+    if (any(t.requires_grad for t in (w, b, a, h, k))
+            and not (isinstance(k_slot, _Field)
+                     and k_slot.made_from(mat, state, wt, bias))):
+        raise ContractError("propagate: a taped stage needs k = propagate(a, h, w, b) "
+                            "on a tape, at the same a, h, w and b")
+
+    def stage_share(g):
+        rows = g.reshape(-1, m)
+        dw = p = None
+        if state is not None:
+            # k and the stage point again, by the forward's calls
+            ah = _product(mat, state.reshape(n, -1))
+            p = _channel_map(ah.reshape(shape), wt, bias, "propagate")[1].reshape(shape)
+            p *= c
+            p += state
+            p = p.reshape(n, -1)
+            if w_grad:
+                k_slot.memo = ah
+                dw = _product(mat, p).reshape(-1, d).T @ rows
+            del ah
+        # the last entry is the point's gradient, made by the first of h's
+        # and k's routes to run
+        return [dw, (rows @ wt.T).reshape(n, -1), p if a_grad else None, None]
+
+    def d_point(g, s):
+        if s[3] is None:
+            s[3] = d_h(g, s)
+        return s[3]
+
+    return _out(out, "propagate", tape, (w, b, a, h, k),
+                routes + (d_point, lambda g, s: d_point(g, s) * c),
+                share=stage_share)
 
 
 def gram(e: Tensor, tape: Tape | None = None) -> Tensor:

@@ -14,23 +14,27 @@ The two solver estimates share k1, so the error signal costs exactly zero
 additional vector-field evaluations: every step performs 2 NFEs regardless of
 how the mask and compensation are configured.
 
-On a tape, a step in `lte` mode records 6 nodes per stream: one
-`propagate`, (A h) W_f + b_f, per field evaluation, one `axpy` per stage
-update (h_euler, the midpoint, h_rk2), and the jump, `gated_jump`.  The
-jump keeps the pre-step state, which the gradient of W_g[step] reads
-anyway, and the gate, but not its tanh: backward recomputes
-h W_g[step] + b_g[step] and its tanh from h, once per step.  Each field
-evaluation keeps only the state it read, h or the midpoint, and backward
-makes its A h again from it for W_f's gradient.  So a taped step keeps 3
-state-sized arrays in each stream: h, the midpoint and the gate.  The
-`uniform_one` gate is one read-only array of ones per `evolve` call, so
-there a step keeps 2.
+On a tape, a step in `lte` mode records 4 nodes per stream: one
+`propagate`, (A h) W_f + b_f, per field evaluation, the second of them
+evaluated at the midpoint h + dt/2 * k1 inside its own node, one `axpy`
+for h_rk2, and the jump, `gated_jump`.  The jump keeps the pre-step state,
+which the gradient of W_g[step] reads anyway, and the gate, but not its
+tanh: backward recomputes h W_g[step] + b_g[step] and its tanh from h,
+once per step.  Both field evaluations keep only h: backward makes k1 and
+the midpoint again from it, and each evaluation's A h (A times the
+midpoint for the second) for W_f's gradient; the second evaluation's rule
+hands its A h on to the first's, so backward makes no more graph products
+than when the tape kept the midpoint.  So a taped step keeps 2
+state-sized arrays in each stream: h and the gate.  The `uniform_one` gate
+is one read-only array of ones per `evolve` call, so there a step keeps 1.
 
-The gate reads the error's values only, so the error is computed off the
-tape and freed with its step.  Only a reader of its gradient puts it on the
-tape, as a seventh node, `abs_diff`: a caller that collects the errors (the
-smoothness penalty differentiates them), or mask_grad, which adds the gate's
-`sigmoid` too.
+The gate reads the error's values only, so h_euler and the error are
+computed off the tape and freed with their step.  Only a reader of the
+error's gradient puts them on the tape, as a fifth node, h_euler's `axpy`,
+right after k1, and a sixth, `abs_diff`: a caller that collects the errors
+(the smoothness penalty differentiates them), or mask_grad, which adds the
+gate's `sigmoid` too.  The `off`, `uniform_one` and `learned` modes read
+no error unless it is collected, and then form no h_euler either.
 
 States are node-major, [N,B,d] (node, batch, channel), the layout
 `autodiff.propagate` reads as one [N, B*d] matrix for its graph product;
@@ -119,28 +123,38 @@ class GateStats:
 # ---------------------------------------------------------------------------
 
 def vector_field(h: Tensor, a_op: Tensor, field: tuple, tape: Tape | None = None,
-                 nfe: NFECounter | None = None) -> Tensor:
-    """Continuous field (A h) W_f + b_f: one graph propagation, in one tape node."""
+                 nfe: NFECounter | None = None,
+                 stage: tuple[Tensor, float] | None = None) -> Tensor:
+    """Continuous field (A h) W_f + b_f: one graph propagation, in one tape node.
+
+    With `stage=(k, c)`, where k is this field at h, the field at the stage
+    point h + c * k, formed inside the same node (`autodiff.propagate`).
+    """
     w_f, b_f = field
-    out = graph_propagate(a_op, h, w_f, b_f, tape)
+    out = graph_propagate(a_op, h, w_f, b_f, tape, stage)
     if nfe is not None:
         nfe.bump()
     return out
 
 
 def embedded_dual_step(h: Tensor, dt: float, a_op: Tensor, field: tuple,
-                       tape: Tape | None = None, nfe: NFECounter | None = None):
+                       tape: Tape | None = None, nfe: NFECounter | None = None,
+                       *, euler: bool = True, euler_grad: bool = True):
     """One embedded Euler/RK2 step; returns (h_euler, h_rk2) from 2 NFEs.
 
     k1 is computed once and reused by both estimates; the Euler result is a
-    free byproduct of the midpoint method's first stage.
+    free byproduct of the midpoint method's first stage.  A caller that
+    reads no gradient of h_euler passes euler_grad=False, which forms it off
+    the tape, and one that reads nothing of it passes euler=False, which
+    skips it and returns None in its place.  It is formed right after k1:
+    recorded after h_rk2, it would change the order in which gradients add
+    up in h and k1, and with it their bits.
     """
     if dt <= 0:
         raise ContractError(f"embedded_dual_step: dt must be positive, got {dt}")
     k1 = vector_field(h, a_op, field, tape, nfe)
-    h_euler = axpy(h, k1, dt, tape)
-    midpoint = axpy(h, k1, dt / 2.0, tape)
-    k2 = vector_field(midpoint, a_op, field, tape, nfe)
+    h_euler = axpy(h, k1, dt, tape if euler_grad else None) if euler else None
+    k2 = vector_field(h, a_op, field, tape, nfe, stage=(k1, dt / 2.0))
     h_rk2 = axpy(h, k2, dt, tape)
     return h_euler, h_rk2
 
@@ -222,8 +236,11 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
 
     h = h0
     lte_tensors = [] if collect_lte else None
-    # the error's tape: only a gradient reader (the collector, mask_grad) needs it
-    err_tape = tape if collect_lte or mask_grad else None
+    # the error is formed for the collector or the lte gate, and taped only
+    # for a reader of its gradient (the collector, mask_grad)
+    with_err = collect_lte or mask_mode == "lte"
+    err_grad = collect_lte or mask_grad
+    err_tape = tape if err_grad else None
     masks = [] if collect_masks else None
     states = [h0.data.copy()] if collect_states else None
     if mask_mode == "uniform_one":
@@ -233,8 +250,9 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
 
     for step in range(steps):
         try:
-            h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, field, tape, nfe)
-            if collect_lte or mask_mode == "lte":
+            h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, field, tape, nfe,
+                                                euler=with_err, euler_grad=err_grad)
+            if with_err:
                 err = local_truncation_error(h_euler, h_rk2, err_tape)
                 if lte_tensors is not None:
                     lte_tensors.append(err)

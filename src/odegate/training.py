@@ -266,8 +266,8 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                 # `m` keeps the last mask alive on purpose: at the top of the
                 # heap, it stops glibc from trimming the batch's pages, which
                 # the next forward would fault in again. At N=300 a taped
-                # forward after a call's first batch faults 0-8k pages with
-                # it and 15-24k without.
+                # forward after a call's first batch faults 1-7k pages with
+                # it and 10-17k without.
                 del res
                 t1 = clock()
                 params.zero_grad()

@@ -462,6 +462,36 @@ class TestForwardOracles:
             propagate(*args, Tape() if taped else None)
 
     @pytest.mark.parametrize("taped", [False, True])
+    def test_propagate_stage_point_overflow_names_it(self, taped):
+        # k is finite and only the stage point h + c * k overflows; it is
+        # checked, as the stage update's axpy checked it, on both exits
+        t = Tape() if taped else None
+        a, h, w, b = (Tensor(x, requires_grad=taped)
+                      for x in (np.eye(2), np.full((2, 1, 2), 3.0), np.eye(2), np.zeros(2)))
+        k = propagate(a, h, w, b, t)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="^propagate stage produced non-finite"):
+            propagate(a, h, w, b, t, stage=(k, 1e308))
+
+    def test_propagate_stage_checks_its_k(self):
+        # backward makes k again from h, so a taped stage takes only
+        # propagate's own output at the same a, h, w and b
+        a, h, w, b = (Tensor(x, requires_grad=True)
+                      for x in (rand(3, 3), rand(3, 2, 2), rand(2, 2), rand(2)))
+        t = Tape()
+        k = propagate(a, h, w, b, t)
+        propagate(a, h, w, b, t, stage=(k, 0.5))
+        for bad in (Tensor(k.data, requires_grad=True),                # a leaf
+                    axpy(k, k, 0.0, t),                                # another op's
+                    propagate(a, Tensor(h.data.copy()), w, b, t),      # another state's
+                    propagate(a, h, Tensor(w.data.copy()), b, t),      # another map's
+                    propagate(a, h, w, b, t, stage=(k, 0.5))):         # a stage's
+            with pytest.raises(ContractError, match="^propagate: a taped stage"):
+                propagate(a, h, w, b, t, stage=(bad, 0.5))
+        with pytest.raises(DimensionError, match="^propagate: stage"):
+            propagate(a, h, w, b, stage=(Tensor(rand(3, 2, 3)), 0.5))
+
+    @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("w, b", [(2.0, 0.0), (1.0, 1e308)])
     def test_gated_jump_rejects_nonfinite_preactivation(self, w, b, taped):
         # h W + b overflows, though its tanh would round to 1 and the result
@@ -538,6 +568,21 @@ class TestGradientOracles:
         bias = Tensor(rand(2), requires_grad=True)
         grad_matches(lambda t: mean_all(sigmoid(propagate(a, h, w, bias, t), t), t),
                      [a, h, w, bias])
+
+    @pytest.mark.parametrize("frozen", [None, 0, 1, 2, 3])
+    def test_propagate_stage(self, frozen):
+        # f(h + c f(h)), the midpoint evaluation, in a, h, w and b; a frozen
+        # h leaves the point's gradient to k's route, and a frozen w or
+        # operator leaves the rules less to make again
+        tensors = [Tensor(x, requires_grad=i != frozen)
+                   for i, x in enumerate((rand(4, 4), rand(4, 3, 2), rand(2, 2), rand(2)))]
+
+        def build(t):
+            a, h, w, bias = tensors
+            k = propagate(a, h, w, bias, t)
+            return mean_all(sigmoid(propagate(a, h, w, bias, t, stage=(k, 0.35)), t), t)
+
+        grad_matches(build, [x for i, x in enumerate(tensors) if i != frozen])
 
     def test_propagate_learnable_operator(self):
         # the adaptive operator is itself built on the tape from embeddings
@@ -657,6 +702,28 @@ class TestSharedRules:
         assert np.array_equal(out.data, ref_out)
         for name, tensor in tensors.items():
             assert np.array_equal(tensor.grad, ref_grads[name]), name
+
+    @pytest.mark.parametrize("n", [5, 130])
+    def test_propagate_stage_bitwise_the_chain(self, n):
+        # the stage node against the chain it replaced, axpy and then
+        # propagate, on both sides of the graph product's row switch: the
+        # value and every gradient, bit for bit; k reaches the loss by a
+        # second path too, as k1 reaches it through h_euler
+        rng = np.random.default_rng(22)
+        arrays = (rng.standard_normal((n, n)) / n, rng.standard_normal((n, 3, 4)),
+                  rng.standard_normal((4, 4)) * 0.5, rng.standard_normal(4))
+
+        def run(fused):
+            a, h, w, b = tensors = [Tensor(x, requires_grad=True) for x in arrays]
+            t = Tape()
+            k = propagate(a, h, w, b, t)
+            out = (propagate(a, h, w, b, t, stage=(k, 0.125)) if fused
+                   else propagate(a, axpy(h, k, 0.125, t), w, b, t))
+            backward(add(mean_all(sigmoid(out, t), t), mean_all(sigmoid(k, t), t), t), t)
+            return [out.data] + [x.grad for x in tensors]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("op, counted, n_live", [
         ("gated_jump", "tanh", 5), ("gated_jump", "tanh", 3),

@@ -875,10 +875,10 @@ class TestNfeReport:
                                                          monkeypatch):
         original, calls = odegate.dynamics.vector_field, itertools.count(1)
 
-        def three_per_step(h, a_op, field, tape=None, nfe=None):
+        def three_per_step(h, a_op, field, tape=None, nfe=None, stage=None):
             if next(calls) % 2 == 0:   # the midpoint stage, evaluated twice
-                original(h, a_op, field, tape, nfe)
-            return original(h, a_op, field, tape, nfe)
+                original(h, a_op, field, tape, nfe, stage)
+            return original(h, a_op, field, tape, nfe, stage)
 
         monkeypatch.setattr(odegate.dynamics, "vector_field", three_per_step)
         code = main(["nfe-report", "--out", str(tmp_path / "nfe"), "--n-nodes", "4",

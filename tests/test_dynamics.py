@@ -424,6 +424,52 @@ class TestGateGradientFlow:
         assert float(np.abs(field[0].grad).sum()) > 0.0
 
 
+class _GraphProducts:
+    """numpy as `autodiff` sees it, counting each dot or matmul call with an
+    [n,n] operand or result: a graph product, or an operator's gradient."""
+
+    def __init__(self, n):
+        self.n, self.count = n, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _counted(self, fn, x, y, *args, **kwargs):
+        out = fn(x, y, *args, **kwargs)
+        self.count += (self.n, self.n) in (np.shape(x), np.shape(y), np.shape(out))
+        return out
+
+    def dot(self, *args, **kwargs):
+        return self._counted(np.dot, *args, **kwargs)
+
+    def matmul(self, *args, **kwargs):
+        return self._counted(np.matmul, *args, **kwargs)
+
+
+class TestBackwardGraphProducts:
+    @pytest.mark.parametrize("learned, per_eval", [(False, 2), (True, 3)])
+    def test_graph_products_per_evaluation(self, monkeypatch, learned, per_eval):
+        # backward makes each evaluation's A h (a @ point at the midpoint)
+        # again for W_f's gradient and a^T g' for the state's, and a learned
+        # operator's gradient too: 2 [N,N] products per evaluation of a
+        # static graph, 3 of an adaptive one. The midpoint's rule makes k1
+        # again from A h and hands that product on to k1's rule, so the
+        # stage costs no product of its own.
+        rng = np.random.default_rng(12)
+        n, d, steps = 5, 3, 2
+        a = Tensor(np.abs(rng.standard_normal((n, n))) / n, requires_grad=learned)
+        h0 = Tensor(rng.standard_normal((n, 4, d)), requires_grad=True)
+        nfe, tape = NFECounter(), Tape()
+        res = evolve(h0, steps, a, affine_field(rng, d), jumps_for(rng, d, steps),
+                     tape=tape, nfe=nfe, collect_lte=False)
+        loss = mean_all(res.h_final, tape)
+        counting = _GraphProducts(n)
+        monkeypatch.setattr(odegate.autodiff, "np", counting)
+        backward(loss, tape)
+        assert nfe.count == 2 * steps
+        assert counting.count == per_eval * nfe.count
+
+
 def _fold_sum_of_squares(shape) -> str:
     """The exact sum of squares `GateStats` folds from one seeded mask."""
     stats = GateStats()

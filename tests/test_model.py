@@ -221,13 +221,14 @@ class TestForward:
         # the adaptive graph is one node per op
         assert {op: ops[op] for op in ("gram", "relu", "row_normalize")} == \
             {"gram": 1, "relu": 1, "row_normalize": 1}
-        # one lte step of one stream: 2 field evaluations, 3 stage updates and
-        # the gated jump, plus the error when it is collected
+        # one lte step of one stream: 2 field evaluations, the second at the
+        # midpoint inside its own node, the h_rk2 update and the gated jump;
+        # h_euler and the error join them when the error is collected
         h = Tensor(np.random.default_rng(4).standard_normal((TINY.n_nodes, 2,
                                                              TINY.hidden_dim)),
                    requires_grad=True)
-        step = {"propagate": 2, "axpy": 3, "gated_jump": 1}
-        for collect_lte, extra in ((False, {}), (True, {"abs_diff": 1})):
+        step = {"propagate": 2, "axpy": 1, "gated_jump": 1}
+        for collect_lte, extra in ((False, {}), (True, {"axpy": 2, "abs_diff": 1})):
             tape = Tape()
             odegate.dynamics.evolve(h, 1, ahat, params.streams["static"]["field"],
                                     params.streams["static"]["jumps"], "lte", tape=tape,
@@ -238,10 +239,10 @@ class TestForward:
     def test_third_field_evaluation_per_step_rejected(self, monkeypatch, taped):
         original, calls = odegate.dynamics.vector_field, itertools.count(1)
 
-        def three_per_step(h, a_op, field, tape=None, nfe=None):
+        def three_per_step(h, a_op, field, tape=None, nfe=None, stage=None):
             if next(calls) % 2 == 0:   # the midpoint stage, evaluated twice
-                original(h, a_op, field, tape, nfe)
-            return original(h, a_op, field, tape, nfe)
+                original(h, a_op, field, tape, nfe, stage)
+            return original(h, a_op, field, tape, nfe, stage)
 
         monkeypatch.setattr(odegate.dynamics, "vector_field", three_per_step)
         x, ahat = tiny_inputs(TINY)
@@ -577,18 +578,19 @@ class TestGradientBits:
         # arrays per step over both streams: keeping every op output costs
         # about 34, keeping only what backward reads about 15, leaving the
         # uncollected error off the tape 11, recomputing the jump's tanh in
-        # backward 9 (4 static, 5 adaptive), and remaking each evaluation's
-        # A h in backward 6 (h, the midpoint and the gate in each stream);
+        # backward 9 (4 static, 5 adaptive), remaking each evaluation's A h
+        # in backward 6 (h, the midpoint and the gate in each stream), and
+        # evaluating the midpoint inside its field node 4 (h and the gate);
         # the rest is the tape's records
         per_step = _taped_states_per_step(DEFAULT)
-        assert 6.0 <= per_step < 6.5, per_step
+        assert 4.0 <= per_step < 4.5, per_step
 
     def test_uniform_gate_is_one_array_per_stream(self):
         # the uniform_one gate is one array of ones per `evolve` call, so a
-        # step keeps only h and the midpoint in each stream
+        # step keeps only h in each stream
         per_step = _taped_states_per_step(dataclasses.replace(DEFAULT,
                                                               mask_mode="uniform_one"))
-        assert 4.0 <= per_step < 4.5, per_step
+        assert 2.0 <= per_step < 2.5, per_step
 
 
 def _taped_states_per_step(base, batch=16):

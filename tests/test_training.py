@@ -219,7 +219,7 @@ class TestTrainLoop:
             assert np.array_equal(p1.data, p2.data)
 
     def test_default_batch_tapes_no_error(self, monkeypatch):
-        # a default training batch (4 steps, lam 0): 8 nodes per step and
+        # a default training batch (4 steps, lam 0): 4 nodes per step and
         # stream, 3 encoder, 3 graph build, 2 readout and the loss
         tapes = []
         real_backward = odegate.training.backward
@@ -234,7 +234,7 @@ class TestTrainLoop:
         assert tapes
         for ops in tapes:
             assert "abs_diff" not in ops
-            assert sum(ops.values()) == 57
+            assert sum(ops.values()) == 41
 
     def test_parameter_gradients_share_no_memory(self, monkeypatch):
         # backward hands gradients on; clipping scales each in place, so no
