@@ -388,7 +388,9 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
     point's gradient to h and k as `axpy` would.  k must be the node's own
     output at h, `propagate(a, h, w, b, tape)`, because the tape keeps no
     stage point: backward makes k, and the point from it, again from h.  A
-    taped stage call whose k is not that output raises `ContractError`.
+    taped stage call whose k is not that output raises `ContractError`; h
+    is compared only when w or the operator requires a gradient, the one
+    case in which backward remakes k.
 
     The rule keeps h, the input state, and no array of its own: w's
     gradient reads a @ h (a @ point at a stage), which the rule's shared
