@@ -311,6 +311,23 @@ class TestEvolveBehavior:
         assert nfe.count == 8
         assert len(res.lte) == 4
 
+    @pytest.mark.parametrize("mode, collect_lte, per_step", [
+        ("lte", False, 2), ("uniform_one", False, 1), ("learned", False, 1),
+        ("off", False, 1), ("off", True, 2)])
+    def test_euler_estimate_formed_only_for_the_error(self, monkeypatch, mode,
+                                                      collect_lte, per_step):
+        # h_rk2 is one stage update a step; h_euler is a second one only
+        # where the error is read, by the lte gate or the collector
+        calls = []
+        real = odegate.dynamics.axpy
+        monkeypatch.setattr(odegate.dynamics, "axpy",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        learned_mask = (Tensor(self.rng.standard_normal((3, 3))),
+                        Tensor(np.zeros(3))) if mode == "learned" else None
+        evolve(self.h0, 4, self.a, self.field, self.jumps, mask_mode=mode,
+               learned_mask=learned_mask, tape=Tape(), collect_lte=collect_lte)
+        assert len(calls) == 4 * per_step
+
     def test_uniform_mode_pins_gate_to_one(self):
         res = evolve(self.h0, 4, self.a, self.field, self.jumps,
                      mask_mode="uniform_one", collect_masks=True)
