@@ -6,6 +6,7 @@ not comparable against the full baseline.
 """
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -391,6 +392,47 @@ class TestTrainLoop:
         with pytest.raises(ValidationError, match=f"batch_size must be >= 1, got {batch_size}"):
             predict(params, TINY_MODEL, normalize_adjacency(ds.graph), ds.splits["val"],
                     batch_size=batch_size)
+
+
+class TestTrainBits:
+    # The repr of every history value and the sha256 of the best parameters
+    # of one tiny seeded run per variant, with a clip norm that clips. How a
+    # batch folds its gates or keeps them for backward must not move a bit.
+    HISTORY = {
+        "full": [
+            {"epoch": "0", "train_loss": "1.3989586507574923",
+             "val_mae": "1.0551554916544859", "m_mean": "0.5135292453717062",
+             "m_std": "0.017449501057170712", "grad_norm": "1.790018155376647",
+             "clip_frac": "0.8"},
+            {"epoch": "1", "train_loss": "1.1726048634642816",
+             "val_mae": "0.8924240672796685", "m_mean": "0.5125775945061515",
+             "m_std": "0.016232587222544993", "grad_norm": "1.623658306804526",
+             "clip_frac": "0.4"}],
+        "no_mask": [
+            {"epoch": "0", "train_loss": "1.5085399373339032",
+             "val_mae": "1.0839832898883006", "m_mean": "1.0", "m_std": "0.0",
+             "grad_norm": "2.121266005917379", "clip_frac": "1.0"},
+            {"epoch": "1", "train_loss": "1.2052844980016464",
+             "val_mae": "0.9156835026957271", "m_mean": "1.0", "m_std": "0.0",
+             "grad_norm": "1.894763597982235", "clip_frac": "1.0"}],
+    }
+    PARAM_DIGESTS = {
+        "full": "0ab9837a73135aae3a09755dd30fc64ecaf0288fafa22b7509bd4e12c29ab1ff",
+        "no_mask": "12163f898a2cba99675b27f91f8e6be7d250128cec1424512f2196d73cd4a093",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(HISTORY))
+    def test_train_pinned(self, variant):
+        result = train(tiny_dataset(), config_for_variant(TINY_MODEL, variant),
+                       TrainConfig(variant=variant, epochs=2, batch_size=16,
+                                   clip_norm=1.7))
+        assert [{key: repr(value) for key, value in entry.items()}
+                for entry in result.history] == self.HISTORY[variant]
+        digest = hashlib.sha256()
+        for name, p in result.params.named().items():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        assert (result.best_epoch, digest.hexdigest()) == (1, self.PARAM_DIGESTS[variant])
 
 
 class TestEvaluate:
