@@ -47,9 +47,13 @@ than a state-sized product of their own, and the recompute repeats the
 forward's calls, so its bits are the forward's.  A `propagate` stage,
 the field at h + c k where k is the field at h, keeps h alone too: its
 rule makes k and the stage point again from h, and hands the a @ h it
-made on to k's rule, which would make the same product.  That product
-is the one value a rule passes to another besides gradients: it rides in
-k's gradient slot, and k's rule drops it once read.
+made on to k's rule, which would make the same product.  A `gated_jump`
+given the step's k and dt (`remake`) keeps no gate either: its rule makes
+the embedded step's gate again from h and hands the a @ h and a @ stage
+point it made on to the stage rule, which then makes neither; so a taped
+solver step keeps 1 array per stream, h.  These products are the only
+values a rule passes to another besides gradients: they ride in k's
+gradient slot, and each rule drops its own once read.
 
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
@@ -130,20 +134,24 @@ class _Swapped(_Slot):
 class _Field(_Slot):
     """Gradient slot of a field evaluation, `propagate` without a stage.
 
-    It names the arrays the evaluation read, for a stage evaluation to check
-    its k against: a, w and b, and h only while the evaluation's rule keeps
-    it (a weak reference, so the slot never keeps h on its own).  `memo`
-    carries one a @ h from a stage rule, which makes it, to this slot's own
-    rule, which reads it and lets it go.
+    It names the arrays the evaluation read, for a stage evaluation or a
+    jump to check its k against: a, w and b, and h only while the
+    evaluation's rule keeps it (a weak reference, so the slot never keeps h
+    on its own).  It carries the graph products a later rule of the step
+    made to the rules that read them next, each of which lets its own go:
+    `memo`, one a @ h, to this slot's own rule (from a stage rule, or from a
+    jump that remade its gate through the stage rule), and `stage_memo`,
+    (c, a @ (h + c k)), from such a jump to the stage rule at c.
     """
 
-    __slots__ = ("read", "memo")
+    __slots__ = ("read", "memo", "stage_memo")
 
     def __init__(self, a: np.ndarray, h: np.ndarray | None, w: np.ndarray,
                  b: np.ndarray):
         super().__init__()
         self.read = (a, None if h is None else weakref.ref(h), w, b)
         self.memo: np.ndarray | None = None
+        self.stage_memo: tuple[float, np.ndarray] | None = None
 
     def made_from(self, a: np.ndarray, h: np.ndarray | None, w: np.ndarray,
                   b: np.ndarray) -> bool:
@@ -400,12 +408,17 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
     neither w nor the operator requiring a gradient it keeps none.  A stage
     rule runs before the rule of its k and makes the a @ h that k's rule
     reads; it hands it on through k's gradient slot, so the pair makes it
-    once.  Routes run w, b, operator, state (then k at a stage), so with a
-    square w the state route writes a^T g' over g: backward holds two
-    state-sized arrays, g and a @ h, then g and g', never a third; a stage
-    rule also holds a @ h, the remade point and a @ point while it makes
-    w's gradient.  Values and gradients are bitwise those of `axpy` and
-    `affine` around a bare graph product.
+    once.  A jump that remade its gate from the same h (`gated_jump`'s
+    `remake`) has made a @ h and a @ point already and handed both to the
+    stage rule the same way, so then the stage rule makes no graph product
+    for w's gradient, and remakes the point (from the handed a @ h) only
+    for the operator's.  Routes run w, b, operator, state (then k at a
+    stage), so with a square w the state route writes a^T g' over g:
+    backward holds two state-sized arrays, g and a @ h, then g and g',
+    never a third; a stage rule also holds a @ h, the remade point and
+    a @ point while it makes w's gradient, and then writes g' into the
+    buffer of a @ point.  Values and gradients are bitwise those of `axpy`
+    and `affine` around a bare graph product.
     """
     mat, shape = a.data, h.data.shape
     if mat.ndim != 2 or len(shape) != 3:
@@ -473,21 +486,34 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
 
     def stage_share(g):
         rows = g.reshape(-1, m)
-        dw = p = None
+        dw = p = ap = None
+        # a jump that remade its gate hands on a @ h and a @ point
+        handed, k_slot.stage_memo = k_slot.stage_memo, None
+        if handed is not None and handed[0] == c:
+            ap = handed[1]
+        del handed
         if state is not None:
-            # k and the stage point again, by the forward's calls
-            ah = _product(mat, state.reshape(n, -1))
-            p = _channel_map(ah.reshape(shape), wt, bias, "propagate")[1].reshape(shape)
-            p *= c
-            p += state
-            p = p.reshape(n, -1)
+            ah, k_slot.memo = k_slot.memo, None
+            if ah is None:
+                ah = _product(mat, state.reshape(n, -1))
+            if a_grad or ap is None:
+                # k and the stage point again, by the forward's calls
+                p = _channel_map(ah.reshape(shape), wt, bias, "propagate")[1].reshape(shape)
+                p *= c
+                p += state
+                p = p.reshape(n, -1)
             if w_grad:
                 k_slot.memo = ah
-                dw = _product(mat, p).reshape(-1, d).T @ rows
+                if ap is None:
+                    ap = _product(mat, p)
+                dw = ap.reshape(-1, d).T @ rows
             del ah
+        # g W^T into the buffer of a @ point, which nothing reads any more
+        gp = np.matmul(rows, wt.T, out=None if ap is None else ap.reshape(-1, d))
+        del ap
         # the last entry is the point's gradient, made by the first of h's
         # and k's routes to run
-        return [dw, (rows @ wt.T).reshape(n, -1), p if a_grad else None, None]
+        return [dw, gp.reshape(n, -1), p if a_grad else None, None]
 
     def d_point(g, s):
         if s[3] is None:
@@ -597,7 +623,8 @@ def abs_diff(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
-               tape: Tape | None = None) -> Tensor:
+               tape: Tape | None = None,
+               remake: tuple[Tensor, Scalar] | None = None) -> Tensor:
     """base + m * tanh(h[...,k] @ w[k,n] + b[n]), the gated jump, in one node.
 
     The arithmetic is that of `affine` followed by the gate, in the same
@@ -605,6 +632,20 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
     pre-activation and its tanh from h once, for all five routes, so values
     and gradients are bitwise those of the two-op chain.  A non-finite
     pre-activation raises, although tanh would round it to +-1.
+
+    With `remake=(k, dt)` the rule keeps no m either, when m requires no
+    gradient: k is the field evaluation `propagate(a, h, w_f, b_f)` on a
+    tape at this jump's h, and m must be the gate of the embedded step from
+    h with step dt, sigmoid(|h + dt f(h + dt/2 k) - (h + dt k)|).  The rule
+    runs before the step's other rules and makes m again from h with the
+    forward's own calls in the forward's order, so its bits are the
+    forward's; it hands the a @ h and a @ midpoint it made to the stage
+    evaluation's rule through k's gradient slot (see `propagate`), so
+    backward makes no more graph products than when m was kept.  A k at
+    another state raises `ContractError`; a k whose rule keeps no h
+    (neither w_f nor the operator requires a gradient) leaves m kept.  So
+    a remade jump keeps 1 state-sized array, h, which the field
+    evaluations of its step keep as well: 1 array per stream and step.
     """
     x = m.data
     if base.data.shape != x.shape:
@@ -620,15 +661,39 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
     out += base.data
     if tape is None:
         return _value(out, "gated_jump")
+    field = None
+    if remake is not None:
+        k, dt = remake[0], float(remake[1])
+        field = k._slot if isinstance(k._slot, _Field) else None
+        kept = None if field is None else field.read[1]
+        if field is None or (kept is not None and kept() is not h.data):
+            raise ContractError("gated_jump: remake needs k = propagate(a, h, w, b) "
+                                "on a tape, at the jump's h")
+        if kept is None or m.requires_grad:
+            field = None   # no h to remake from, or a gate the tape must keep
+    # a remade gate is not kept: the rule makes it from h
+    kept_gate = x if field is None else None
+    del x
+    gate_grad = m.requires_grad
 
     def share(g):
+        if field is None:
+            gate = kept_gate
+        else:
+            gate, field.memo, ap = _remade_gate(field.read, flat.reshape(shape), dt)
+            field.stage_memo = (dt / 2.0, ap)
+            del ap
         # the tanh j once more, and dz = (g * m) * (1 - j * j) as the chain had it
-        j = _channel_map(flat, wt, bias, "gated_jump")[1].reshape(x.shape)
+        j = _channel_map(flat, wt, bias, "gated_jump")[1].reshape(shape[:-1] + (n,))
         np.tanh(j, out=j)
-        dz, jj = g * x, j * j
+        dz = g * gate
+        del gate
+        # 1 - j * j in j's own buffer unless the gate's route reads j
+        jj = j * j if gate_grad else np.multiply(j, j, out=j)
         np.subtract(1.0, jj, out=jj)
         dz *= jj
-        return j, dz.reshape(-1, n)
+        del jj
+        return (j if gate_grad else None), dz.reshape(-1, n)
 
     return _out(out, "gated_jump", tape, (base, m, h, w, b),
                 (_same, lambda g, s: g * s[0],
@@ -636,6 +701,34 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
                  lambda g, s: flat.T @ s[1],
                  lambda g, s: s[1].sum(axis=0)),
                 share=share)
+
+
+def _remade_gate(read: tuple, h: np.ndarray, dt: float):
+    """The lte gate of the embedded step from h, with a @ h and a @ midpoint.
+
+    `read` is a field evaluation's (a, h, w, b).  Each value is made by the
+    calls that made it in the forward (`propagate`, `axpy`, `abs_diff`,
+    `attention_mask`), in their order, so its bits are the forward's; only
+    h_rk2 and the error are formed in the buffer of k2.
+    """
+    a, _, w, b = read
+    n, shape = len(h), h.shape
+    ah = _product(a, h.reshape(n, -1))
+    k = _channel_map(ah.reshape(shape), w, b, "gated_jump")[1].reshape(shape)
+    euler = k * dt
+    euler += h
+    point = k * (dt / 2.0)
+    point += h
+    del k
+    ap = _product(a, point.reshape(n, -1))
+    del point
+    err = _channel_map(ap.reshape(shape), w, b, "gated_jump")[1].reshape(shape)
+    err *= dt
+    err += h
+    err -= euler
+    del euler
+    np.abs(err, out=err)
+    return _sigmoid_values(err), ah, ap
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:

@@ -17,32 +17,37 @@ how the mask and compensation are configured.
 On a tape, a step in `lte` mode records 4 nodes per stream: one
 `propagate`, (A h) W_f + b_f, per field evaluation, the second of them
 evaluated at the midpoint h + dt/2 * k1 inside its own node, one `axpy`
-for h_rk2, and the jump, `gated_jump`.  The jump keeps the pre-step state,
-which the gradient of W_g[step] reads anyway, and the gate, but not its
-tanh: backward recomputes h W_g[step] + b_g[step] and its tanh from h,
-once per step.  Both field evaluations keep only h: backward makes k1 and
-the midpoint again from it, and each evaluation's A h (A times the
-midpoint for the second) for W_f's gradient; the second evaluation's rule
-hands its A h on to the first's, so backward makes no more graph products
-than when the tape kept the midpoint.  So a taped step keeps 2
-state-sized arrays in each stream: h and the gate.  The `uniform_one` gate
-is one read-only array of ones per `evolve` call, so there a step keeps 1.
+for h_rk2, and the jump, `gated_jump`.  Both field evaluations keep only
+h: backward makes k1 and the midpoint again from it, and each
+evaluation's A h (A times the midpoint for the second) for W_f's
+gradient.  The jump keeps h too, which the gradient of W_g[step] reads
+anyway, but neither its tanh nor, when the gate carries no gradient, the
+gate: its rule, the first of the step in backward, makes the gate again
+from h by the forward's calls (k1, h_euler, the midpoint, k2, h_rk2, the
+error, its sigmoid) and its tanh from h W_g[step] + b_g[step].  It hands
+the A h and A times the midpoint it made to the second evaluation's
+rule, which hands A h on to the first's, so backward makes no more graph
+products than when the tape kept the gate.  So a taped step keeps 1
+state-sized array in each stream: h.  With mask_grad the gate is on the
+tape and kept, 2 arrays; the `uniform_one` gate is one read-only array
+of ones per `evolve` call, so there a step keeps 1 as well.
 
 The gate reads the error's values only, so h_euler and the error are
 computed off the tape and freed with their step.  Only a reader of the
 error's gradient puts them on the tape, as a fifth node, h_euler's `axpy`,
 right after k1, and a sixth, `abs_diff`: a caller that collects the errors
 (the smoothness penalty differentiates them), or mask_grad, which adds the
-gate's `sigmoid` too.  The `off`, `uniform_one` and `learned` modes read
-no error unless it is collected, and then form no h_euler either.
+gate's `sigmoid` too; there the jump keeps its gate.  The `off`,
+`uniform_one` and `learned` modes read no error unless it is collected,
+and then form no h_euler either.
 
 States are node-major, [N,B,d] (node, batch, channel), the layout
 `autodiff.propagate` reads as one [N, B*d] matrix for its graph product;
 every array a step makes, masks and errors included, has that shape.
 
 `evolve` composes S such steps over unit time (dt = 1/S). The gate values
-are opt-in: pass collect_masks=True to get each step's mask, which a caller
-can fold into a `GateStats`.
+are opt-in: `on_gate` is called with each step's mask as the step makes it,
+for a caller to fold into a `GateStats` and let go.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ MASK_MODES = ("lte", "uniform_one", "learned", "off")
 class EvolveResult:
     h_final: Tensor
     lte: list | None             # per-step error tensors, on the tape, when collected
-    masks: list | None = None    # per-step mask arrays (read-only) when collected
     states: list | None = None   # per-step states (numpy) when collected
 
 
@@ -139,21 +143,21 @@ def vector_field(h: Tensor, a_op: Tensor, field: tuple, tape: Tape | None = None
 
 def embedded_dual_step(h: Tensor, dt: float, a_op: Tensor, field: tuple,
                        tape: Tape | None = None, nfe: NFECounter | None = None,
-                       *, euler: bool = True, euler_grad: bool = True):
+                       *, euler: bool = True):
     """One embedded Euler/RK2 step; returns (h_euler, h_rk2) from 2 NFEs.
 
     k1 is computed once and reused by both estimates; the Euler result is a
-    free byproduct of the midpoint method's first stage.  A caller that
-    reads no gradient of h_euler passes euler_grad=False, which forms it off
-    the tape, and one that reads nothing of it passes euler=False, which
-    skips it and returns None in its place.  It is formed right after k1:
-    recorded after h_rk2, it would change the order in which gradients add
-    up in h and k1, and with it their bits.
+    free byproduct of the midpoint method's first stage.  It is formed right
+    after k1, on the tape when there is one: recorded after h_rk2, it would
+    change the order in which gradients add up in h and k1, and with it
+    their bits.  A caller that reads no gradient of h_euler passes
+    euler=False and gets k1 in its place, to skip h_euler or form it off the
+    tape itself, and to hand k1 to a jump that remakes its gate.
     """
     if dt <= 0:
         raise ContractError(f"embedded_dual_step: dt must be positive, got {dt}")
     k1 = vector_field(h, a_op, field, tape, nfe)
-    h_euler = axpy(h, k1, dt, tape if euler_grad else None) if euler else None
+    h_euler = axpy(h, k1, dt, tape) if euler else k1
     k2 = vector_field(h, a_op, field, tape, nfe, stage=(k1, dt / 2.0))
     h_rk2 = axpy(h, k2, dt, tape)
     return h_euler, h_rk2
@@ -179,16 +183,19 @@ def attention_mask(e: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def compensate(h_t: Tensor, h_rk2: Tensor, m: Tensor, step: int,
-               jumps, tape: Tape | None = None) -> Tensor:
+               jumps, tape: Tape | None = None,
+               remake: tuple[Tensor, float] | None = None) -> Tensor:
     """Hybrid update h_rk2 + m * tanh(h_t W_g[step] + b_g[step]).
 
     `jumps` holds one (w_g, b_g) pair per step.  The jump operator reads the
-    PRE-step state h_t, not the solver output.
+    PRE-step state h_t, not the solver output.  `remake=(k1, dt)` lets the
+    jump make an lte gate again in backward instead of keeping it (see
+    `autodiff.gated_jump`).
     """
     if not (0 <= step < len(jumps)):
         raise ContractError(f"compensate: step {step} outside [0, {len(jumps)})")
     w_g, b_g = jumps[step]
-    return gated_jump(h_rk2, m, h_t, w_g, b_g, tape)
+    return gated_jump(h_rk2, m, h_t, w_g, b_g, tape, remake)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +206,7 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
            mask_mode: str = "lte", *, learned_mask: tuple | None = None,
            mask_grad: bool = False, tape: Tape | None = None,
            nfe: NFECounter | None = None, collect_lte: bool = True,
-           collect_masks: bool = False, collect_states: bool = False) -> EvolveResult:
+           on_gate=None, collect_states: bool = False) -> EvolveResult:
     """Run `steps` hybrid steps, dt = 1/steps, over unit time from h0[N,B,d].
 
     A stream's parameters are its tensors: `field` is the (w_f, b_f) pair both
@@ -219,9 +226,11 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
     tensor, on the tape (the smoothness-penalty loss differentiates them), in
     every mode.  Without it, `lte` is None: `lte` mode computes each error
     off the tape (on it with mask_grad) and drops it with its step, and the
-    other modes, which never read it, skip it.  With collect_masks, `masks`
-    holds every gated step's mask array (read-only); mask_mode 'off' collects
-    none.
+    other modes, which never read it, skip it.  `on_gate`, when given, is
+    called with every gated step's mask array as the step makes it, in step
+    order; mask_mode 'off' makes none.  A taped `lte` step whose gate carries
+    no gradient hands the gate to the jump to make again in backward, so
+    the tape keeps no gate of it.
     """
     if steps < 1:
         raise ContractError(f"evolve: steps must be >= 1, got {steps}")
@@ -241,7 +250,9 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
     with_err = collect_lte or mask_mode == "lte"
     err_grad = collect_lte or mask_grad
     err_tape = tape if err_grad else None
-    masks = [] if collect_masks else None
+    # an lte gate that carries no gradient is made again by its jump in
+    # backward, from k1, so the step forms h_euler off the tape from k1
+    remade = tape is not None and mask_mode == "lte" and not err_grad
     states = [h0.data.copy()] if collect_states else None
     if mask_mode == "uniform_one":
         # one gate for every step, so the tape keeps one array of ones
@@ -251,7 +262,11 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
     for step in range(steps):
         try:
             h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, field, tape, nfe,
-                                                euler=with_err, euler_grad=err_grad)
+                                                euler=with_err and not remade)
+            if remade:   # k1 in h_euler's place
+                k1, h_euler = h_euler, axpy(h, h_euler, dt)
+            elif not with_err:
+                h_euler = None   # k1, which nothing here reads
             if with_err:
                 err = local_truncation_error(h_euler, h_rk2, err_tape)
                 if lte_tensors is not None:
@@ -267,9 +282,10 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
                 else:  # learned
                     m = sigmoid(node_linear(h, *learned_mask, tape), tape)
 
-                h_next = compensate(h, h_rk2, m, step, jumps, tape)
-                if masks is not None:
-                    masks.append(m.data)
+                if on_gate is not None:
+                    on_gate(m.data)
+                h_next = compensate(h, h_rk2, m, step, jumps, tape,
+                                    (k1, dt) if remade else None)
         except OdegateError as exc:
             raise type(exc)(f"step {step}: {exc}") from exc
 
@@ -277,9 +293,8 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
             states.append(h_next.data.copy())
         h = h_next
         # this step's estimates, error and gate must not live on through the
-        # next step's evaluations: at train-n300 they are 3 states the tape
-        # does not keep
-        h_euler = h_rk2 = err = m = None
+        # next step's evaluations: at train-n300 they are up to 5 states the
+        # tape does not keep
+        k1 = h_euler = h_rk2 = err = m = None
 
-    return EvolveResult(h_final=h, lte=lte_tensors,
-                        masks=masks, states=states)
+    return EvolveResult(h_final=h, lte=lte_tensors, states=states)

@@ -177,15 +177,14 @@ class ForwardResult:
     Inside `forward` every state is node-major, [N,B,d], so each graph
     product is one matrix product over [N, B*d].  `y_hat` and the error
     tensors stay on the tape; their gradients reach the node-major tensors
-    they view (see `autodiff.swap_leading`).  `lte` and `masks` list every
-    step of the first of `STREAMS`, then every step of the second.
+    they view (see `autodiff.swap_leading`).  `lte` lists every step of the
+    first of `STREAMS`, then every step of the second.
     """
 
     y_hat: Tensor                 # [batch, n_nodes, horizon]
     nfe_static: int
     nfe_adaptive: int
     lte: list | None = None       # per-step error tensors, on the tape, when collected
-    masks: list | None = None     # per-step gate arrays [batch, n_nodes, d_h]
 
 
 def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
@@ -210,13 +209,16 @@ def initialize_state(x: Tensor, params: ModelParams, config: ModelConfig,
 
 
 def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
-            tape: Tape | None = None, collect_masks: bool = False,
+            tape: Tape | None = None, on_gate=None,
             collect_lte: bool = False) -> ForwardResult:
     """Run both streams from the shared initial state and decode the horizon.
 
     The streams run node-major, one `evolve` each, and the results are
-    batch-major views (see `ForwardResult`).  With collect_masks, `masks`
-    holds every stream's per-step gate arrays.  With collect_lte, `lte` holds
+    batch-major views (see `ForwardResult`).  `on_gate`, when given, is
+    called with each step's gate as a batch-major [B,N,d_h] view as the
+    step makes it: every step of the first of `STREAMS`, then every step of
+    the second.  Nothing keeps a gate after the call but the tape, which
+    keeps only a gate that it cannot make again.  With collect_lte, `lte` holds
     every stream's per-step error tensors, on the tape, for a loss that
     differentiates them (the smoothness penalty); without it, `lte` is None
     and no error outlives its step or enters the tape unless mask_grad
@@ -234,10 +236,10 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
 
     common = dict(steps=config.steps, mask_mode=config.mask_mode,
                   mask_grad=config.mask_grad, tape=tape, collect_lte=collect_lte,
-                  collect_masks=collect_masks)
+                  on_gate=None if on_gate is None
+                  else (lambda m: on_gate(m.swapaxes(0, 1))))
     finals, nfe = [], {}
     lte = [] if collect_lte else None
-    masks = [] if collect_masks else None
     for name, a_op in zip(STREAMS, (ahat, a_adaptive)):
         counter = NFECounter()
         res = evolve(h0, a_op=a_op, nfe=counter, **params.streams[name], **common)
@@ -248,12 +250,10 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
         nfe[f"nfe_{name}"] = counter.count
         if collect_lte:
             lte += [swap_leading(e) for e in res.lte]
-        if collect_masks:
-            masks += [m.swapaxes(0, 1) for m in res.masks]
 
     merged = concat_channels(*finals, tape)
     readout = affine(merged, params.w_out, params.b_out, tape)
-    return ForwardResult(y_hat=swap_leading(readout), lte=lte, masks=masks, **nfe)
+    return ForwardResult(y_hat=swap_leading(readout), lte=lte, **nfe)
 
 
 # ---------------------------------------------------------------------------

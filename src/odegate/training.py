@@ -188,15 +188,18 @@ def _split_windows(dataset: ForecastDataset, split: str, caller: str) -> WindowS
 
 
 def _forward_batches(params, config, ahat, windows: WindowSet, batch_size: int,
-                     collect_masks: bool = False):
-    """Tape-free forward over a window set; yields (slice, ForwardResult)."""
+                     on_gate=None):
+    """Tape-free forward over a window set; yields (slice, ForwardResult).
+
+    `on_gate` sees each batch's gates as `forward` makes them, before the
+    batch is yielded."""
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     for lo in range(0, windows.count, batch_size):
         hi = min(lo + batch_size, windows.count)
         x = Tensor(windows.x[lo:hi])
         yield slice(lo, hi), forward(x, ahat, params, config,
-                                     tape=None, collect_masks=collect_masks)
+                                     tape=None, on_gate=on_gate)
 
 
 def predict(params, config, ahat, windows: WindowSet,
@@ -223,6 +226,8 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
     `timing` sums wall seconds per phase over all epochs: forward (with the
     loss), backward (with the finite-gradient check), clip, adam, validate,
     and the total of the loop, which also holds the bookkeeping in between.
+    Each batch folds its gates into the epoch's `GateStats` as the forward
+    makes them, static steps first, so no batch holds its gates for the fold.
     """
     if model_config.mask_mode != VARIANTS[train_config.variant]:
         raise ContractError(
@@ -255,19 +260,14 @@ def train(dataset: ForecastDataset, model_config: ModelConfig,
                 tape = Tape()
                 x = Tensor(train_set.x[idx])
                 y = Tensor(train_set.y[idx])
-                res = forward(x, ahat, params, model_config, tape,
-                              collect_masks=True,
+                # each gate is folded as it is made and kept by nothing
+                # else; none is kept to anchor the heap either: at
+                # train-n300 that costs a 3 MiB state of peak RSS and saves
+                # about as many page faults in forward as it adds in
+                # backward (README, "What a training batch costs")
+                res = forward(x, ahat, params, model_config, tape, gate.add,
                               collect_lte=train_config.lam != 0.0)
-                for m in res.masks:
-                    gate.add(m)
                 loss = batch_loss(res, y, train_config.lam, tape)
-                # Without the result, backward frees each gate mask as it pops
-                # that step's jump, and no field of it reaches the next batch.
-                # `m` keeps the last mask alive on purpose: at the top of the
-                # heap, it stops glibc from trimming the batch's pages, which
-                # the next forward would fault in again. At N=300 a taped
-                # forward after a call's first batch faults 1-7k pages with
-                # it and 10-17k without.
                 del res
                 t1 = clock()
                 params.zero_grad()
@@ -391,11 +391,12 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
     shock_n = nonshock_n = 0
     shock_samples = []
     samples = []
+    masks = []   # one batch's gates, batch-major, in step order
 
-    for sl, res in _forward_batches(params, model_config, ahat, windows,
-                                    batch_size, collect_masks=True):
+    for sl, _ in _forward_batches(params, model_config, ahat, windows,
+                                  batch_size, masks.append):
         batch_cells = cells[sl]
-        for m in res.masks:
+        for m in masks:
             shock_vals = m[batch_cells]
             non_vals = m[~batch_cells]
             shock_sum += float(shock_vals.sum())
@@ -406,6 +407,7 @@ def mask_report(params, model_config: ModelConfig, dataset: ForecastDataset,
                 shock_samples.append(shock_vals.ravel())
             # a batch-major view, flattened where it lies
             samples.append(m.ravel(order="K"))
+        masks.clear()
 
     all_vals = np.concatenate(samples)
     hist = np.histogram(all_vals, bins=HIST_BINS, range=(0.0, 1.0))[0]

@@ -491,6 +491,25 @@ class TestForwardOracles:
         with pytest.raises(DimensionError, match="^propagate: stage"):
             propagate(a, h, w, b, stage=(Tensor(rand(3, 2, 3)), 0.5))
 
+    def test_gated_jump_remake_checks_its_k(self):
+        # backward makes the gate again from the jump's h, so the remake
+        # takes only the field evaluation at that h
+        a, h, w, b, wg, bg = (Tensor(x, requires_grad=True)
+                              for x in (rand(3, 3), rand(3, 2, 2), rand(2, 2), rand(2),
+                                        rand(2, 2), rand(2)))
+        t = Tape()
+        k0 = propagate(a, h, w, b, t)
+        h1 = axpy(h, k0, 0.5, t)   # the next step's state
+        k1 = propagate(a, h1, w, b, t)
+        m = Tensor(np.full((3, 2, 2), 0.75))
+        gated_jump(h1, m, h1, wg, bg, t, remake=(k1, 0.5))
+        for bad in (k0,                                         # another step's
+                    Tensor(k1.data, requires_grad=True),        # a leaf
+                    axpy(h1, k1, 0.0, t),                       # another op's
+                    propagate(a, h1, w, b, t, stage=(k1, 0.25))):   # a stage's
+            with pytest.raises(ContractError, match="^gated_jump: remake needs k"):
+                gated_jump(h1, m, h1, wg, bg, t, remake=(bad, 0.5))
+
     @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("w, b", [(2.0, 0.0), (1.0, 1e308)])
     def test_gated_jump_rejects_nonfinite_preactivation(self, w, b, taped):
@@ -724,6 +743,32 @@ class TestSharedRules:
 
         for got, want in zip(run(True), run(False)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [5, 130])
+    @pytest.mark.parametrize("operator_grad", [False, True])
+    def test_remade_gate_bitwise_the_kept_one(self, n, operator_grad):
+        # one lte step whose jump makes its gate again in backward, against
+        # the same step with the gate kept: the value and every gradient,
+        # bit for bit, on both sides of the graph product's row switch
+        rng = np.random.default_rng(23)
+        arrays = (rng.standard_normal((n, n)) / n, rng.standard_normal((n, 3, 4)),
+                  rng.standard_normal((4, 4)) * 0.5, rng.standard_normal(4),
+                  rng.standard_normal((4, 4)) * 0.5, rng.standard_normal(4))
+        dt = 0.25
+
+        def run(remade):
+            a, h, w, b, wg, bg = tensors = [Tensor(x, requires_grad=True) for x in arrays]
+            a.requires_grad = operator_grad
+            t = Tape()
+            k = propagate(a, h, w, b, t)
+            h_rk2 = axpy(h, propagate(a, h, w, b, t, stage=(k, dt / 2.0)), dt, t)
+            m = sigmoid(abs_diff(h_rk2, axpy(h, k, dt)))
+            out = gated_jump(h_rk2, m, h, wg, bg, t, remake=(k, dt) if remade else None)
+            backward(mean_all(sigmoid(out, t), t), t)
+            return [out.data] + [x.grad for x in tensors]
+
+        for got, want in zip(run(True), run(False), strict=True):
+            assert (got is None and want is None) or np.array_equal(got, want)
 
     @pytest.mark.parametrize("op, counted, n_live", [
         ("gated_jump", "tanh", 5), ("gated_jump", "tanh", 3),

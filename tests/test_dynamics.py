@@ -329,49 +329,55 @@ class TestEvolveBehavior:
         assert len(calls) == 4 * per_step
 
     def test_uniform_mode_pins_gate_to_one(self):
-        res = evolve(self.h0, 4, self.a, self.field, self.jumps,
-                     mask_mode="uniform_one", collect_masks=True)
-        assert all(np.all(m == 1.0) for m in res.masks)
+        masks = []
+        evolve(self.h0, 4, self.a, self.field, self.jumps,
+               mask_mode="uniform_one", on_gate=masks.append)
+        assert all(np.all(m == 1.0) for m in masks)
         stats = GateStats()
-        for m in res.masks:
+        for m in masks:
             stats.add(m)
         assert stats.count == 4 * self.h0.size
         assert (stats.mean, stats.std) == (1.0, 0.0)
 
     def test_lte_mode_gate_range(self):
+        masks = []
         res = evolve(self.h0, 4, self.a, self.field, self.jumps,
-                     collect_masks=True)
-        for m, err in zip(res.masks, res.lte):
+                     on_gate=masks.append)
+        for m, err in zip(masks, res.lte, strict=True):
             assert np.all((0.5 <= m) & (m < 1.0))
             assert np.all(err.data >= 0.0)
 
     def test_off_mode_is_pure_solver(self):
+        masks = []
         res = evolve(self.h0, 2, self.a, self.field, mask_mode="off",
-                     collect_masks=True)
+                     on_gate=masks.append)
         h = self.h0
         for _ in range(2):
             _, h = embedded_dual_step(h, 0.5, self.a, self.field)
         assert np.array_equal(res.h_final.data, h.data)
-        assert res.masks == []
+        assert masks == []
 
     def test_gate_stats_match_collected_masks(self):
-        res = evolve(self.h0, 4, self.a, self.field, self.jumps,
-                     collect_masks=True)
-        ref = evolve(self.h0, 4, self.a, self.field, self.jumps)
-        stats = GateStats()
-        for m in res.masks:
+        stats, masks = GateStats(), []
+
+        def fold(m):
             stats.add(m)
+            masks.append(m)
+
+        res = evolve(self.h0, 4, self.a, self.field, self.jumps, on_gate=fold)
+        ref = evolve(self.h0, 4, self.a, self.field, self.jumps)
         assert np.array_equal(res.h_final.data, ref.h_final.data)
-        values = np.concatenate([m.ravel() for m in res.masks])
+        values = np.concatenate([m.ravel() for m in masks])
         assert stats.count == values.size
         assert stats.mean == pytest.approx(values.mean(), rel=0, abs=1e-12)
         assert stats.std == pytest.approx(values.std(), rel=0, abs=1e-12)
 
     def test_collect_masks_and_states(self):
+        masks = []
         res = evolve(self.h0, 4, self.a, self.field, self.jumps,
-                     collect_masks=True, collect_states=True)
-        assert len(res.masks) == 4
-        assert all(m.shape == self.h0.shape for m in res.masks)
+                     on_gate=masks.append, collect_states=True)
+        assert len(masks) == 4
+        assert all(m.shape == self.h0.shape for m in masks)
         assert len(res.states) == 5
         assert np.array_equal(res.states[0], self.h0.data)
 

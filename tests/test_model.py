@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -192,7 +193,7 @@ class TestForward:
         assert res.y_hat.shape == (2, 4, TINY.horizon)
         assert res.nfe_static == res.nfe_adaptive == 2 * TINY.steps
         assert res.lte is None
-        assert res.masks is None
+        assert not hasattr(res, "masks")
         collected = forward(x, ahat, params, TINY, collect_lte=True)
         assert len(collected.lte) == 2 * TINY.steps
         assert np.array_equal(collected.y_hat.data, res.y_hat.data)
@@ -261,34 +262,37 @@ class TestForward:
         # of the adaptive one, each bitwise what that stream's evolve returns
         params = init_params(TINY, seed=3)
         x, ahat = tiny_inputs(TINY)
-        res = forward(x, ahat, params, TINY, collect_lte=True, collect_masks=True)
-        assert len(res.lte) == len(res.masks) == 2 * TINY.steps
+        masks = []
+        res = forward(x, ahat, params, TINY, on_gate=masks.append, collect_lte=True)
+        assert len(res.lte) == len(masks) == 2 * TINY.steps
         h0 = initialize_state(x, params, TINY)
         operators = (("static", ahat),
                      ("adaptive", adaptive_adjacency(params.e_node)))
         for i, (name, a_op) in enumerate(operators):
+            ref_masks = []
             ref = odegate.dynamics.evolve(h0, TINY.steps, a_op,
                                           mask_mode=TINY.mask_mode,
-                                          collect_masks=True,
+                                          on_gate=ref_masks.append,
                                           **params.streams[name])
             got = slice(i * TINY.steps, (i + 1) * TINY.steps)
             for e, e_ref in zip(res.lte[got], ref.lte, strict=True):
                 assert np.array_equal(e.data, e_ref.data.swapaxes(0, 1))
-            for m, m_ref in zip(res.masks[got], ref.masks, strict=True):
+            for m, m_ref in zip(masks[got], ref_masks, strict=True):
                 assert np.array_equal(m, m_ref.swapaxes(0, 1))
 
     def test_collect_masks(self):
         params = init_params(TINY, seed=3)
         x, ahat = tiny_inputs(TINY)
-        res = forward(x, ahat, params, TINY, collect_masks=True)
-        assert len(res.masks) == 2 * TINY.steps
-        assert res.masks[0].shape == (2, 4, TINY.hidden_dim)
+        masks = []
+        forward(x, ahat, params, TINY, on_gate=masks.append)
+        assert len(masks) == 2 * TINY.steps
+        assert masks[0].shape == (2, 4, TINY.hidden_dim)
 
     def test_gate_stats_fold_both_streams(self):
         params = init_params(TINY, seed=3)
         x, ahat = tiny_inputs(TINY)
-        res = forward(x, ahat, params, TINY, collect_masks=True)
-        masks = res.masks
+        masks = []
+        res = forward(x, ahat, params, TINY, on_gate=masks.append)
         stats = GateStats()
         for m in masks:
             stats.add(m)
@@ -579,11 +583,29 @@ class TestGradientBits:
         # about 34, keeping only what backward reads about 15, leaving the
         # uncollected error off the tape 11, recomputing the jump's tanh in
         # backward 9 (4 static, 5 adaptive), remaking each evaluation's A h
-        # in backward 6 (h, the midpoint and the gate in each stream), and
-        # evaluating the midpoint inside its field node 4 (h and the gate);
-        # the rest is the tape's records
+        # in backward 6 (h, the midpoint and the gate in each stream),
+        # evaluating the midpoint inside its field node 4 (h and the gate),
+        # and making the gate again in the jump's backward 2 (h); the rest
+        # is the tape's records
         per_step = _taped_states_per_step(DEFAULT)
-        assert 4.0 <= per_step < 4.5, per_step
+        assert 2.0 <= per_step < 2.5, per_step
+
+    @pytest.mark.parametrize("mask_grad", [False, True])
+    def test_taped_forward_holds_no_gate(self, mask_grad):
+        # the jump makes an lte gate that carries no gradient again in
+        # backward, so once the callback has seen it nothing holds it; a
+        # gate that carries a gradient stays on the tape until backward
+        config = dataclasses.replace(TINY, mask_grad=mask_grad)
+        params = init_params(config, seed=3)
+        x, ahat = tiny_inputs(config)
+        gates = []
+        tape = Tape()
+        res = forward(x, ahat, params, config, tape,
+                      lambda m: gates.append(weakref.ref(m.base)))
+        assert len(gates) == 2 * config.steps
+        assert [ref() is None for ref in gates] == [not mask_grad] * len(gates)
+        backward(mean_abs_error(res.y_hat, Tensor(np.zeros(res.y_hat.shape)), tape), tape)
+        assert all(ref() is None for ref in gates)
 
     def test_uniform_gate_is_one_array_per_stream(self):
         # the uniform_one gate is one array of ones per `evolve` call, so a

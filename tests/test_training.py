@@ -306,11 +306,18 @@ class TestTrainLoop:
         real_forward = odegate.training.forward
         real_clip = odegate.training.clip_gradients
 
-        def forward_collecting(x, ahat, params, config, tape=None, **kwargs):
-            kwargs["collect_masks"] = True
-            res = real_forward(x, ahat, params, config, tape, **kwargs)
+        def forward_collecting(x, ahat, params, config, tape=None, on_gate=None,
+                               **kwargs):
+            masks = []
+
+            def keep(m):
+                masks.append(m)
+                if on_gate is not None:
+                    on_gate(m)
+
+            res = real_forward(x, ahat, params, config, tape, keep, **kwargs)
             if tape is not None:
-                taped_masks.append(res.masks)
+                taped_masks.append(masks)
             return res
 
         def clip_recording(named, max_norm):
@@ -553,9 +560,10 @@ class TestMaskStatistics:
         ds = tiny_dataset()
         params = init_params(TINY_MODEL, seed=0)
         windows = ds.splits["val"]
-        res = forward(Tensor(windows.x), normalize_adjacency(ds.graph), params,
-                      TINY_MODEL, collect_masks=True)
-        values = np.concatenate([m.ravel() for m in res.masks])
+        masks = []
+        forward(Tensor(windows.x), normalize_adjacency(ds.graph), params,
+                TINY_MODEL, on_gate=masks.append)
+        values = np.concatenate([m.ravel() for m in masks])
         report = mask_report(params, TINY_MODEL, ds, split="val", batch_size=7)
         assert report.mean == pytest.approx(np.mean(values), rel=0, abs=1e-12)
         assert report.std == pytest.approx(np.std(values), rel=0, abs=1e-12)
@@ -569,9 +577,10 @@ class TestMaskStatistics:
         ahat = normalize_adjacency(ds.graph)
         values, shocked = [], []
         for lo in range(0, windows.count, 64):
-            res = forward(Tensor(windows.x[lo:lo + 64]), ahat, params, TINY_MODEL,
-                          collect_masks=True)
-            for m in res.masks:
+            masks = []
+            forward(Tensor(windows.x[lo:lo + 64]), ahat, params, TINY_MODEL,
+                    on_gate=masks.append)
+            for m in masks:
                 values.append(m.ravel())
                 shocked.append(m[cells[lo:lo + 64]].ravel())
         p95 = float(np.percentile(np.concatenate(values), 95))
