@@ -12,8 +12,9 @@ is written per op.  A VJP closes over the arrays it reads and nothing else,
 never over a `Tensor` only for its shape, so an output that no VJP reads is
 freed as soon as the forward code drops it.
 
-`_out` is the only place that records a backward rule, and it is only ever
-called with a tape.  Given an input that requires gradients, it gives the
+`_out` is the only place that records an op's backward rule, and it is
+only ever called with a tape (`checkpoint`, below, records one rule for a
+stretch of ops).  Given an input that requires gradients, it gives the
 output a small gradient slot and appends one rule that holds that slot and,
 for each such input, a route: the input's own slot and its VJP; with none,
 it records nothing.  The rule and the routes hold slots, never the
@@ -41,27 +42,23 @@ A rule may compute one value from its gradient and share it across its
 routes: `_out`'s `share` runs once, before the first route, and each VJP
 then reads it as a second argument.  `abs_diff` computes `g * sign(d)` once
 for both operands; `gated_jump` recomputes its tanh once for all five;
-`propagate` makes a @ h again for w's gradient, then g W^T once for its
-operator and its state.  Both rules keep an input the forward read rather
-than a state-sized product of their own, and the recompute repeats the
-forward's calls, so its bits are the forward's.  A `propagate` stage,
-the field at h + c k where k is the field at h, keeps h alone too: its
-rule makes k and the stage point again from h, and hands the a @ h it
-made on to k's rule, which would make the same product.  A `gated_jump`
-given the step's k and dt (`remake`) keeps no gate either: its rule makes
-the embedded step's gate again from h and hands the a @ h and a @ stage
-point it made on to the stage rule, which then makes neither; so a taped
-solver step keeps 1 array per stream, h.  These products are the only
-values a rule passes to another besides gradients: they ride in k's
-gradient slot, and each rule drops its own once read.
+`propagate` makes g W^T once for its operator and its state.
+
+`checkpoint(run, tape)` records everything `run` computes as one node that
+keeps only what `run` closes over.  The forward runs `run` without a tape;
+the node's rule runs it again on a fresh tape, hands each output's gradient
+to the matching output of that second run and replays the fresh tape, so
+every gradient reaches the real inputs in the order, and with the bits, of
+the same ops recorded directly.  `dynamics.evolve` records each solver step
+as one such node, which keeps the step's input state alone.
 
 Broadcasting is restricted to scalar-with-tensor.  Anything richer is its own
 named op with its own VJPs: `propagate` applies a graph operator over the
 node axis of a batched state and then a shared channel map plus bias, the
-field's (A h) W + b in one node, at h or at a stage point h + c k;
-`affine` applies a shared channel map (plus an optional bias) alone;
-`gated_jump` gates the tanh of one; `gram` and `row_normalize` build the
-adaptive graph; and `expand_batch` replicates along a new batch axis.
+field's (A h) W + b in one node; `affine` applies a shared channel map
+(plus an optional bias) alone; `gated_jump` gates the tanh of one; `gram`
+and `row_normalize` build the adaptive graph; and `expand_batch` replicates
+along a new batch axis.
 The three map ops check and compute the channel map x W + b in one helper,
 `_channel_map`, and each keeps its own VJPs.  That keeps every VJP
 auditable against the finite-difference oracle at the bottom of this
@@ -85,7 +82,6 @@ warn or raise, whatever `np.errstate` is in force.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,34 +125,6 @@ class _Swapped(_Slot):
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         self.target.accumulate_grad(np.array(g.swapaxes(0, 1), order="C"))
-
-
-class _Field(_Slot):
-    """Gradient slot of a field evaluation, `propagate` without a stage.
-
-    It names the arrays the evaluation read, for a stage evaluation or a
-    jump to check its k against: a, w and b, and h only while the
-    evaluation's rule keeps it (a weak reference, so the slot never keeps h
-    on its own).  It carries the graph products a later rule of the step
-    made to the rules that read them next, each of which lets its own go:
-    `memo`, one a @ h, to this slot's own rule (from a stage rule, or from a
-    jump that remade its gate through the stage rule), and `stage_memo`,
-    (c, a @ (h + c k)), from such a jump to the stage rule at c.
-    """
-
-    __slots__ = ("read", "memo", "stage_memo")
-
-    def __init__(self, a: np.ndarray, h: np.ndarray | None, w: np.ndarray,
-                 b: np.ndarray):
-        super().__init__()
-        self.read = (a, None if h is None else weakref.ref(h), w, b)
-        self.memo: np.ndarray | None = None
-        self.stage_memo: tuple[float, np.ndarray] | None = None
-
-    def made_from(self, a: np.ndarray, h: np.ndarray | None, w: np.ndarray,
-                  b: np.ndarray) -> bool:
-        ra, rh, rw, rb = self.read
-        return ra is a and rw is w and rb is b and (None if rh is None else rh()) is h
 
 
 class Tensor(_Slot):
@@ -261,10 +229,50 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise ContractError("backward: the tape is spent by an earlier backward; "
                             "record a new tape for each pass")
     tape.spent = True
-    nodes = tape.nodes
     _slot_of(loss).accumulate_grad(np.ones_like(loss.data))
+    _replay(tape.nodes)
+
+
+def _replay(nodes: list) -> None:
+    # reverse recording order, each rule popped before it runs
     while nodes:
         nodes.pop()[1]()
+
+
+def checkpoint(run: Callable[[Tape | None], tuple], tape: Tape | None = None) -> tuple:
+    """The tensors `run(None)` returns, recorded on `tape` as one node.
+
+    `run(sub)` computes a tuple of tensors from tensors it closes over and
+    records its ops on the tape `sub`, or on none when `sub` is None.  The
+    forward calls `run(None)`, whose ops build no rules, so the node keeps
+    only what `run` closes over.  Once an output has a gradient, the rule
+    calls `run` again on a fresh tape, hands each output's gradient to the
+    matching output of that second run, drops those outputs and replays the
+    fresh tape: every gradient reaches the real inputs' slots in the order,
+    and with the bits, of the same ops recorded directly.  So both calls
+    must compute the same values, and a caller's counters and callbacks act
+    only when `sub` is None.
+    """
+    outs = run(None)
+    if tape is None:
+        return outs
+    slots = tuple(_Slot() for _ in outs)
+
+    def rule():
+        grads = [slot.grad for slot in slots]
+        if all(g is None for g in grads):
+            return
+        for slot in slots:
+            slot.grad = None
+        sub = Tape()
+        for out, g in zip(run(sub), grads, strict=True):
+            if g is not None and out.requires_grad:
+                _slot_of(out).accumulate_grad(g)
+        del grads, out, g
+        _replay(sub.nodes)
+
+    tape.record("checkpoint", rule)
+    return tuple(Tensor._wrap(out.data, slot) for out, slot in zip(outs, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +301,7 @@ def _value(arr: np.ndarray, op: str) -> Tensor:
 
 def _out(arr: np.ndarray, op: str, tape: Tape, inputs: Sequence[Tensor],
          vjps: Sequence[Callable[..., np.ndarray]],
-         share: Callable[[np.ndarray], object] | None = None,
-         slot: _Slot | None = None) -> Tensor:
+         share: Callable[[np.ndarray], object] | None = None) -> Tensor:
     """Wrap an op result and, when gradients are live, record its one backward rule.
 
     Only an op that has a tape calls it; without one an op returns through
@@ -309,9 +316,7 @@ def _out(arr: np.ndarray, op: str, tape: Tape, inputs: Sequence[Tensor],
     computes `share(g)` once, before its first route, and calls each VJP as
     `vjp(g, shared)`.  Routes run in input order, and each adds its result
     before the next one runs, so a VJP may hand the shared value on whole
-    only when at most one route follows it.  `slot`, when given, is the
-    output's gradient slot, for an op whose slot carries more than a
-    gradient (`propagate`'s `_Field`).
+    only when at most one route follows it.
     """
     _finite(arr, op)
     live = [(_slot_of(t), vjp) for t, vjp in zip(inputs, vjps) if t.requires_grad]
@@ -324,8 +329,7 @@ def _out(arr: np.ndarray, op: str, tape: Tape, inputs: Sequence[Tensor],
                 vjp = _copy
             handed = True
         routes.append((target, vjp))
-    if slot is None:
-        slot = _Slot()
+    slot = _Slot()
 
     def rule():
         g, slot.grad = slot.grad, None
@@ -380,8 +384,7 @@ def _channel_map(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
-              tape: Tape | None = None,
-              stage: tuple[Tensor, Scalar] | None = None) -> Tensor:
+              tape: Tape | None = None) -> Tensor:
     """Graph propagation, (a[N,N] @ h[N,B,d]) @ w[d,m] + b[m], in one node.
 
     The state is read as one [N, B*d] matrix, so the graph product and its
@@ -391,34 +394,12 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
     128 nodes, `@` above.  Only the output is checked: a non-finite a @ h
     reaches it, as NaN where w's matching row is zero.
 
-    With `stage=(k, c)` the node evaluates at the stage point h + c * k,
-    computed and checked as `axpy` computes and checks it, and routes the
-    point's gradient to h and k as `axpy` would.  k must be the node's own
-    output at h, `propagate(a, h, w, b, tape)`, because the tape keeps no
-    stage point: backward makes k, and the point from it, again from h.  A
-    taped stage call whose k is not that output raises `ContractError`; h
-    is compared only when w or the operator requires a gradient, the one
-    case in which backward remakes k.
-
-    The rule keeps h, the input state, and no array of its own: w's
-    gradient reads a @ h (a @ point at a stage), which the rule's shared
-    step makes again by the forward's own calls, turns into w's gradient
-    and frees before it makes g' = g w^T for the operator and state routes.
-    So a field evaluation keeps no state-sized array beyond h, and with
-    neither w nor the operator requiring a gradient it keeps none.  A stage
-    rule runs before the rule of its k and makes the a @ h that k's rule
-    reads; it hands it on through k's gradient slot, so the pair makes it
-    once.  A jump that remade its gate from the same h (`gated_jump`'s
-    `remake`) has made a @ h and a @ point already and handed both to the
-    stage rule the same way, so then the stage rule makes no graph product
-    for w's gradient, and remakes the point (from the handed a @ h) only
-    for the operator's.  Routes run w, b, operator, state (then k at a
-    stage), so with a square w the state route writes a^T g' over g:
-    backward holds two state-sized arrays, g and a @ h, then g and g',
-    never a third; a stage rule also holds a @ h, the remade point and
-    a @ point while it makes w's gradient, and then writes g' into the
-    buffer of a @ point.  Values and gradients are bitwise those of `axpy`
-    and `affine` around a bare graph product.
+    The rule keeps a @ h for w's gradient, and h only for an operator that
+    requires a gradient.  It shares g' = g w^T between the operator and
+    state routes and routes w and b first, so with a square w the state
+    route writes a^T g' over g: backward holds two state-sized arrays, g
+    and g', never a third.  Values and gradients are bitwise those of
+    `affine` after a bare graph product.
     """
     mat, shape = a.data, h.data.shape
     if mat.ndim != 2 or len(shape) != 3:
@@ -429,100 +410,25 @@ def propagate(a: Tensor, h: Tensor, w: Tensor, b: Tensor,
         raise DimensionError(
             f"propagate: operator {a.shape} does not match h[N,B,d] with "
             f"{n} nodes, got {shape}")
-    wt, bias = w.data, b.data
-    if stage is None:
-        point = h.data.reshape(n, -1)
-    else:
-        k, c = stage[0], float(stage[1])
-        if k.data.shape != shape:
-            raise DimensionError(
-                f"propagate: stage {k.shape} does not match the state {shape}")
-        point = k.data * c
-        point += h.data
-        point = _finite(point, "propagate stage").reshape(n, -1)
-    _, out_flat = _channel_map(_product(mat, point).reshape(shape), wt, bias, "propagate")
+    wt = w.data
+    x = h.data.reshape(n, -1)
+    flat, out_flat = _channel_map(_product(mat, x).reshape(shape), wt, b.data, "propagate")
     m = out_flat.shape[1]
     out = out_flat.reshape(shape[:2] + (m,))
     if tape is None:
         return _value(out, "propagate")
-    w_grad, a_grad = w.requires_grad, a.requires_grad
-    # h is kept only for the gradient of w or of the operator
-    state = h.data if w_grad or a_grad else None
-    # w, b, operator: the same routes with and without a stage
-    routes = (lambda g, s: s[0],
-              lambda g, s: g.reshape(-1, m).sum(axis=0),
-              lambda g, s: np.matmul(s[1], s[2].T))
 
-    def d_h(g, s):
+    def d_h(g, gp):
         # g is the rule's own and no route after this one reads it
         dst = g.reshape(n, -1) if m == d else None
-        return np.matmul(mat.T, s[1], out=dst).reshape(shape)
+        return np.matmul(mat.T, gp, out=dst).reshape(shape)
 
-    if stage is None:
-        slot = _Field(mat, state, wt, bias)
-
-        def share(g):
-            rows = g.reshape(-1, m)
-            x = None if state is None else state.reshape(n, -1)
-            dw = None
-            if w_grad:
-                # a stage rule may have made a @ h already
-                ah, slot.memo = slot.memo, None
-                if ah is None:
-                    ah = _product(mat, x)
-                dw = ah.reshape(-1, d).T @ rows
-                del ah
-            return dw, (rows @ wt.T).reshape(n, -1), x
-
-        return _out(out, "propagate", tape, (w, b, a, h), routes + (d_h,),
-                    share=share, slot=slot)
-
-    k_slot = k._slot
-    if (any(t.requires_grad for t in (w, b, a, h, k))
-            and not (isinstance(k_slot, _Field)
-                     and k_slot.made_from(mat, state, wt, bias))):
-        raise ContractError("propagate: a taped stage needs k = propagate(a, h, w, b) "
-                            "on a tape, at the same a, h, w and b")
-
-    def stage_share(g):
-        rows = g.reshape(-1, m)
-        dw = p = ap = None
-        # a jump that remade its gate hands on a @ h and a @ point
-        handed, k_slot.stage_memo = k_slot.stage_memo, None
-        if handed is not None and handed[0] == c:
-            ap = handed[1]
-        del handed
-        if state is not None:
-            ah, k_slot.memo = k_slot.memo, None
-            if ah is None:
-                ah = _product(mat, state.reshape(n, -1))
-            if a_grad or ap is None:
-                # k and the stage point again, by the forward's calls
-                p = _channel_map(ah.reshape(shape), wt, bias, "propagate")[1].reshape(shape)
-                p *= c
-                p += state
-                p = p.reshape(n, -1)
-            if w_grad:
-                k_slot.memo = ah
-                if ap is None:
-                    ap = _product(mat, p)
-                dw = ap.reshape(-1, d).T @ rows
-            del ah
-        # g W^T into the buffer of a @ point, which nothing reads any more
-        gp = np.matmul(rows, wt.T, out=None if ap is None else ap.reshape(-1, d))
-        del ap
-        # the last entry is the point's gradient, made by the first of h's
-        # and k's routes to run
-        return [dw, gp.reshape(n, -1), p if a_grad else None, None]
-
-    def d_point(g, s):
-        if s[3] is None:
-            s[3] = d_h(g, s)
-        return s[3]
-
-    return _out(out, "propagate", tape, (w, b, a, h, k),
-                routes + (d_point, lambda g, s: d_point(g, s) * c),
-                share=stage_share)
+    return _out(out, "propagate", tape, (w, b, a, h),
+                (lambda g, gp: flat.T @ g.reshape(-1, m),
+                 lambda g, gp: g.reshape(-1, m).sum(axis=0),
+                 lambda g, gp: np.matmul(gp, x.T),
+                 d_h),
+                share=lambda g: (g.reshape(-1, m) @ wt.T).reshape(n, -1))
 
 
 def gram(e: Tensor, tape: Tape | None = None) -> Tensor:
@@ -623,8 +529,7 @@ def abs_diff(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
-               tape: Tape | None = None,
-               remake: tuple[Tensor, Scalar] | None = None) -> Tensor:
+               tape: Tape | None = None) -> Tensor:
     """base + m * tanh(h[...,k] @ w[k,n] + b[n]), the gated jump, in one node.
 
     The arithmetic is that of `affine` followed by the gate, in the same
@@ -632,20 +537,6 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
     pre-activation and its tanh from h once, for all five routes, so values
     and gradients are bitwise those of the two-op chain.  A non-finite
     pre-activation raises, although tanh would round it to +-1.
-
-    With `remake=(k, dt)` the rule keeps no m either, when m requires no
-    gradient: k is the field evaluation `propagate(a, h, w_f, b_f)` on a
-    tape at this jump's h, and m must be the gate of the embedded step from
-    h with step dt, sigmoid(|h + dt f(h + dt/2 k) - (h + dt k)|).  The rule
-    runs before the step's other rules and makes m again from h with the
-    forward's own calls in the forward's order, so its bits are the
-    forward's; it hands the a @ h and a @ midpoint it made to the stage
-    evaluation's rule through k's gradient slot (see `propagate`), so
-    backward makes no more graph products than when m was kept.  A k at
-    another state raises `ContractError`; a k whose rule keeps no h
-    (neither w_f nor the operator requires a gradient) leaves m kept.  So
-    a remade jump keeps 1 state-sized array, h, which the field
-    evaluations of its step keep as well: 1 array per stream and step.
     """
     x = m.data
     if base.data.shape != x.shape:
@@ -657,37 +548,19 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
         raise DimensionError(
             f"gated_jump: {h.shape} mapped by {w.shape} does not match the gate {m.shape}")
     z = _finite(z.reshape(x.shape), "gated_jump pre-activation")
-    out = x * np.tanh(z, out=z)
+    # m * tanh(z) + base in z's own buffer (x * t and t * x round alike)
+    out = np.tanh(z, out=z)
+    out *= x
     out += base.data
     if tape is None:
         return _value(out, "gated_jump")
-    field = None
-    if remake is not None:
-        k, dt = remake[0], float(remake[1])
-        field = k._slot if isinstance(k._slot, _Field) else None
-        kept = None if field is None else field.read[1]
-        if field is None or (kept is not None and kept() is not h.data):
-            raise ContractError("gated_jump: remake needs k = propagate(a, h, w, b) "
-                                "on a tape, at the jump's h")
-        if kept is None or m.requires_grad:
-            field = None   # no h to remake from, or a gate the tape must keep
-    # a remade gate is not kept: the rule makes it from h
-    kept_gate = x if field is None else None
-    del x
     gate_grad = m.requires_grad
 
     def share(g):
-        if field is None:
-            gate = kept_gate
-        else:
-            gate, field.memo, ap = _remade_gate(field.read, flat.reshape(shape), dt)
-            field.stage_memo = (dt / 2.0, ap)
-            del ap
         # the tanh j once more, and dz = (g * m) * (1 - j * j) as the chain had it
-        j = _channel_map(flat, wt, bias, "gated_jump")[1].reshape(shape[:-1] + (n,))
+        j = _channel_map(flat, wt, bias, "gated_jump")[1].reshape(x.shape)
         np.tanh(j, out=j)
-        dz = g * gate
-        del gate
+        dz = g * x
         # 1 - j * j in j's own buffer unless the gate's route reads j
         jj = j * j if gate_grad else np.multiply(j, j, out=j)
         np.subtract(1.0, jj, out=jj)
@@ -701,34 +574,6 @@ def gated_jump(base: Tensor, m: Tensor, h: Tensor, w: Tensor, b: Tensor,
                  lambda g, s: flat.T @ s[1],
                  lambda g, s: s[1].sum(axis=0)),
                 share=share)
-
-
-def _remade_gate(read: tuple, h: np.ndarray, dt: float):
-    """The lte gate of the embedded step from h, with a @ h and a @ midpoint.
-
-    `read` is a field evaluation's (a, h, w, b).  Each value is made by the
-    calls that made it in the forward (`propagate`, `axpy`, `abs_diff`,
-    `attention_mask`), in their order, so its bits are the forward's; only
-    h_rk2 and the error are formed in the buffer of k2.
-    """
-    a, _, w, b = read
-    n, shape = len(h), h.shape
-    ah = _product(a, h.reshape(n, -1))
-    k = _channel_map(ah.reshape(shape), w, b, "gated_jump")[1].reshape(shape)
-    euler = k * dt
-    euler += h
-    point = k * (dt / 2.0)
-    point += h
-    del k
-    ap = _product(a, point.reshape(n, -1))
-    del point
-    err = _channel_map(ap.reshape(shape), w, b, "gated_jump")[1].reshape(shape)
-    err *= dt
-    err += h
-    err -= euler
-    del euler
-    np.abs(err, out=err)
-    return _sigmoid_values(err), ah, ap
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
@@ -760,17 +605,11 @@ def _sigmoid_values(x: np.ndarray, lowest: float | None = None) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
-    """Logistic function; bitwise the same whichever of its two formulas runs."""
-    return _logistic(a, tape)
-
-
-def _logistic(a: Tensor, tape: Tape | None = None,
-              lowest: float | None = None) -> Tensor:
-    """`sigmoid`, for a caller that may have found the smallest entry of `a`.
+def sigmoid(a: Tensor, tape: Tape | None = None, lowest: float | None = None) -> Tensor:
+    """Logistic function; bitwise the same whichever of its two formulas runs.
 
     A caller that scans `a` for a check of its own (the gate's
-    nonnegativity) passes that scan's result as `lowest`, so `a` is
+    nonnegativity) passes that scan's smallest entry as `lowest`, so `a` is
     scanned once.
     """
     y = _sigmoid_values(a.data, lowest)

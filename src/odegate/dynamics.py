@@ -14,32 +14,25 @@ The two solver estimates share k1, so the error signal costs exactly zero
 additional vector-field evaluations: every step performs 2 NFEs regardless of
 how the mask and compensation are configured.
 
-On a tape, a step in `lte` mode records 4 nodes per stream: one
-`propagate`, (A h) W_f + b_f, per field evaluation, the second of them
-evaluated at the midpoint h + dt/2 * k1 inside its own node, one `axpy`
-for h_rk2, and the jump, `gated_jump`.  Both field evaluations keep only
-h: backward makes k1 and the midpoint again from it, and each
-evaluation's A h (A times the midpoint for the second) for W_f's
-gradient.  The jump keeps h too, which the gradient of W_g[step] reads
-anyway, but neither its tanh nor, when the gate carries no gradient, the
-gate: its rule, the first of the step in backward, makes the gate again
-from h by the forward's calls (k1, h_euler, the midpoint, k2, h_rk2, the
-error, its sigmoid) and its tanh from h W_g[step] + b_g[step].  It hands
-the A h and A times the midpoint it made to the second evaluation's
-rule, which hands A h on to the first's, so backward makes no more graph
-products than when the tape kept the gate.  So a taped step keeps 1
-state-sized array in each stream: h.  With mask_grad the gate is on the
-tape and kept, 2 arrays; the `uniform_one` gate is one read-only array
-of ones per `evolve` call, so there a step keeps 1 as well.
+On a tape, `evolve` records each step as one `autodiff.checkpoint` node
+per stream.  The forward runs the step without a tape, and the node keeps
+the step's input state h and nothing else, so a taped step keeps 1
+state-sized array per stream in every gate mode, with mask_grad and with
+collected errors too.  Backward runs the step again from h on a fresh tape,
+with the same calls in the same order, and replays that tape, so values
+and gradients are bitwise those of the step's ops recorded directly.  The
+rerun evaluates the field with `graph_propagate`, not `vector_field`, so
+an `NFECounter`, and anything else that counts `vector_field` calls, sees
+forward evaluations only; `on_gate` and `collect_states` see the forward
+only as well.
 
-The gate reads the error's values only, so h_euler and the error are
-computed off the tape and freed with their step.  Only a reader of the
-error's gradient puts them on the tape, as a fifth node, h_euler's `axpy`,
-right after k1, and a sixth, `abs_diff`: a caller that collects the errors
-(the smoothness penalty differentiates them), or mask_grad, which adds the
-gate's `sigmoid` too; there the jump keeps its gate.  The `off`,
-`uniform_one` and `learned` modes read no error unless it is collected,
-and then form no h_euler either.
+Inside a step the gate reads the error's values only, so the error is
+recorded only for a reader of its gradient: a caller that collects the
+errors (the smoothness penalty differentiates them), or mask_grad, which
+records the gate's `sigmoid` too.  The `off`, `uniform_one` and `learned`
+modes compute no error unless it is collected.  A step drops k1 once the
+midpoint and h_euler exist, and an uncollected error once the gate is
+made.
 
 States are node-major, [N,B,d] (node, batch, channel), the layout
 `autodiff.propagate` reads as one [N, B*d] matrix for its graph product;
@@ -56,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _logistic, abs_diff, axpy, gated_jump, sigmoid
+from .autodiff import Tape, Tensor, abs_diff, axpy, checkpoint, gated_jump, sigmoid
 from .autodiff import affine as node_linear, propagate as graph_propagate
 from .errors import ContractError, OdegateError
 
@@ -127,40 +120,40 @@ class GateStats:
 # ---------------------------------------------------------------------------
 
 def vector_field(h: Tensor, a_op: Tensor, field: tuple, tape: Tape | None = None,
-                 nfe: NFECounter | None = None,
-                 stage: tuple[Tensor, float] | None = None) -> Tensor:
-    """Continuous field (A h) W_f + b_f: one graph propagation, in one tape node.
-
-    With `stage=(k, c)`, where k is this field at h, the field at the stage
-    point h + c * k, formed inside the same node (`autodiff.propagate`).
-    """
+                 nfe: NFECounter | None = None) -> Tensor:
+    """Continuous field (A h) W_f + b_f: one graph propagation, in one tape node."""
     w_f, b_f = field
-    out = graph_propagate(a_op, h, w_f, b_f, tape, stage)
+    out = graph_propagate(a_op, h, w_f, b_f, tape)
     if nfe is not None:
         nfe.bump()
     return out
 
 
 def embedded_dual_step(h: Tensor, dt: float, a_op: Tensor, field: tuple,
-                       tape: Tape | None = None, nfe: NFECounter | None = None,
-                       *, euler: bool = True):
+                       tape: Tape | None = None, nfe: NFECounter | None = None):
     """One embedded Euler/RK2 step; returns (h_euler, h_rk2) from 2 NFEs.
 
     k1 is computed once and reused by both estimates; the Euler result is a
-    free byproduct of the midpoint method's first stage.  It is formed right
-    after k1, on the tape when there is one: recorded after h_rk2, it would
-    change the order in which gradients add up in h and k1, and with it
-    their bits.  A caller that reads no gradient of h_euler passes
-    euler=False and gets k1 in its place, to skip h_euler or form it off the
-    tape itself, and to hand k1 to a jump that remakes its gate.
+    free byproduct of the midpoint method's first stage.
     """
     if dt <= 0:
         raise ContractError(f"embedded_dual_step: dt must be positive, got {dt}")
-    k1 = vector_field(h, a_op, field, tape, nfe)
-    h_euler = axpy(h, k1, dt, tape) if euler else k1
-    k2 = vector_field(h, a_op, field, tape, nfe, stage=(k1, dt / 2.0))
-    h_rk2 = axpy(h, k2, dt, tape)
-    return h_euler, h_rk2
+    return _dual_step(h, dt, lambda x: vector_field(x, a_op, field, tape, nfe), tape)
+
+
+def _dual_step(h: Tensor, dt: float, field_at, tape: Tape | None):
+    """(h_euler, h_rk2) with the field at x given by `field_at(x)`.
+
+    h_euler is formed right after k1: recorded after h_rk2, it would change
+    the order in which gradients add up in h and k1, and with it their bits.
+    """
+    k1 = field_at(h)
+    h_euler = axpy(h, k1, dt, tape)
+    mid = axpy(h, k1, dt / 2.0, tape)
+    del k1
+    k2 = field_at(mid)
+    del mid
+    return h_euler, axpy(h, k2, dt, tape)
 
 
 def local_truncation_error(h_euler: Tensor, h_rk2: Tensor,
@@ -179,23 +172,20 @@ def attention_mask(e: Tensor, tape: Tape | None = None) -> Tensor:
     lowest = np.minimum.reduce(e.data, axis=None, initial=np.inf)
     if lowest < 0:
         raise ContractError("attention_mask: error signal must be nonnegative")
-    return _logistic(e, tape, lowest)
+    return sigmoid(e, tape, lowest)
 
 
 def compensate(h_t: Tensor, h_rk2: Tensor, m: Tensor, step: int,
-               jumps, tape: Tape | None = None,
-               remake: tuple[Tensor, float] | None = None) -> Tensor:
+               jumps, tape: Tape | None = None) -> Tensor:
     """Hybrid update h_rk2 + m * tanh(h_t W_g[step] + b_g[step]).
 
     `jumps` holds one (w_g, b_g) pair per step.  The jump operator reads the
-    PRE-step state h_t, not the solver output.  `remake=(k1, dt)` lets the
-    jump make an lte gate again in backward instead of keeping it (see
-    `autodiff.gated_jump`).
+    PRE-step state h_t, not the solver output.
     """
     if not (0 <= step < len(jumps)):
         raise ContractError(f"compensate: step {step} outside [0, {len(jumps)})")
     w_g, b_g = jumps[step]
-    return gated_jump(h_rk2, m, h_t, w_g, b_g, tape, remake)
+    return gated_jump(h_rk2, m, h_t, w_g, b_g, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +210,15 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
       learned      mask = sigmoid of an affine map of the pre-step state
       off          pure embedded RK2, jumps skipped entirely
 
-    By default the mask is computed off the tape, so no gradient reaches the
-    error through the gate; pass mask_grad=True to let gradients flow through
-    it.  With collect_lte (the default), `lte` holds every step's error
-    tensor, on the tape (the smoothness-penalty loss differentiates them), in
-    every mode.  Without it, `lte` is None: `lte` mode computes each error
-    off the tape (on it with mask_grad) and drops it with its step, and the
-    other modes, which never read it, skip it.  `on_gate`, when given, is
-    called with every gated step's mask array as the step makes it, in step
-    order; mask_mode 'off' makes none.  A taped `lte` step whose gate carries
-    no gradient hands the gate to the jump to make again in backward, so
-    the tape keeps no gate of it.
+    By default the gate carries no gradient, so none reaches the error
+    through it; pass mask_grad=True to let gradients flow through it.  With
+    collect_lte (the default), `lte` holds every step's error tensor, on the
+    tape (the smoothness-penalty loss differentiates them), in every mode.
+    Without it, `lte` is None: `lte` mode drops each error with its step,
+    and the other modes, which never read it, skip it.  `on_gate`, when
+    given, is called with every gated step's mask array as the step makes
+    it, in step order; mask_mode 'off' makes none.  With a tape each step is
+    one `checkpoint` node (see the module docstring).
     """
     if steps < 1:
         raise ContractError(f"evolve: steps must be >= 1, got {steps}")
@@ -242,59 +230,59 @@ def evolve(h0: Tensor, steps: int, a_op: Tensor, field: tuple, jumps=(),
         raise ContractError(f"evolve: mask_mode '{mask_mode}' needs {steps} jumps, "
                             f"got {len(jumps)}")
     dt = 1.0 / steps
-
-    h = h0
-    lte_tensors = [] if collect_lte else None
-    # the error is formed for the collector or the lte gate, and taped only
-    # for a reader of its gradient (the collector, mask_grad)
+    # the error is formed for the collector or the lte gate, and recorded
+    # only for a reader of its gradient (the collector, mask_grad)
     with_err = collect_lte or mask_mode == "lte"
     err_grad = collect_lte or mask_grad
-    err_tape = tape if err_grad else None
-    # an lte gate that carries no gradient is made again by its jump in
-    # backward, from k1, so the step forms h_euler off the tape from k1
-    remade = tape is not None and mask_mode == "lte" and not err_grad
-    states = [h0.data.copy()] if collect_states else None
     if mask_mode == "uniform_one":
-        # one gate for every step, so the tape keeps one array of ones
+        # one gate for every step, so the steps share one array of ones
         uniform = Tensor._wrap(np.ones_like(h0.data))
         uniform.data.flags.writeable = False
 
-    for step in range(steps):
-        try:
-            h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, field, tape, nfe,
-                                                euler=with_err and not remade)
-            if remade:   # k1 in h_euler's place
-                k1, h_euler = h_euler, axpy(h, h_euler, dt)
-            elif not with_err:
-                h_euler = None   # k1, which nothing here reads
-            if with_err:
-                err = local_truncation_error(h_euler, h_rk2, err_tape)
-                if lte_tensors is not None:
-                    lte_tensors.append(err)
+    def step_from(h: Tensor, step: int):
+        """The step from h as `checkpoint` runs it: `sub` is None in the
+        forward, and the fresh tape when backward runs it again."""
 
+        def run(sub):
+            if sub is None:
+                h_euler, h_rk2 = embedded_dual_step(h, dt, a_op, field, None, nfe)
+            else:
+                h_euler, h_rk2 = _dual_step(
+                    h, dt, lambda x: graph_propagate(a_op, x, *field, sub), sub)
+            err = None
+            if with_err:
+                err = local_truncation_error(h_euler, h_rk2, sub if err_grad else None)
+            del h_euler
             if mask_mode == "off":
                 h_next = h_rk2
             else:
                 if mask_mode == "lte":
-                    m = attention_mask(err, tape if mask_grad else None)
+                    m = attention_mask(err, sub if mask_grad else None)
                 elif mask_mode == "uniform_one":
                     m = uniform
                 else:  # learned
-                    m = sigmoid(node_linear(h, *learned_mask, tape), tape)
-
-                if on_gate is not None:
+                    m = sigmoid(node_linear(h, *learned_mask, sub), sub)
+                if not collect_lte:
+                    err = None   # read by the gate alone, which now exists
+                if sub is None and on_gate is not None:
                     on_gate(m.data)
-                h_next = compensate(h, h_rk2, m, step, jumps, tape,
-                                    (k1, dt) if remade else None)
+                h_next = compensate(h, h_rk2, m, step, jumps, sub)
+            return (h_next,) if err is None else (h_next, err)
+
+        return run
+
+    h = h0
+    lte_tensors = [] if collect_lte else None
+    states = [h0.data.copy()] if collect_states else None
+    for step in range(steps):
+        try:
+            out = checkpoint(step_from(h, step), tape)
         except OdegateError as exc:
             raise type(exc)(f"step {step}: {exc}") from exc
-
+        h = out[0]
+        if lte_tensors is not None:
+            lte_tensors.append(out[1])
         if states is not None:
-            states.append(h_next.data.copy())
-        h = h_next
-        # this step's estimates, error and gate must not live on through the
-        # next step's evaluations: at train-n300 they are up to 5 states the
-        # tape does not keep
-        k1 = h_euler = h_rk2 = err = m = None
+            states.append(h.data.copy())
 
     return EvolveResult(h_final=h, lte=lte_tensors, states=states)

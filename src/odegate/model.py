@@ -217,8 +217,8 @@ def forward(x: Tensor, ahat: Tensor, params: ModelParams, config: ModelConfig,
     batch-major views (see `ForwardResult`).  `on_gate`, when given, is
     called with each step's gate as a batch-major [B,N,d_h] view as the
     step makes it: every step of the first of `STREAMS`, then every step of
-    the second.  Nothing keeps a gate after the call but the tape, which
-    keeps only a gate that it cannot make again.  With collect_lte, `lte` holds
+    the second.  Nothing keeps a gate after the call: on a tape each step
+    is one node that keeps its input state alone.  With collect_lte, `lte` holds
     every stream's per-step error tensors, on the tape, for a loss that
     differentiates them (the smoothness penalty); without it, `lte` is None
     and no error outlives its step or enters the tape unless mask_grad

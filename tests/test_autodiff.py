@@ -15,8 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 import odegate.autodiff
 from odegate.autodiff import (Tape, Tensor, _finite, _sigmoid_values, abs_diff, add,
-                              affine, all_finite, axpy, backward, concat_channels,
-                              expand_batch, finite_diff_gradient, gated_jump,
+                              affine, all_finite, axpy, backward, checkpoint,
+                              concat_channels, expand_batch, finite_diff_gradient, gated_jump,
                               gram, mean_abs_error, mean_all, propagate, relu,
                               row_normalize, sigmoid, swap_leading)
 from odegate.errors import ContractError, DimensionError, NumericError
@@ -145,15 +145,15 @@ class TestTapeLifecycle:
         assert a.grad.shape == a.shape
 
     def test_propagate_keeps_its_input_state_only(self):
-        # with w and the operator requiring gradients, the rule keeps the
-        # state it read, from which backward makes a @ h again for w's
-        # gradient, and no state-sized array of its own
+        # with the operator requiring a gradient and w not, the rule keeps
+        # the state it read, which the operator's gradient reads, and no
+        # state-sized array of its own (a w that requires one keeps a @ h)
         n, batch, d = 30, 16, 32
         t = Tape()
         leaf = Tensor(rand(n, batch, d), requires_grad=True)
         x = axpy(leaf, leaf, 1.0, t)
         a = Tensor(rand(n, n), requires_grad=True)
-        w, bias = Tensor(rand(d, d), requires_grad=True), Tensor(rand(d), requires_grad=True)
+        w, bias = Tensor(rand(d, d)), Tensor(rand(d), requires_grad=True)
         arr = x.data
         tracemalloc.start()
         try:
@@ -166,7 +166,7 @@ class TestTapeLifecycle:
         assert sys.getrefcount(arr) == 3   # `arr`, the call's argument, the rule
         backward(mean_all(y, t), t)
         assert sys.getrefcount(arr) == 2
-        assert leaf.grad.shape == leaf.shape and w.grad.shape == w.shape
+        assert leaf.grad.shape == leaf.shape and a.grad.shape == a.shape
 
     def test_propagate_rule_holds_two_states(self):
         # the rule makes g w^T and writes a^T (g w^T) over g, which becomes
@@ -463,52 +463,16 @@ class TestForwardOracles:
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_propagate_stage_point_overflow_names_it(self, taped):
-        # k is finite and only the stage point h + c * k overflows; it is
-        # checked, as the stage update's axpy checked it, on both exits
+        # k is finite and only the stage point h + c * k overflows; the
+        # stage update's axpy checks it on both exits, before any field
+        # evaluation reads it
         t = Tape() if taped else None
         a, h, w, b = (Tensor(x, requires_grad=taped)
                       for x in (np.eye(2), np.full((2, 1, 2), 3.0), np.eye(2), np.zeros(2)))
         k = propagate(a, h, w, b, t)
         with np.errstate(over="ignore"), \
-                pytest.raises(NumericError, match="^propagate stage produced non-finite"):
-            propagate(a, h, w, b, t, stage=(k, 1e308))
-
-    def test_propagate_stage_checks_its_k(self):
-        # backward makes k again from h, so a taped stage takes only
-        # propagate's own output at the same a, h, w and b
-        a, h, w, b = (Tensor(x, requires_grad=True)
-                      for x in (rand(3, 3), rand(3, 2, 2), rand(2, 2), rand(2)))
-        t = Tape()
-        k = propagate(a, h, w, b, t)
-        propagate(a, h, w, b, t, stage=(k, 0.5))
-        for bad in (Tensor(k.data, requires_grad=True),                # a leaf
-                    axpy(k, k, 0.0, t),                                # another op's
-                    propagate(a, Tensor(h.data.copy()), w, b, t),      # another state's
-                    propagate(a, h, Tensor(w.data.copy()), b, t),      # another map's
-                    propagate(a, h, w, b, t, stage=(k, 0.5))):         # a stage's
-            with pytest.raises(ContractError, match="^propagate: a taped stage"):
-                propagate(a, h, w, b, t, stage=(bad, 0.5))
-        with pytest.raises(DimensionError, match="^propagate: stage"):
-            propagate(a, h, w, b, stage=(Tensor(rand(3, 2, 3)), 0.5))
-
-    def test_gated_jump_remake_checks_its_k(self):
-        # backward makes the gate again from the jump's h, so the remake
-        # takes only the field evaluation at that h
-        a, h, w, b, wg, bg = (Tensor(x, requires_grad=True)
-                              for x in (rand(3, 3), rand(3, 2, 2), rand(2, 2), rand(2),
-                                        rand(2, 2), rand(2)))
-        t = Tape()
-        k0 = propagate(a, h, w, b, t)
-        h1 = axpy(h, k0, 0.5, t)   # the next step's state
-        k1 = propagate(a, h1, w, b, t)
-        m = Tensor(np.full((3, 2, 2), 0.75))
-        gated_jump(h1, m, h1, wg, bg, t, remake=(k1, 0.5))
-        for bad in (k0,                                         # another step's
-                    Tensor(k1.data, requires_grad=True),        # a leaf
-                    axpy(h1, k1, 0.0, t),                       # another op's
-                    propagate(a, h1, w, b, t, stage=(k1, 0.25))):   # a stage's
-            with pytest.raises(ContractError, match="^gated_jump: remake needs k"):
-                gated_jump(h1, m, h1, wg, bg, t, remake=(bad, 0.5))
+                pytest.raises(NumericError, match="^axpy produced non-finite"):
+            propagate(a, axpy(h, k, 1e308, t), w, b, t)
 
     @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("w, b", [(2.0, 0.0), (1.0, 1e308)])
@@ -592,14 +556,14 @@ class TestGradientOracles:
     def test_propagate_stage(self, frozen):
         # f(h + c f(h)), the midpoint evaluation, in a, h, w and b; a frozen
         # h leaves the point's gradient to k's route, and a frozen w or
-        # operator leaves the rules less to make again
+        # operator leaves the rules less to keep
         tensors = [Tensor(x, requires_grad=i != frozen)
                    for i, x in enumerate((rand(4, 4), rand(4, 3, 2), rand(2, 2), rand(2)))]
 
         def build(t):
             a, h, w, bias = tensors
             k = propagate(a, h, w, bias, t)
-            return mean_all(sigmoid(propagate(a, h, w, bias, t, stage=(k, 0.35)), t), t)
+            return mean_all(sigmoid(propagate(a, axpy(h, k, 0.35, t), w, bias, t), t), t)
 
         grad_matches(build, [x for i, x in enumerate(tensors) if i != frozen])
 
@@ -724,32 +688,37 @@ class TestSharedRules:
 
     @pytest.mark.parametrize("n", [5, 130])
     def test_propagate_stage_bitwise_the_chain(self, n):
-        # the stage node against the chain it replaced, axpy and then
-        # propagate, on both sides of the graph product's row switch: the
-        # value and every gradient, bit for bit; k reaches the loss by a
-        # second path too, as k1 reaches it through h_euler
+        # the midpoint evaluation, axpy and then propagate, as one
+        # checkpoint node against the same chain recorded directly, on both
+        # sides of the graph product's row switch: the value and every
+        # gradient, bit for bit; k, made outside the checkpoint, reaches the
+        # loss by a second path too, as k1 reaches it through h_euler
         rng = np.random.default_rng(22)
         arrays = (rng.standard_normal((n, n)) / n, rng.standard_normal((n, 3, 4)),
                   rng.standard_normal((4, 4)) * 0.5, rng.standard_normal(4))
 
-        def run(fused):
+        def run(checkpointed):
             a, h, w, b = tensors = [Tensor(x, requires_grad=True) for x in arrays]
             t = Tape()
             k = propagate(a, h, w, b, t)
-            out = (propagate(a, h, w, b, t, stage=(k, 0.125)) if fused
-                   else propagate(a, axpy(h, k, 0.125, t), w, b, t))
+
+            def stage(s):
+                return (propagate(a, axpy(h, k, 0.125, s), w, b, s),)
+
+            out = (checkpoint(stage, t) if checkpointed else stage(t))[0]
             backward(add(mean_all(sigmoid(out, t), t), mean_all(sigmoid(k, t), t), t), t)
             return [out.data] + [x.grad for x in tensors]
 
-        for got, want in zip(run(True), run(False)):
+        for got, want in zip(run(True), run(False), strict=True):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [5, 130])
     @pytest.mark.parametrize("operator_grad", [False, True])
     def test_remade_gate_bitwise_the_kept_one(self, n, operator_grad):
-        # one lte step whose jump makes its gate again in backward, against
-        # the same step with the gate kept: the value and every gradient,
-        # bit for bit, on both sides of the graph product's row switch
+        # one lte step as a checkpoint node, whose rule makes the gate again
+        # in backward, against the same step recorded directly, whose jump
+        # keeps its gate: the value and every gradient, bit for bit, on
+        # both sides of the graph product's row switch
         rng = np.random.default_rng(23)
         arrays = (rng.standard_normal((n, n)) / n, rng.standard_normal((n, 3, 4)),
                   rng.standard_normal((4, 4)) * 0.5, rng.standard_normal(4),
@@ -760,10 +729,18 @@ class TestSharedRules:
             a, h, w, b, wg, bg = tensors = [Tensor(x, requires_grad=True) for x in arrays]
             a.requires_grad = operator_grad
             t = Tape()
-            k = propagate(a, h, w, b, t)
-            h_rk2 = axpy(h, propagate(a, h, w, b, t, stage=(k, dt / 2.0)), dt, t)
-            m = sigmoid(abs_diff(h_rk2, axpy(h, k, dt)))
-            out = gated_jump(h_rk2, m, h, wg, bg, t, remake=(k, dt) if remade else None)
+
+            def step(s):
+                k = propagate(a, h, w, b, s)
+                h_euler = axpy(h, k, dt, s)
+                h_rk2 = axpy(h, propagate(a, axpy(h, k, dt / 2.0, s), w, b, s), dt, s)
+                m = sigmoid(abs_diff(h_rk2, h_euler))
+                return (gated_jump(h_rk2, m, h, wg, bg, s),)
+
+            out = (checkpoint(step, t) if remade else step(t))[0]
+            assert [name for name, _ in t.nodes] == (
+                ["checkpoint"] if remade
+                else ["propagate", "axpy", "axpy", "propagate", "axpy", "gated_jump"])
             backward(mean_all(sigmoid(out, t), t), t)
             return [out.data] + [x.grad for x in tensors]
 
@@ -811,6 +788,14 @@ def _relu_zeroed(rng):
     return (np.maximum(s, 0.0),)
 
 
+def _checkpointed_midpoint(t, a, h, w, b):
+    """The midpoint evaluation f(h + f(h) / 4) as one checkpoint node."""
+    def run(s):
+        return (propagate(a, axpy(h, propagate(a, h, w, b, s), 0.25, s), w, b, s),)
+
+    return checkpoint(run, t)[0]
+
+
 # Every tape op: (call on tensor inputs under tape t, seeded input arrays).
 ORACLE_TABLE = {
     "gram": (lambda t, e: gram(e, t), _normal((4, 3))),
@@ -835,6 +820,7 @@ ORACLE_TABLE = {
                      lambda rng: (rng.standard_normal((3, 2)),)),
     "mean_all": (lambda t, a: mean_all(a, t), lambda rng: (rng.standard_normal((3, 4)),)),
     "mean_abs_error": (lambda t, pred, target: mean_abs_error(pred, target, t), _mae_pair),
+    "checkpoint": (_checkpointed_midpoint, _normal((4, 4), (4, 3, 2), (2, 2), (2,))),
 }
 
 # (op, index of the input without requires_grad): None for every op, and each

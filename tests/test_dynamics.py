@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import odegate.dynamics
-from odegate.autodiff import Tape, Tensor, backward, mean_all
-from odegate.dynamics import (GateStats, NFECounter, attention_mask, compensate,
-                              embedded_dual_step, evolve, local_truncation_error,
-                              vector_field)
+from odegate.autodiff import (Tape, Tensor, abs_diff, add, affine, axpy, backward,
+                              gated_jump, mean_all, propagate, sigmoid)
+from odegate.dynamics import (MASK_MODES, GateStats, NFECounter, attention_mask,
+                              compensate, embedded_dual_step, evolve,
+                              local_truncation_error, vector_field)
 from odegate.errors import ContractError, NumericError
 
 
@@ -311,23 +312,6 @@ class TestEvolveBehavior:
         assert nfe.count == 8
         assert len(res.lte) == 4
 
-    @pytest.mark.parametrize("mode, collect_lte, per_step", [
-        ("lte", False, 2), ("uniform_one", False, 1), ("learned", False, 1),
-        ("off", False, 1), ("off", True, 2)])
-    def test_euler_estimate_formed_only_for_the_error(self, monkeypatch, mode,
-                                                      collect_lte, per_step):
-        # h_rk2 is one stage update a step; h_euler is a second one only
-        # where the error is read, by the lte gate or the collector
-        calls = []
-        real = odegate.dynamics.axpy
-        monkeypatch.setattr(odegate.dynamics, "axpy",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        learned_mask = (Tensor(self.rng.standard_normal((3, 3))),
-                        Tensor(np.zeros(3))) if mode == "learned" else None
-        evolve(self.h0, 4, self.a, self.field, self.jumps, mask_mode=mode,
-               learned_mask=learned_mask, tape=Tape(), collect_lte=collect_lte)
-        assert len(calls) == 4 * per_step
-
     def test_uniform_mode_pins_gate_to_one(self):
         masks = []
         evolve(self.h0, 4, self.a, self.field, self.jumps,
@@ -390,15 +374,17 @@ class TestEvolveBehavior:
         ("lte", False), ("lte", True), ("uniform_one", False), ("learned", False),
         ("off", False)])
     def test_uncollected_error_stays_off_the_tape(self, mode, mask_grad, monkeypatch):
-        # the gate reads the error's values, so only mask_grad tapes it; the
-        # other modes never read it, so they do not compute it
+        # the gate reads the error's values, so only mask_grad records it, on
+        # the tape of the step's rerun in backward; the other modes never
+        # read it, so they do not compute it
         learned_mask = (Tensor(self.rng.standard_normal((3, 3))),
                         Tensor(np.zeros(3))) if mode == "learned" else None
         run = dict(mask_mode=mode, learned_mask=learned_mask, mask_grad=mask_grad)
         collected = evolve(self.h0, 4, self.a, self.field, self.jumps,
                            tape=Tape(), **run)
-        tapes = []
+        tapes, recorded = [], []
         real = odegate.dynamics.local_truncation_error
+        real_record = Tape.record
 
         def recording(h_euler, h_rk2, tape=None):
             tapes.append(tape)
@@ -409,10 +395,16 @@ class TestEvolveBehavior:
         res = evolve(self.h0, 4, self.a, self.field, self.jumps, tape=tape,
                      collect_lte=False, **run)
         assert res.lte is None
-        expected = {"lte": [tape if mask_grad else None] * 4}.get(mode, [])
-        assert tapes == expected
-        assert ("abs_diff" in {name for name, _ in tape.nodes}) == mask_grad
         assert np.array_equal(res.h_final.data, collected.h_final.data)
+        forward_tapes, tapes[:] = list(tapes), []
+        monkeypatch.setattr(Tape, "record",
+                            lambda t, name, rule: recorded.append(name) or
+                            real_record(t, name, rule))
+        backward(mean_all(res.h_final, tape), tape)
+        assert forward_tapes == ([None] * 4 if mode == "lte" else [])
+        assert [t is not None for t in tapes] == ([mask_grad] * 4 if mode == "lte" else [])
+        assert tape not in tapes
+        assert ("abs_diff" in recorded) == mask_grad
 
 
 class TestGateGradientFlow:
@@ -544,3 +536,85 @@ class TestGateStats:
     def test_empty_reads_zero(self):
         stats = GateStats()
         assert (stats.mean, stats.std) == (0.0, 0.0)
+
+
+class TestCheckpointedStep:
+    """Each taped step is one `checkpoint` node that backward runs again."""
+
+    @pytest.mark.parametrize("n", [5, 130])
+    @pytest.mark.parametrize("collect_lte", [False, True])
+    @pytest.mark.parametrize("mask_grad", [False, True])
+    @pytest.mark.parametrize("mode", MASK_MODES)
+    def test_bitwise_the_same_ops_recorded_directly(self, mode, mask_grad, collect_lte, n):
+        # evolve's steps, one checkpoint node each, against the step's ops
+        # written out here and recorded on the tape itself, on both sides of
+        # the graph product's row switch: every value and every gradient,
+        # bit for bit
+        rng = np.random.default_rng(31)
+        d, steps = 3, 2
+        arrays = [np.abs(rng.standard_normal((n, n))) / n, rng.standard_normal((n, 2, d)),
+                  rng.standard_normal((d, d)) * 0.4, rng.standard_normal(d) * 0.1,
+                  rng.standard_normal((d, d)), rng.standard_normal(d) * 0.1]
+        arrays += [x for _ in range(steps)
+                   for x in (rng.standard_normal((d, d)) * 0.3, rng.standard_normal(d) * 0.1)]
+
+        def direct(h, step, a, field, jumps, learned, tape):
+            dt, err_tape = 1.0 / steps, tape if collect_lte or mask_grad else None
+            k1 = propagate(a, h, *field, tape)
+            h_euler = axpy(h, k1, dt, tape)
+            h_rk2 = axpy(h, propagate(a, axpy(h, k1, dt / 2.0, tape), *field, tape), dt, tape)
+            err = (abs_diff(h_rk2, h_euler, err_tape)
+                   if collect_lte or mode == "lte" else None)
+            gate = {"lte": lambda: sigmoid(err, tape if mask_grad else None),
+                    "uniform_one": lambda: Tensor(np.ones(h.shape)),
+                    "learned": lambda: sigmoid(affine(h, *learned, tape), tape),
+                    "off": lambda: None}[mode]()
+            h_next = h_rk2 if gate is None else gated_jump(h_rk2, gate, h, *jumps[step], tape)
+            return h_next, err
+
+        def run(checkpointed):
+            a, h, w_f, b_f, w_m, b_m, *jump = leaves = [Tensor(x, requires_grad=True)
+                                                        for x in arrays]
+            field, learned = (w_f, b_f), (w_m, b_m)
+            jumps = list(zip(jump[::2], jump[1::2]))
+            tape = Tape()
+            if checkpointed:
+                res = evolve(h, steps, a, field, jumps, mode, learned_mask=learned,
+                             mask_grad=mask_grad, tape=tape, collect_lte=collect_lte)
+                assert [name for name, _ in tape.nodes] == ["checkpoint"] * steps
+                h, errs = res.h_final, res.lte or []
+            else:
+                errs = []
+                for step in range(steps):
+                    h, err = direct(h, step, a, field, jumps, learned, tape)
+                    errs += [err] if collect_lte else []
+            loss = mean_all(sigmoid(h, tape), tape)
+            for err in errs:
+                loss = add(loss, mean_all(err, tape), tape)
+            backward(loss, tape)
+            return [h.data] + [err.data for err in errs] + [x.grad for x in leaves]
+
+        for got, want in zip(run(True), run(False), strict=True):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", MASK_MODES)
+    def test_backward_evaluates_no_vector_field(self, monkeypatch, mode):
+        # the rerun evaluates the field through graph_propagate, so the
+        # counter and a count of vector_field calls see the forward's 2 per
+        # step alone
+        rng = np.random.default_rng(32)
+        steps, calls = 3, []
+        real = odegate.dynamics.vector_field
+        monkeypatch.setattr(odegate.dynamics, "vector_field",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        learned_mask = affine_field(rng, 2) if mode == "learned" else None
+        nfe, tape = NFECounter(), Tape()
+        res = evolve(Tensor(rng.standard_normal((3, 2, 2)), requires_grad=True), steps,
+                     Tensor(np.eye(3) * 0.8), affine_field(rng, 2), jumps_for(rng, 2, steps),
+                     mode, learned_mask=learned_mask, tape=tape, nfe=nfe)
+        assert nfe.count == len(calls) == 2 * steps
+        loss = mean_all(res.h_final, tape)
+        for err in res.lte:
+            loss = add(loss, mean_all(err, tape), tape)
+        backward(loss, tape)
+        assert nfe.count == len(calls) == 2 * steps

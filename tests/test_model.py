@@ -21,7 +21,7 @@ import odegate.dynamics
 import odegate.model
 from odegate.autodiff import Tape, Tensor, backward, finite_diff_gradient, mean_abs_error
 from odegate.data import WindowSet
-from odegate.dynamics import GateStats
+from odegate.dynamics import MASK_MODES, GateStats
 from odegate.errors import ContractError, DimensionError, ParseError, ValidationError
 from odegate.graph import SpatialGraph, adaptive_adjacency, normalize_adjacency
 from odegate.model import (MAX_STEPS, ModelConfig, ModelParams, flop_report,
@@ -205,45 +205,51 @@ class TestForward:
         b = forward(x, ahat, params, TINY)
         assert np.array_equal(a.y_hat.data, b.y_hat.data)
 
-    def test_tape_nodes_by_op(self):
+    def test_tape_nodes_by_op(self, monkeypatch):
         params = init_params(TINY, seed=3)
         x, ahat = tiny_inputs(TINY)
         tape = Tape()
         res = forward(x, ahat, params, TINY, tape)
         ops = Counter(name for name, _ in tape.nodes)
         assert "reshape" not in ops and "add_bias" not in ops
-        evals = res.nfe_static + res.nfe_adaptive
-        # one propagate node per field evaluation; the two affine nodes are
+        # one checkpoint node per step and stream; the two affine nodes are
         # the encoder and the readout
-        assert ops["propagate"] == evals
+        assert ops["checkpoint"] == 2 * TINY.steps
         assert ops["affine"] == 2
-        assert ops["gated_jump"] == 2 * TINY.steps
-        assert "abs_diff" not in ops
+        assert not {"propagate", "axpy", "gated_jump", "abs_diff"} & set(ops)
         # the adaptive graph is one node per op
         assert {op: ops[op] for op in ("gram", "relu", "row_normalize")} == \
             {"gram": 1, "relu": 1, "row_normalize": 1}
-        # one lte step of one stream: 2 field evaluations, the second at the
-        # midpoint inside its own node, the h_rk2 update and the gated jump;
-        # h_euler and the error join them when the error is collected
+        # the rerun of one lte step of one stream: 2 field evaluations, one
+        # propagate node each, the midpoint's, h_euler's and h_rk2's stage
+        # updates and the gated jump; the error joins them when it is
+        # collected
         h = Tensor(np.random.default_rng(4).standard_normal((TINY.n_nodes, 2,
                                                              TINY.hidden_dim)),
                    requires_grad=True)
-        step = {"propagate": 2, "axpy": 1, "gated_jump": 1}
-        for collect_lte, extra in ((False, {}), (True, {"axpy": 2, "abs_diff": 1})):
-            tape = Tape()
-            odegate.dynamics.evolve(h, 1, ahat, params.streams["static"]["field"],
-                                    params.streams["static"]["jumps"], "lte", tape=tape,
-                                    collect_lte=collect_lte)
-            assert Counter(name for name, _ in tape.nodes) == {**step, **extra}
+        step = {"propagate": 2, "axpy": 3, "gated_jump": 1}
+        real_record = Tape.record
+        for collect_lte, extra in ((False, {}), (True, {"abs_diff": 1})):
+            tape, rerun = Tape(), []
+            res = odegate.dynamics.evolve(h, 1, ahat, params.streams["static"]["field"],
+                                          params.streams["static"]["jumps"], "lte",
+                                          tape=tape, collect_lte=collect_lte)
+            assert [name for name, _ in tape.nodes] == ["checkpoint"]
+            loss = odegate.autodiff.mean_all(res.h_final, tape)
+            with monkeypatch.context() as m:
+                m.setattr(Tape, "record", lambda t, name, rule: rerun.append(name) or
+                          real_record(t, name, rule))
+                backward(loss, tape)
+            assert Counter(rerun) == {**step, **extra}
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_third_field_evaluation_per_step_rejected(self, monkeypatch, taped):
         original, calls = odegate.dynamics.vector_field, itertools.count(1)
 
-        def three_per_step(h, a_op, field, tape=None, nfe=None, stage=None):
+        def three_per_step(h, a_op, field, tape=None, nfe=None):
             if next(calls) % 2 == 0:   # the midpoint stage, evaluated twice
-                original(h, a_op, field, tape, nfe, stage)
-            return original(h, a_op, field, tape, nfe, stage)
+                original(h, a_op, field, tape, nfe)
+            return original(h, a_op, field, tape, nfe)
 
         monkeypatch.setattr(odegate.dynamics, "vector_field", three_per_step)
         x, ahat = tiny_inputs(TINY)
@@ -577,7 +583,9 @@ class TestGradientBits:
         assert _wide_grad_digest() == self.WIDE_GRAD_DIGEST
         assert one_thread == self.WIDE_GRAD_DIGEST
 
-    def test_tape_memory_per_step(self):
+    @pytest.mark.parametrize("mode", MASK_MODES)
+    @pytest.mark.parametrize("mask_grad", [False, True])
+    def test_tape_memory_per_step(self, mode, mask_grad):
         # growth of a taped forward from steps=2 to steps=4, in state-sized
         # arrays per step over both streams: keeping every op output costs
         # about 34, keeping only what backward reads about 15, leaving the
@@ -585,16 +593,18 @@ class TestGradientBits:
         # backward 9 (4 static, 5 adaptive), remaking each evaluation's A h
         # in backward 6 (h, the midpoint and the gate in each stream),
         # evaluating the midpoint inside its field node 4 (h and the gate),
-        # and making the gate again in the jump's backward 2 (h); the rest
+        # and one checkpoint node per step 2 (h), whatever the gate (the
+        # lte gate with mask_grad kept 6.2, the learned gate 4.2); the rest
         # is the tape's records
-        per_step = _taped_states_per_step(DEFAULT)
+        per_step = _taped_states_per_step(dataclasses.replace(
+            DEFAULT, mask_mode=mode, mask_grad=mask_grad))
         assert 2.0 <= per_step < 2.5, per_step
 
     @pytest.mark.parametrize("mask_grad", [False, True])
     def test_taped_forward_holds_no_gate(self, mask_grad):
-        # the jump makes an lte gate that carries no gradient again in
-        # backward, so once the callback has seen it nothing holds it; a
-        # gate that carries a gradient stays on the tape until backward
+        # the forward makes each gate off the tape and backward makes it
+        # again, so once the callback has seen it nothing holds it, with
+        # mask_grad too
         config = dataclasses.replace(TINY, mask_grad=mask_grad)
         params = init_params(config, seed=3)
         x, ahat = tiny_inputs(config)
@@ -603,7 +613,7 @@ class TestGradientBits:
         res = forward(x, ahat, params, config, tape,
                       lambda m: gates.append(weakref.ref(m.base)))
         assert len(gates) == 2 * config.steps
-        assert [ref() is None for ref in gates] == [not mask_grad] * len(gates)
+        assert all(ref() is None for ref in gates)
         backward(mean_abs_error(res.y_hat, Tensor(np.zeros(res.y_hat.shape)), tape), tape)
         assert all(ref() is None for ref in gates)
 

@@ -220,22 +220,29 @@ class TestTrainLoop:
             assert np.array_equal(p1.data, p2.data)
 
     def test_default_batch_tapes_no_error(self, monkeypatch):
-        # a default training batch (4 steps, lam 0): 4 nodes per step and
-        # stream, 3 encoder, 3 graph build, 2 readout and the loss
-        tapes = []
-        real_backward = odegate.training.backward
+        # a default training batch (4 steps, lam 0): one checkpoint node per
+        # step and stream, 3 encoder, 3 graph build, 2 readout and the loss;
+        # the steps' reruns in backward record no error either
+        tapes, reruns = [], []
+        real_backward, real_record = odegate.training.backward, Tape.record
 
         def counting(loss, tape):
             tapes.append(Counter(name for name, _ in tape.nodes))
-            real_backward(loss, tape)
+            rerun = []
+            with monkeypatch.context() as m:
+                m.setattr(Tape, "record", lambda t, name, rule: rerun.append(name) or
+                          real_record(t, name, rule))
+                real_backward(loss, tape)
+            reruns.append(Counter(rerun))
 
         monkeypatch.setattr(odegate.training, "backward", counting)
         config = dataclasses.replace(TINY_MODEL, steps=4)
         train(tiny_dataset(), config, TrainConfig(epochs=1, batch_size=16))
-        assert tapes
-        for ops in tapes:
-            assert "abs_diff" not in ops
-            assert sum(ops.values()) == 41
+        assert tapes and len(reruns) == len(tapes)
+        for ops, rerun in zip(tapes, reruns):
+            assert ops["checkpoint"] == 8
+            assert sum(ops.values()) == 17
+            assert "abs_diff" not in rerun and rerun["gated_jump"] == 8
 
     def test_parameter_gradients_share_no_memory(self, monkeypatch):
         # backward hands gradients on; clipping scales each in place, so no
